@@ -8,19 +8,30 @@ stable random variable with Laplace transform
 
 where C = pi Gamma(1 - gamma) without fading and C = pi psi(gamma)
 Gamma(1 - gamma) with i.i.d. fading of fractional moment psi(s) = E[F^s].
-Inverting the transform gives the success probability of a link of length
-r at SIR threshold beta as the alternating series
+Its CDF is Kanter's integral (Kanter 1975; Zolotarev 1986)
 
-    Pr(W < x) = sum_{n>=0} (-C lam)^n / n! * sin(pi n gamma)/pi
-                * Gamma(n gamma) * psi(-n gamma) * x^(-n gamma),
+    Pr(W < x) = (1/pi) int_0^pi exp(-A(t) z) dt,
+    A(t) = sin(gamma t)^(gamma/(1-gamma)) sin((1-gamma) t)
+           / sin(t)^(1/(1-gamma)),
+    z = (C lam)^(1/(1-gamma)) x^(-gamma/(1-gamma)),
 
-with x = r^(-alpha)/beta and the n = 0 term equal to 1.  The terms grow
-before they decay, so they are accumulated in log-magnitude/sign form
-with compensated summation, and the evaluation refuses to return a result
-once cancellation has destroyed it (see ``PrecisionLossError``).
+whose integrand is positive, so no x loses digits to cancellation.  A(t)
+rises from A(0) = gamma^(gamma/(1-gamma)) (1-gamma) to infinity at pi.
+The integral is split where A(t) = A(0) + 1/z -- the edge of the thin
+layer near pi in the upper tail and of the narrow peak at 0 in the lower
+tail, in the spirit of Nolan (1997) -- and each half is a tanh-sinh rule,
+whose nodes cluster at the split.
 
-Exponential (unit-mean) fading admits no such series (psi(-n gamma) has
-poles) but has the exact closed form
+For a link of length r at SIR threshold beta, x = r^(-alpha)/beta and
+
+    z = (C lam r^2 beta^gamma)^(1/(1-gamma)),
+
+so the success probability depends on (r, beta, lam) only through
+rho = r sqrt(lam) beta^(1/alpha).  Log-uniform fading F = e^u,
+u ~ U[-f, f], also scales the signal by e^u; the average over u is a
+fixed Gauss-Legendre rule.
+
+Exponential (unit-mean) fading has the exact closed form
 
     p = exp(-lam pi Gamma(1-gamma) Gamma(1+gamma) beta^gamma r^2),
 
@@ -34,23 +45,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecisionLossError, UnsupportedFadingError
+from .errors import UnsupportedFadingError
 from .propagation import ChannelModel, psi, sample_fading
 
-# Cancellation guard: refuse the series once the largest intermediate term
-# exceeds this factor times the final sum.
-_CONDITION_LIMIT = 1e12
+# Tanh-sinh rule on [0, 1] with step 1/16: node s_k, its distance 1 - s_k
+# to the right end (kept apart so that pi - t keeps its digits near pi),
+# and weight.
+_TS_TAU = np.arange(-52, 53) / 16.0
+_TS_V = 0.5 * np.pi * np.sinh(_TS_TAU)
+_TS_LEFT = 1.0 / (1.0 + np.exp(-2.0 * _TS_V))
+_TS_RIGHT = 1.0 / (1.0 + np.exp(2.0 * _TS_V))
+_TS_WEIGHT = np.pi / 64.0 * np.cosh(_TS_TAU) / np.cosh(_TS_V) ** 2
+
+# The split point is read off log A tabulated at t = pi / (1 + e^-v):
+# relative resolution in t near 0 and in pi - t near pi alike.
+_SPLIT_V = np.linspace(-20.0, 40.0, 241)
+_SPLIT_T = np.pi / (1.0 + np.exp(-_SPLIT_V))
+_SPLIT_GAP = np.pi / (1.0 + np.exp(_SPLIT_V))
+
+# Entries evaluated together: bounds each node array at ~0.9 MB.
+_CHUNK = 1024
+
+# Gauss-Legendre rule on [-1, 1] for the log-uniform fading average.  It
+# holds p to 1e-10 while the fade moves log z by at most _MAX_FADE_SHIFT
+# either way (measured against mpmath up to gamma/(1-gamma) = 10).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_MAX_FADE_SHIFT = 10.0
+
+# The optimizer searches s = C rho^2, C the no-fading constant
+# (z = s^(1/(1-gamma))), over _S_BOUNDS by golden section in log rho down
+# to a relative width _RHO_RTOL: about 30 evaluations.  The optimum sits at
+# s in [0.4, 2.1] for alpha from 2.05 to 100 over the whole accepted
+# fading range.
+_S_BOUNDS = (1e-2, 1e2)
+_RHO_RTOL = 1e-5
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class SeriesParams:
-    """Series evaluation parameters for one (lam, beta, alpha)."""
+    """Stable-law parameters for one (lam, beta, alpha)."""
 
     lam: float
     beta: float
     alpha: float
-    max_terms: int = 400
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.lam > 0):
@@ -59,10 +97,6 @@ class SeriesParams:
             raise ValueError("SIR threshold must be positive")
         if not (self.alpha > 2):
             raise ValueError("attenuation coefficient must exceed 2")
-        if self.max_terms < 8:
-            raise ValueError("max_terms too small")
-        if not (0 < self.rel_tol < 1e-2):
-            raise ValueError("rel_tol out of range")
 
     @property
     def gamma(self) -> float:
@@ -74,100 +108,85 @@ class SeriesParams:
         return math.pi * psi(fading, g, spread) * math.gamma(1.0 - g)
 
 
-def _series(x: float, lam: float, gamma: float, C: float,
-            max_terms: int, rel_tol: float,
-            fading: str = "none", spread: float = 1.0) -> float:
-    """Evaluate the alternating stable-CDF series at x.
+def _log_kanter_a(t, pi_minus_t, g):
+    """log A(t), with sin(t) taken as sin(min(t, pi - t)) so that neither
+    end of [0, pi] loses digits."""
+    return (g / (1.0 - g) * np.log(np.sin(g * t))
+            + np.log(np.sin((1.0 - g) * t))
+            - np.log(np.sin(np.minimum(t, pi_minus_t))) / (1.0 - g))
 
-    Terms are formed from logs (lgamma) so their size is known before
-    exponentiation; the running sum uses Kahan compensation.  Raises
-    :class:`PrecisionLossError` when the condition number passes the guard
-    or the terms fail to converge within the budget.
-    """
-    if not (x > 0):
+
+def _kanter_cdf(log_z, g):
+    """Pr(W < x) elementwise, from log z (see the module docstring).
+    Works through _CHUNK entries at a time to bound the node arrays."""
+    log_z = np.asarray(log_z, dtype=float)
+    flat = log_z.ravel()
+    log_a0 = g / (1.0 - g) * math.log(g) + math.log(1.0 - g)
+    table = _log_kanter_a(_SPLIT_T, _SPLIT_GAP, g)
+    out = np.empty_like(flat)
+    for k in range(0, flat.size, _CHUNK):
+        lz = flat[k:k + _CHUNK, None]
+        v = np.interp(np.logaddexp(log_a0, -lz), table, _SPLIT_V)
+        split, gap = np.pi / (1.0 + np.exp(-v)), np.pi / (1.0 + np.exp(v))
+        total = 0.0
+        for start, length, end_gap in ((0.0, split, gap), (split, gap, 0.0)):
+            log_a = _log_kanter_a(start + length * _TS_LEFT,
+                                  end_gap + length * _TS_RIGHT, g)
+            with np.errstate(over="ignore"):
+                f = np.exp(-np.exp(log_a + lz))
+            total = total + length[:, 0] * (f @ _TS_WEIGHT)
+        out[k:k + _CHUNK] = total / np.pi
+    # The rule's weights sum to 1 within an ulp, which can lift p = 1 above.
+    return np.minimum(out, 1.0).reshape(log_z.shape)
+
+
+def _scalar_or_array(p):
+    return float(p) if np.ndim(p) == 0 else p
+
+
+def prob_w_below(x, params: SeriesParams):
+    """Pr(W < x) for the no-fading Poisson interference field; ``x`` may be
+    a scalar or an array."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
         raise ValueError("signal level x must be positive")
-    log_cl = math.log(C * lam)
-    log_x = math.log(x)
-
-    total = 1.0  # n = 0 term by convention
-    comp = 0.0
-    max_abs = 1.0
-    small_streak = 0
-    converged = False
-
-    for n in range(1, max_terms + 1):
-        ng = n * gamma
-        # sin(pi n gamma) vanishes exactly whenever n*gamma is an integer;
-        # floating-point sin() only gets within ~1e-16 of zero there, which
-        # would otherwise masquerade as series convergence.
-        if abs(ng - round(ng)) < 1e-9:
-            continue
-        s = math.sin(math.pi * ng)
-        log_mag = (n * log_cl - math.lgamma(n + 1.0)
-                   + math.log(abs(s)) - math.log(math.pi)
-                   + math.lgamma(ng) - ng * log_x)
-        if fading == "log_uniform":
-            log_mag += math.log(psi(fading, -ng, spread))
-        if log_mag > 700.0:
-            raise PrecisionLossError(
-                "series term overflow; result lost to cancellation")
-        mag = math.exp(log_mag)
-        term = mag if ((n % 2 == 0) == (s > 0.0)) else -mag
-
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-
-        max_abs = max(max_abs, mag)
-        # Converged once three successive terms sit below the tolerance
-        # (one small term can be an accidental near-zero of the sine).
-        if mag <= rel_tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                converged = True
-                break
-        else:
-            small_streak = 0
-
-    if not converged:
-        raise PrecisionLossError(
-            f"series did not converge within {max_terms} terms")
-    if abs(total) * _CONDITION_LIMIT < max_abs:
-        raise PrecisionLossError(
-            f"condition number {max_abs / max(abs(total), 1e-300):.3g} "
-            "exceeds the cancellation guard")
-    return min(1.0, max(0.0, total))
+    g = params.gamma
+    log_z = (math.log(params.series_constant() * params.lam)
+             - g * np.log(x)) / (1.0 - g)
+    return _scalar_or_array(_kanter_cdf(log_z, g))
 
 
-def prob_w_below(x: float, params: SeriesParams) -> float:
-    """Pr(W < x) for the no-fading Poisson interference field, clamped to
-    [0, 1].  Raises :class:`PrecisionLossError` in the cancellation regime
-    (callers then fall back to Monte Carlo)."""
-    return _series(x, params.lam, params.gamma,
-                   params.series_constant("none"),
-                   params.max_terms, params.rel_tol)
-
-
-def aloha_prob(r: float, params: SeriesParams, fading: str = "none",
-               spread: float = 1.0) -> float:
+def aloha_prob(r, params: SeriesParams, fading: str = "none",
+               spread: float = 1.0):
     """Success probability of a link of length r under slotted ALOHA.
 
-    ``fading="none"`` evaluates Pr(W < r^(-alpha)/beta); ``log_uniform``
-    multiplies each term by psi(-n gamma) and uses the fading constant.
-    Exponential fading has no convergent series (its negative moments
-    diverge); use :func:`aloha_prob_exponential` or the Monte Carlo path.
+    ``r`` may be a scalar or an array.  ``fading="none"`` evaluates
+    Pr(W < r^(-alpha)/beta); ``log_uniform`` uses the fading constant and
+    averages over the signal fade.  Exponential fading has its own exact
+    form: use :func:`aloha_prob_exponential` or the Monte Carlo path.
     """
-    if not (r > 0):
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
         raise ValueError("link length must be positive")
     if fading == "exponential":
         raise UnsupportedFadingError(
-            "series diverges under exponential fading; use "
+            "exponential fading has a closed form; use "
             "aloha_prob_exponential or mc_aloha_prob")
-    x = r ** -params.alpha / params.beta
-    return _series(x, params.lam, params.gamma,
-                   params.series_constant(fading, spread),
-                   params.max_terms, params.rel_tol, fading, spread)
+    g = params.gamma
+    log_z = (math.log(params.series_constant(fading, spread) * params.lam)
+             + 2.0 * np.log(r) + g * math.log(params.beta)) / (1.0 - g)
+    if fading == "none":
+        return _scalar_or_array(_kanter_cdf(log_z, g))
+    # A signal fade e^u scales x by e^u and z by e^(-u gamma/(1-gamma)).
+    max_shift = spread * g / (1.0 - g)
+    if max_shift > _MAX_FADE_SHIFT:
+        raise UnsupportedFadingError(
+            f"log-uniform spread {spread:g} moves log z by {max_shift:.3g}, "
+            f"past the {_MAX_FADE_SHIFT:g} the fading rule resolves; "
+            "use mc_aloha_prob")
+    shifts = max_shift * _GL_NODES
+    p = _kanter_cdf(log_z[..., None] - shifts, g) @ _GL_WEIGHTS / 2.0
+    return _scalar_or_array(p)
 
 
 def aloha_prob_exponential(r: float, lam: float, beta: float, alpha: float) -> float:
@@ -291,86 +310,47 @@ class AlohaResult:
     p: float
     rp: float
     inv_rp: float
-    method: str = "series"
 
 
 def optimize_range(params: SeriesParams, fading: str = "none",
-                   spread: float = 1.0, r_tol: float = 1e-5) -> AlohaResult:
+                   spread: float = 1.0) -> AlohaResult:
     """Maximize r * p(lam, r, beta, alpha) over the link length r.
 
-    Golden-section search on [1e-4, r_hi] where r_hi is found by doubling
-    until p < 1e-6 (points past the cancellation guard count as zero).
-    A coarse scan first verifies the rise-then-fall shape; if violated the
-    maximizer comes from a dense 10^4-point scan instead.  Normally called
-    with lam = 1; other intensities work and obey sqrt(lam) * r = const.
+    p depends on (r, beta, lam) only through rho = r sqrt(lam)
+    beta^(1/alpha), so one bounded maximization of rho * p(rho) at
+    beta = lam = 1, in log rho, serves every (beta, lam):
+    r* = rho* / (sqrt(lam) beta^(1/alpha)).
     """
+    unit = SeriesParams(1.0, 1.0, params.alpha)
+    log_c = math.log(unit.series_constant())
 
-    def p_of(r):
-        try:
-            return aloha_prob(r, params, fading, spread)
-        except PrecisionLossError:
-            return 0.0
+    def rho_p(log_rho):
+        rho = math.exp(log_rho)
+        return rho * aloha_prob(rho, unit, fading, spread)
 
-    def f(r):
-        return r * p_of(r)
-
-    r_hi = 0.1 / math.sqrt(params.lam)
-    while p_of(r_hi) >= 1e-6:
-        r_hi *= 2.0
-        if r_hi > 1e6 / math.sqrt(params.lam):
-            raise RuntimeError("no upper bracket for the range optimizer")
-    r_lo = 1e-4
-
-    grid = np.linspace(r_lo, r_hi, 64)
-    vals = np.array([f(r) for r in grid])
-    k = int(np.argmax(vals))
-    noise = 1e-9 * vals.max()
-    rising = np.all(np.diff(vals[: k + 1]) >= -noise)
-    falling = np.all(np.diff(vals[k:]) <= noise)
-    if not (rising and falling):
-        grid = np.linspace(r_lo, r_hi, 10_000)
-        vals = np.array([f(r) for r in grid])
-        k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > r_tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-        else:
+    a, b = (0.5 * (math.log(s) - log_c) for s in _S_BOUNDS)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = rho_p(c), rho_p(d)
+    while b - a > _RHO_RTOL:
+        if fc > fd:
             b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-    r_star = 0.5 * (a + b)
-    p_star = p_of(r_star)
-    rp = r_star * p_star
-    return AlohaResult(r_star, p_star, rp, 1.0 / rp if rp > 0 else math.inf)
+            c = b - _INV_PHI * (b - a)
+            fc = rho_p(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = rho_p(d)
+    log_rho, rho_p_max = (c, fc) if fc > fd else (d, fd)
+    rho = math.exp(log_rho)
+    r = rho / (math.sqrt(params.lam) * params.beta ** (1.0 / params.alpha))
+    p = rho_p_max / rho
+    rp = r * p
+    return AlohaResult(r, p, rp, 1.0 / rp if rp > 0 else math.inf)
 
 
 def curve(params: SeriesParams, r_values, fading: str = "none",
           spread: float = 1.0):
-    """(r, p, r*p) rows for plot export; cancellation-regime points are
-    reported as p = 0 with method 'below_resolution'."""
-    rows = []
-    for r in r_values:
-        try:
-            p = aloha_prob(float(r), params, fading, spread)
-            method = "series"
-        except PrecisionLossError:
-            p, method = 0.0, "below_resolution"
-        rows.append((float(r), p, float(r) * p, method))
-    return rows
-
-
-def save_curve_csv(rows, path) -> None:
-    """Write optimizer/curve rows as CSV with header ``r,p,rp,method``."""
-    with open(path, "w") as fh:
-        fh.write("r,p,rp,method\n")
-        for r, p, rp, method in rows:
-            fh.write(f"{r:.12g},{p:.12g},{rp:.12g},{method}\n")
+    """(r, p, r*p) rows for plot export, all r evaluated in one call."""
+    rs = np.asarray(r_values, dtype=float)
+    ps = aloha_prob(rs, params, fading, spread)
+    return [(float(r), float(p), float(r * p)) for r, p in zip(rs, ps)]

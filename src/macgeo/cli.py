@@ -154,13 +154,8 @@ def _cmd_aloha_curve(cfg: RunConfig) -> str:
     rows = []
     for kind, spr in (("none", 1.0),) + (((fading, spread),) if fading != "none" else ()):
         label = _fading_label(kind, spr)
-        for r, pv, rp, method in aloha.curve(params, rs, kind, spr):
-            tag = label if method == "series" else f"{label}:below_resolution"
-            rows.append((r, pv, rp, tag))
-    with open(cfg.output_path, "w") as fh:
-        fh.write("r,p,rp,method\n")
-        for r, pv, rp, tag in rows:
-            fh.write(f"{r:.12g},{pv:.12g},{rp:.12g},{tag}\n")
+        rows += [(r, pv, rp, label) for r, pv, rp in aloha.curve(params, rs, kind, spr)]
+    _write_rows_csv(cfg.output_path, ["r", "p", "rp", "method"], rows)
     return f"aloha-curve: {len(rows)} rows -> {cfg.output_path}"
 
 
@@ -369,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--fading", default="none",
                         help="none | log-uniform:f | exponential")
         sp.add_argument("--lam", type=float, default=1.0)
-        sp.add_argument("--trials", type=int, default=100_000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -403,6 +397,14 @@ _DEFAULT_OUT = {
 }
 
 
+# Command parameter -> the flag that sets it; --fading sets two.
+_PARAM_FLAGS = {key: f"--{key}" for key in (
+    "beta", "alpha", "pattern", "k1", "k2", "d", "extent", "fading", "lam",
+    "rmin", "rmax", "n", "dt", "direction", "quantity", "window", "nu",
+    "slots", "packets", "distance", "scheme")}
+_PARAM_FLAGS["spread"] = "--fading"
+
+
 def _config_from_args(args, argv) -> tuple[RunConfig, str | None, list]:
     file_cfg = {}
     if args.config:
@@ -414,27 +416,10 @@ def _config_from_args(args, argv) -> tuple[RunConfig, str | None, list]:
         return any(a == flag or a.startswith(flag + "=") for a in argv)
 
     fading, spread = parse_fading(args.fading)
-    flag_params = {
-        "beta": args.beta, "alpha": args.alpha, "pattern": args.pattern,
-        "k1": args.k1, "k2": args.k2, "d": args.d, "extent": args.extent,
-        "fading": fading, "spread": spread, "lam": args.lam,
-        "trials": args.trials, "rmin": args.rmin, "rmax": args.rmax,
-        "n": args.n, "dt": args.dt, "direction": args.direction,
-        "quantity": args.quantity, "window": args.window, "nu": args.nu,
-        "slots": args.slots, "packets": args.packets,
-        "distance": args.distance, "scheme": args.scheme,
-    }
-    flag_names = {"beta": "--beta", "alpha": "--alpha", "pattern": "--pattern",
-                  "k1": "--k1", "k2": "--k2", "d": "--d", "extent": "--extent",
-                  "fading": "--fading", "spread": "--fading", "lam": "--lam",
-                  "trials": "--trials", "rmin": "--rmin", "rmax": "--rmax",
-                  "n": "--n", "dt": "--dt", "direction": "--direction",
-                  "quantity": "--quantity", "window": "--window", "nu": "--nu",
-                  "slots": "--slots", "packets": "--packets",
-                  "distance": "--distance", "scheme": "--scheme"}
-    for key, val in flag_params.items():
-        if key not in params or given(flag_names[key]):
-            params[key] = val
+    values = {**vars(args), "fading": fading, "spread": spread}
+    for key, flag in _PARAM_FLAGS.items():
+        if key not in params or given(flag):
+            params[key] = values[key]
 
     seed = args.seed if given("--seed") else file_cfg.get("seed", args.seed)
     out = args.out if args.out else file_cfg.get("out", _DEFAULT_OUT[args.command])

@@ -32,8 +32,9 @@ class StationaryPointError(MacGeoError):
 
 
 class PrecisionLossError(MacGeoError):
-    """Alternating series lost too many digits to cancellation; the result
-    would be numerically meaningless.  Use the Monte Carlo path instead."""
+    """A result lost too many digits to cancellation to be meaningful.  No
+    routine raises it at present; it stays in the public error set for
+    callers that catch it."""
 
 
 class UnsupportedFadingError(MacGeoError):

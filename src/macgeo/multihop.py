@@ -33,6 +33,11 @@ from scipy.spatial import cKDTree
 from .propagation import ChannelModel
 from .spatial import GridSpec, gen_grid, grid_density, with_pose
 
+# Largest expected node population nu * (2 * extent)^2 a run may draw.
+MAX_NODES = 2_000_000
+# Source/destination draws per tracked packet before giving up.
+PAIR_DRAWS = 10_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -46,6 +51,9 @@ class SimConfig:
     snap_radius   lattice-point snap tolerance; None -> d/10 (grid only)
     slots         slot budget per run
     seed          root seed; everything downstream derives from it
+
+    The expected population nu * (2 * extent)^2 must stay within
+    MAX_NODES; the check runs before anything is drawn.
     """
 
     node_density: float
@@ -61,6 +69,10 @@ class SimConfig:
             raise ValueError("node density and extent must be positive")
         if self.slots < 1:
             raise ValueError("slot budget must be positive")
+        expected = self.node_density * (2.0 * self.extent) ** 2
+        if expected > MAX_NODES:
+            raise ValueError(f"expected node population {expected:.3g} exceeds "
+                             f"the budget of {MAX_NODES}; lower nu or extent")
         lam = self.scheme_density
         if self.node_density < lam:
             raise ValueError("node density below the scheme's transmitter density")
@@ -236,6 +248,11 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     """
     if n_packets < 1:
         raise ValueError("need at least one tracked packet")
+    inner = 0.8 * cfg.extent
+    if pair_distance is not None and not (
+            0.0 < pair_distance < 2.0 * math.sqrt(2.0) * inner):
+        raise ValueError(f"pair distance {pair_distance:g} does not fit in the "
+                         f"inner square of half-width {inner:g}")
     root = np.random.SeedSequence(cfg.seed)
     seeds = root.spawn(3)
     rng_nodes = np.random.default_rng(seeds[0])
@@ -251,9 +268,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     candidate_radius = 2.0 / math.sqrt(lam)
 
     packets, holders, dest_idx = [], [], []
-    inner = 0.8 * cfg.extent
     for _ in range(n_packets):
-        while True:
+        for _ in range(PAIR_DRAWS):
             src = int(rng_pairs.integers(n))
             if pair_distance is None:
                 dst = int(rng_pairs.integers(n))
@@ -267,6 +283,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
                     dst = int(tree.query(target)[1])
                     if dst != src:
                         break
+        else:
+            raise ValueError(f"no source/destination pair in {PAIR_DRAWS} draws")
         rec = PacketRecord(source=nodes[src].copy(), destination=nodes[dst].copy())
         rec.hops.append(nodes[src].copy())
         packets.append(rec)

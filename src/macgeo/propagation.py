@@ -46,9 +46,6 @@ class ChannelModel:
     fading: str = "none"
     spread: float = 1.0
 
-    noise: float = 0.0
-    power: float = 1.0
-
     def __post_init__(self):
         if not (self.alpha > 2):
             raise ValueError("attenuation coefficient alpha must exceed 2")

@@ -1,9 +1,10 @@
 """Shared test oracles.
 
-High-precision evaluation of the interference-CDF series (mpmath) for the
-cells where the float64 path correctly refuses due to cancellation, plus
-the sharp Chernoff bound on the stable lower tail used to certify
-"effectively zero" cells.
+The alternating series for the interference CDF, in float64 with a
+cancellation guard and in high precision (mpmath).  Both are independent
+of the library's Kanter-integral evaluator.  The float series is a weak
+oracle: it loses up to ~1e-7 under fading, and its guard can miss total
+cancellation (at alpha = 6, beta = 10, r = 2 it returns 1.0 for ~6e-39).
 
 For integer attenuation exponents gamma = 2/alpha is rational p/q, so
 terms q apart are related by a polynomial factor; the high-precision sum
@@ -15,6 +16,83 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from macgeo.propagation import psi as psi_f
+
+# Refuse the float series once the largest intermediate term exceeds this
+# factor times the final sum.
+_CONDITION_LIMIT = 1e12
+
+
+class SeriesRefused(Exception):
+    """The float series lost its digits to cancellation or did not
+    converge."""
+
+
+def _series(x: float, lam: float, gamma: float, C: float,
+            max_terms: int, rel_tol: float,
+            fading: str = "none", spread: float = 1.0) -> float:
+    """Evaluate the alternating stable-CDF series at x.
+
+    Terms are formed from logs (lgamma) so their size is known before
+    exponentiation; the running sum uses Kahan compensation.  Raises
+    :class:`SeriesRefused` when the condition number passes the guard
+    or the terms fail to converge within the budget.
+    """
+    if not (x > 0):
+        raise ValueError("signal level x must be positive")
+    log_cl = math.log(C * lam)
+    log_x = math.log(x)
+
+    total = 1.0  # n = 0 term by convention
+    comp = 0.0
+    max_abs = 1.0
+    small_streak = 0
+    converged = False
+
+    for n in range(1, max_terms + 1):
+        ng = n * gamma
+        # sin(pi n gamma) vanishes exactly whenever n*gamma is an integer;
+        # floating-point sin() only gets within ~1e-16 of zero there, which
+        # would otherwise masquerade as series convergence.
+        if abs(ng - round(ng)) < 1e-9:
+            continue
+        s = math.sin(math.pi * ng)
+        log_mag = (n * log_cl - math.lgamma(n + 1.0)
+                   + math.log(abs(s)) - math.log(math.pi)
+                   + math.lgamma(ng) - ng * log_x)
+        if fading == "log_uniform":
+            log_mag += math.log(psi_f(fading, -ng, spread))
+        if log_mag > 700.0:
+            raise SeriesRefused(
+                "series term overflow; result lost to cancellation")
+        mag = math.exp(log_mag)
+        term = mag if ((n % 2 == 0) == (s > 0.0)) else -mag
+
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+
+        max_abs = max(max_abs, mag)
+        # Converged once three successive terms sit below the tolerance
+        # (one small term can be an accidental near-zero of the sine).
+        if mag <= rel_tol * max(abs(total), 1e-300):
+            small_streak += 1
+            if small_streak >= 3:
+                converged = True
+                break
+        else:
+            small_streak = 0
+
+    if not converged:
+        raise SeriesRefused(
+            f"series did not converge within {max_terms} terms")
+    if abs(total) * _CONDITION_LIMIT < max_abs:
+        raise SeriesRefused(
+            f"condition number {max_abs / max(abs(total), 1e-300):.3g} "
+            "exceeds the cancellation guard")
+    return min(1.0, max(0.0, total))
 
 
 def psi_mp(fading, s, spread):
@@ -121,52 +199,29 @@ def mp_prob_w_below(x, lam, alpha, fading="none", spread=1.0,
         return float(min(1, max(0, total)))
 
 
-def stable_tail_bound(x, lam, alpha, fading="none", spread=1.0):
-    """Chernoff bound Pr(W < x F_sig) <= min_t exp(t y - s t^g) with
-    y = x * max F_sig and s the Laplace exponent coefficient.  Sharp for
-    the stable lower tail; certifies below-MC-resolution cells."""
-    g = 2.0 / alpha
-    if fading == "none":
-        psi_g, y = 1.0, x
-    elif fading == "log_uniform":
-        a = spread * g
-        psi_g = math.sinh(a) / a
-        y = x * math.exp(spread)  # hard upper bound on the signal fade
-    else:
-        raise ValueError(fading)
-    s = math.pi * psi_g * math.gamma(1.0 - g) * lam
-    t_star = (y / (s * g)) ** (1.0 / (g - 1.0))
-    return math.exp(t_star * y - s * t_star ** g)
-
-
-def series_or_oracle(x, lam, alpha, fading="none", spread=1.0, dps_cap=1200):
-    """Float series if it converges; else mpmath at a precision estimated
-    from the peak term; else None with the certified tail bound.
-
-    Returns (p or None, tail_bound or None).
-    """
-    from macgeo.aloha import _series
-    from macgeo.errors import PrecisionLossError
-    from macgeo.propagation import psi as psi_f
-
-    g = 2.0 / alpha
-    C = math.pi * psi_f(fading, g, spread) * math.gamma(1.0 - g)
-    try:
-        return _series(x, lam, g, C, 400, 1e-10, fading, spread), None
-    except PrecisionLossError:
-        pass
+def mp_oracle(x, lam, alpha, fading="none", spread=1.0, dps_cap=1200):
+    """mpmath sum at a precision estimated from the peak term, or None when
+    that precision would pass ``dps_cap``."""
     peak, _, n_last = _peak_log_term(x, lam, alpha, fading, spread)
     # The result sits near exp(-peak) in the alternating regime, so the
     # working precision must absorb roughly twice the peak.
     dps = int(2.2 * peak / math.log(10.0)) + 30
-    if dps <= dps_cap:
-        for attempt in (dps, int(1.5 * dps) + 20):
-            if attempt > dps_cap:
-                break
-            try:
-                return mp_prob_w_below(x, lam, alpha, fading, spread,
-                                       dps=attempt,
-                                       max_terms=max(20_000, 3 * n_last)), None
-            except ValueError:
-                continue
-    return None, stable_tail_bound(x, lam, alpha, fading, spread)
+    for attempt in (dps, int(1.5 * dps) + 20):
+        if attempt > dps_cap:
+            break
+        try:
+            return mp_prob_w_below(x, lam, alpha, fading, spread, dps=attempt,
+                                   max_terms=max(20_000, 3 * n_last))
+        except ValueError:
+            continue
+    return None
+
+
+def float_series(x, lam, alpha, fading="none", spread=1.0):
+    """The float64 series, or None where it refuses."""
+    g = 2.0 / alpha
+    C = math.pi * psi_f(fading, g, spread) * math.gamma(1.0 - g)
+    try:
+        return _series(x, lam, g, C, 400, 1e-10, fading, spread)
+    except SeriesRefused:
+        return None

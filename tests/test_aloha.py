@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from helpers import float_series, mp_oracle
 from macgeo.aloha import (AlohaResult, SeriesParams, aloha_prob,
                           aloha_prob_exponential, curve, default_mc_extent,
                           laplace_transform_w, mc_aloha_prob, optimize_range,
-                          prob_w_below, sample_w, save_curve_csv)
-from macgeo.errors import PrecisionLossError, UnsupportedFadingError
+                          prob_w_below, sample_w)
+from macgeo.cli import RunConfig, run
+from macgeo.errors import UnsupportedFadingError
 from macgeo.propagation import ChannelModel
 
 P144 = SeriesParams(1.0, 1.0, 4.0)
@@ -20,8 +22,51 @@ def levy_cdf(x, lam=1.0):
 
 
 def test_series_matches_levy_closed_form():
-    for x in (0.7, 1.0, 2.0, 5.0, 20.0, 200.0, 1e4, 1e8):
-        assert prob_w_below(x, P144) == pytest.approx(levy_cdf(x), abs=1e-9)
+    # x = 0.2 sits in the deep lower tail (p ~ 1.3e-18).
+    for x in (0.2, 0.7, 1.0, 2.0, 5.0, 20.0, 200.0, 1e4, 1e8):
+        err = abs(prob_w_below(x, P144) - levy_cdf(x))
+        assert err <= 1e-9 and err <= 1e-6 * levy_cdf(x)
+
+
+def test_aloha_prob_matches_levy_grid():
+    """alpha = 4 without fading: p = erfc(pi^1.5 sqrt(beta) r^2 / 2) over
+    the whole r range, lower tail included."""
+    rs = np.linspace(0.02, 5.0, 250)
+    for beta in (0.1, 1.0, 10.0, 100.0):
+        got = aloha_prob(rs, SeriesParams(1.0, beta, 4.0))
+        want = erfc(math.pi ** 1.5 * math.sqrt(beta) * rs ** 2 / 2.0)
+        err = np.abs(got - want)
+        assert err.max() < 1e-10
+        live = want > 1e-300
+        assert np.all(err[live] <= 1e-6 * want[live])
+
+
+def test_deep_lower_tail_matches_mpmath():
+    # p ~ 5.8e-39 in the deep lower tail, where the alternating series
+    # cancels down to garbage.
+    got = aloha_prob(2.0, SeriesParams(1.0, 10.0, 6.0))
+    want = mp_oracle(2.0 ** -6 / 10.0, 1.0, 6.0)
+    assert want is not None and want < 1e-38
+    assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+def test_agrees_with_series_and_mpmath_oracles():
+    """mpmath to 1e-10 wherever it returns a value; the float series, whose
+    own error reaches ~1e-7 under fading, to 1e-6 wherever it converges."""
+    for alpha in (3.0, 6.0):
+        for fading in ("none", "log_uniform"):
+            for beta in (0.1, 1.0, 10.0, 100.0):
+                for r in (0.1, 0.2, 0.3, 0.5, 1.0):
+                    x = r ** -alpha / beta
+                    cell = (alpha, fading, beta, r)
+                    got = aloha_prob(r, SeriesParams(1.0, beta, alpha),
+                                     fading, 1.0)
+                    want = mp_oracle(x, 1.0, alpha, fading, 1.0)
+                    if want is not None:
+                        assert abs(got - want) < 1e-10, cell
+                    want = float_series(x, 1.0, alpha, fading, 1.0)
+                    if want is not None:
+                        assert abs(got - want) < 1e-6, cell
 
 
 def test_series_limits():
@@ -38,29 +83,14 @@ def test_series_monotone_in_x():
     assert all(0.0 <= p <= 1.0 for p in ps)
 
 
-def test_series_precision_loss_signal():
-    with pytest.raises(PrecisionLossError):
-        prob_w_below(0.2, P144)  # deep lower tail: condition >> 1e12
-
-
 def test_aloha_prob_monotone_in_r_and_beta():
     for beta in (0.1, 1.0, 10.0, 100.0):
         params = SeriesParams(1.0, beta, 4.0)
-        last = 1.1
-        for r in np.linspace(0.05, 1.0, 12):
-            try:
-                p = aloha_prob(float(r), params)
-            except PrecisionLossError:
-                break
-            assert p <= last + 1e-12
-            last = p
+        ps = aloha_prob(np.linspace(0.05, 1.0, 12), params)
+        assert np.all(np.diff(ps) <= 1e-12)
     for r in (0.1, 0.3, 0.5):
-        ps = []
-        for beta in (0.1, 1.0, 10.0, 100.0):
-            try:
-                ps.append(aloha_prob(r, SeriesParams(1.0, beta, 4.0)))
-            except PrecisionLossError:
-                break
+        ps = [aloha_prob(r, SeriesParams(1.0, beta, 4.0))
+              for beta in (0.1, 1.0, 10.0, 100.0)]
         assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
 
 
@@ -79,6 +109,9 @@ def test_fading_series_crosses_once_above_at_large_r():
 def test_exponential_fading_rejected_by_series():
     with pytest.raises(UnsupportedFadingError):
         aloha_prob(0.3, P144, "exponential")
+    # Past a fade shift of 10 in log z the fixed fading rule loses accuracy.
+    with pytest.raises(UnsupportedFadingError):
+        aloha_prob(0.3, P144, "log_uniform", 10.5)
 
 
 def test_laplace_transform():
@@ -154,18 +187,14 @@ def test_optimizer_beta10():
     assert res.r == pytest.approx(rs[k], abs=2e-4)
     assert res.rp == pytest.approx(f[k], rel=1e-6)
     assert res.inv_rp == pytest.approx(1.0 / f[k], rel=1e-6)
-    assert res.method == "series"
 
 
 def test_optimizer_homothety():
-    r1_ref = None
-    for lam in (0.25, 1.0, 4.0):
-        res = optimize_range(SeriesParams(lam, 10.0, 4.0))
-        r1 = math.sqrt(lam) * res.r
-        if r1_ref is None:
-            r1_ref = r1
-        else:
-            assert abs(r1 - r1_ref) / r1_ref < 1e-3
+    # sqrt(lam) r* must not drift with lam, however far lam is from 1.
+    r1 = [math.sqrt(lam) * optimize_range(SeriesParams(lam, 10.0, 4.0)).r
+          for lam in (0.25, 1.0, 4.0, 1e4, 1e8, 1e10)]
+    assert max(r1) - min(r1) <= 1e-9 * r1[0]
+    assert r1[0] == pytest.approx(0.19053, abs=1e-4)
 
 
 def test_optimizer_fading_penalty():
@@ -177,13 +206,19 @@ def test_optimizer_fading_penalty():
 
 def test_curve_rows_and_csv(tmp_path):
     rows = curve(P144, [0.1, 0.5, 3.0])
-    assert rows[0][3] == "series"
-    assert rows[-1][3] == "below_resolution" and rows[-1][1] == 0.0
+    assert len(rows) == 3
+    for r, p, rp in rows:
+        assert p == pytest.approx(levy_cdf(r ** -4.0), rel=1e-6, abs=0.0)
+        assert rp == r * p
     out = tmp_path / "c.csv"
-    save_curve_csv(rows, out)
+    run(RunConfig("aloha-curve", {"lam": 1.0, "beta": 1.0, "alpha": 4.0,
+                                  "rmin": 0.1, "rmax": 3.0, "n": 3,
+                                  "fading": "none", "spread": 1.0},
+                  0, str(out)))
     lines = out.read_text().splitlines()
     assert lines[0] == "r,p,rp,method"
     assert len(lines) == 4
+    assert all(line.endswith(",none") for line in lines[1:])
 
 
 def test_series_params_validation():

@@ -242,6 +242,16 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert err.value.code == 2
 
 
+def test_readme_simulate_without_extent_rejected(tmp_path, monkeypatch, capsys):
+    # The default 5 km half-width at nu = 100 asks for ~1e10 nodes; the
+    # budget check must refuse it before any allocation.
+    argv = ["simulate", "--pattern", "square", "--d", "1", "--nu", "100",
+            "--beta", "1", "--distance", "5", "--slots", "4000",
+            "--packets", "8"]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert "population" in capsys.readouterr().err
+
+
 def test_run_config_api(tmp_path):
     cfg = RunConfig("asympt-alpha", {}, 0, str(tmp_path / "t.csv"), "csv")
     line = run(cfg)

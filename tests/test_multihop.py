@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,6 +37,41 @@ def test_config_validation():
     cfg = SimConfig(100.0, 10.0, spec, MODEL)
     assert cfg.resolved_snap_radius == pytest.approx(0.1)
     assert cfg.scheme_density == pytest.approx(1.0)
+
+
+def test_population_budget_checked_before_allocation():
+    spec = GridSpec("square", 1.0)
+    with pytest.raises(ValueError, match="population"):
+        SimConfig(100.0, 5000.0, spec, MODEL)  # ~1e10 nodes expected
+    SimConfig(100.0, 50.0, spec, MODEL)  # 1e6 nodes stays within budget
+
+
+@contextmanager
+def alarm_after(seconds):
+    """Turn a hang into a failure: SIGALRM raises inside the call."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_infeasible_pair_distance_rejected():
+    # No source and target 30 apart fit in the inner 0.8 * 8 square.
+    cfg = SimConfig(100.0, 8.0, GridSpec("square", 1.0), MODEL, slots=10)
+    with alarm_after(5), pytest.raises(ValueError, match="pair distance"):
+        run_simulation(cfg, 1, pair_distance=30.0)
+
+
+def test_pair_draws_are_bounded():
+    # A single-node population has no distinct destination.
+    cfg = SimConfig(1.0, 0.01, 1.0, MODEL, slots=10)
+    with alarm_after(5), pytest.raises(ValueError, match="draws"):
+        run_simulation(cfg, 1)
 
 
 def test_aloha_thinning_fraction():
