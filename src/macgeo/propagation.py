@@ -88,13 +88,10 @@ def _guard(rx, pts: np.ndarray, scale: float) -> np.ndarray:
     return d2
 
 
-def interference(rx, ps: PointSet, exclude: int | None, alpha: float,
-                 truncation_radius: float | None = None) -> float:
+def interference(rx, ps: PointSet, exclude: int | None, alpha: float) -> float:
     """Aggregate interference sum_j ||rx - z_j||^(-alpha) over the set.
 
-    ``exclude`` drops one transmitter index (None keeps all).  The optional
-    truncation radius restricts the sum to transmitters within that
-    distance of ``rx``; it exists for convergence studies only.
+    ``exclude`` drops one transmitter index (None keeps all).
     """
     pts = ps.points
     if exclude is not None:
@@ -102,59 +99,149 @@ def interference(rx, ps: PointSet, exclude: int | None, alpha: float,
     if pts.size == 0:
         return 0.0
     d2 = _guard(rx, pts, ps.scale)
-    if truncation_radius is not None:
-        d2 = d2[d2 <= truncation_radius**2]
-        if d2.size == 0:
-            return 0.0
     return float(np.sum(d2 ** (-0.5 * alpha)))
 
 
-def sir(i: int, rx, ps: PointSet, alpha: float) -> float:
-    """SIR of transmitter i at rx: gain over everyone else's sum.
+# Near/far split of the field kernel, in units of the set's scale.
+# Transmitters within NEAR_RADIUS of the probe are summed exactly; the
+# rest enter through a local expansion of order EXPANSION_ORDER about the
+# probe.  For queries within VALID_RADIUS of the probe its truncation
+# error is of order (VALID_RADIUS / NEAR_RADIUS)^(EXPANSION_ORDER + 1)
+# times the far share of the interference; farther queries sum all points.
+NEAR_RADIUS = 20.0
+EXPANSION_ORDER = 6
+VALID_RADIUS = 1.0
 
-    Distances are normalized by the nearest transmitter distance before
-    powering (the ratio is invariant), so the value stays representable
-    for any alpha.  Returns ``inf`` when there are no interferers.
+
+def _local_expansion(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Coefficients A of sum_j |x_j - t|^-alpha = sum_mn A_mn t^m conj(t)^n.
+
+    With |x|^-a = x^(-a/2) conj(x)^(-a/2) and the binomial series of
+    (1 - t/x)^(-a/2), A_mn = c_m c_n M_mn, where c_m = (a/2)_m / m! and
+    M_mn = sum_j |x_j|^-a x_j^-m conj(x_j)^-n.  The x_j are in units of the
+    near radius (|x_j| > 1), so every term is at most 1.  A is Hermitian;
+    its lower triangle is built with running products,
+    M_mn = sum |x|^-a |x|^-2n x^-(m-n) for m >= n.  Overwrites x.
     """
-    z = _as_point(rx)
-    pts = ps.points
-    diff = z - pts
-    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    s0 = d2.min()
-    if s0 < (SINGULARITY_GUARD * ps.scale) ** 2:
-        raise SingularityError("evaluation on top of a transmitter")
-    p = (d2 / s0) ** (-0.5 * alpha)
-    w = p.sum() - p[i]
-    if w == 0.0:
-        return math.inf
-    return float(p[i] / w)
+    k = EXPANSION_ORDER + 1
+    r2inv = 1.0 / (x.real ** 2 + x.imag ** 2)
+    inv = np.conj(x, out=x)
+    inv *= r2inv
+    m = np.zeros((k, k), dtype=complex)
+    pk = (r2inv ** (0.5 * alpha)).astype(complex)
+    v = np.empty_like(pk)
+    for off in range(k):
+        v[:] = pk
+        for n in range(k - off):
+            m[n + off, n] = v.sum()
+            v *= r2inv
+        pk *= inv
+    m += np.tril(m, -1).conj().T
+    c = np.ones(k)
+    for j in range(1, k):
+        c[j] = c[j - 1] * (0.5 * alpha + j - 1) / j
+    return c[:, None] * m * c[None, :]
+
+
+class Field:
+    """SIR of transmitter i over a point set, built once per (set, i, alpha).
+
+    Interferers within ``NEAR_RADIUS * scale`` of the probe are summed
+    exactly on every query; the others enter through a local expansion
+    about the probe, built here in one pass.  Queries farther than
+    ``VALID_RADIUS * scale`` from the probe take the exact path, the same
+    formula over every interferer with no far term; ``exact_queries``
+    counts them.  Distances are normalized by the nearest-transmitter
+    distance (the ratio is invariant), so alpha = 100 stays in range, and
+    the probe is never part of the interference sum, so nothing cancels.
+    """
+
+    def __init__(self, ps: PointSet, i: int, alpha: float):
+        self.ps, self.i, self.alpha = ps, i, alpha
+        self.center = ps.points[i]
+        self.order = EXPANSION_ORDER
+        self.exact_queries = 0
+        self._radius = NEAR_RADIUS * ps.scale
+        dx = ps.points[:, 0] - self.center[0]
+        dy = ps.points[:, 1] - self.center[1]
+        near = dx * dx + dy * dy <= self._radius ** 2
+        far = ~near
+        near[i] = far[i] = False
+        self._near = ps.points[near]
+        self.near_points = len(self._near)
+        x = np.empty(np.count_nonzero(far), dtype=complex)
+        x.real, x.imag = dx[far], dy[far]
+        x /= self._radius
+        self._coef = _local_expansion(x, alpha) if len(x) else None
+        self._valid2 = (VALID_RADIUS * ps.scale) ** 2
+        self._guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+
+    def sir(self, rx) -> float:
+        """SIR of the probe at rx (see :meth:`sir_and_gradient`)."""
+        return self.sir_and_gradient(rx)[0]
+
+    def sir_and_gradient(self, rx):
+        """(SIR, gradient) of the probe at rx.
+
+        Returns ``(inf, 0)`` when the interference is zero: no interferers,
+        or an SIR beyond the float range.  Raises
+        :class:`SingularityError` on top of a transmitter.
+        """
+        z = _as_point(rx)
+        h = z - self.center
+        hi2 = h[0] * h[0] + h[1] * h[1]
+        coef = self._coef
+        if hi2 <= self._valid2:
+            pts = self._near
+        else:
+            pts, coef = np.delete(self.ps.points, self.i, axis=0), None
+            self.exact_queries += 1
+        diff = z - pts
+        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        s0 = min(hi2, d2.min()) if len(d2) else hi2
+        if s0 < self._guard2:
+            raise SingularityError("evaluation on top of a transmitter")
+        a = self.alpha
+        u = d2 / s0
+        q = u ** (-0.5 * a - 1.0)
+        w = float(q @ u)
+        dw = (-a / s0) * (q @ diff)
+        if coef is not None:
+            far, dfar = self._far(h)
+            scale = (s0 / self._radius ** 2) ** (0.5 * a)
+            w += scale * far
+            dw += scale * dfar
+        if w == 0.0:
+            return math.inf, np.zeros(2)
+        ui = hi2 / s0
+        g = ui ** (-0.5 * a)
+        dg = (-a / s0) * (g / ui) * h
+        s = g / w
+        return float(s), (dg - s * dw) / w
+
+    def _far(self, h):
+        """Far interference at offset h from the probe and its gradient, in
+        units where a transmitter at the near radius contributes 1."""
+        t = complex(h[0], h[1]) / self._radius
+        tp = np.empty(self.order + 1, dtype=complex)
+        tp[0] = 1.0
+        for m in range(1, self.order + 1):
+            tp[m] = tp[m - 1] * t
+        b = self._coef @ tp.conj()
+        # d/dt of the expansion; for real F, grad_h F = (2/R)(Re, -Im) of it.
+        dfdt = (tp[:-1] * np.arange(1, self.order + 1)) @ b[1:]
+        return (tp @ b).real, (2.0 / self._radius) * np.array([dfdt.real,
+                                                                -dfdt.imag])
+
+
+def sir(i: int, rx, ps: PointSet, alpha: float) -> float:
+    """SIR of transmitter i at rx (see :class:`Field`)."""
+    return Field(ps, i, alpha).sir(rx)
 
 
 def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
-    """(SIR, gradient) in one pass; the contour tracer's inner loop.
-
-    Works on nearest-distance-normalized powers: with u_j =
-    ||z-z_j||^2 / min_k ||z-z_k||^2 the common scale cancels from both the
-    ratio and its gradient, keeping alpha = 100 comfortably in range.
-    """
-    z = _as_point(rx)
-    pts = ps.points
-    diff = z - pts
-    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    s0 = d2.min()
-    if s0 < (SINGULARITY_GUARD * ps.scale) ** 2:
-        raise SingularityError("evaluation on top of a transmitter")
-    u = d2 / s0
-    q = u ** (-0.5 * alpha - 1.0)
-    p = q * u                                   # u^(-alpha/2)
-    grads = (-alpha / s0) * q[:, None] * diff
-    g, dg = p[i], grads[i]
-    w = p.sum() - g
-    if w == 0.0:
-        return math.inf, np.zeros(2)
-    dw = grads.sum(axis=0) - dg
-    s = g / w
-    return float(s), (dg * w - g * dw) / (w * w)
+    """(SIR, gradient) of transmitter i at rx (see :class:`Field`)."""
+    return Field(ps, i, alpha).sir_and_gradient(rx)
 
 
 def sir_gradient(i: int, rx, ps: PointSet, alpha: float) -> np.ndarray:
@@ -215,7 +302,8 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     [-extent, extent]^2.
 
     Sample points are offset half a cell so they never coincide with
-    on-lattice transmitters.  Returns (xs, ys, values) with values indexed
+    on-lattice transmitters.  The SIR leaves transmitter i out of the
+    interference sum.  Returns (xs, ys, values) with values indexed
     [iy, ix].
     """
     if quantity not in ("w", "sir"):
@@ -226,16 +314,20 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     pts = ps.points
     vals = np.empty((n, n))
     for iy, y in enumerate(ys):
-        diff_x = xs[:, None] - pts[None, :, 0]
-        diff_y = y - pts[None, :, 1]
-        d2 = diff_x**2 + diff_y**2
-        d2 = np.maximum(d2, (SINGULARITY_GUARD * ps.scale) ** 2)
-        p = d2 ** (-0.5 * alpha)
+        # One (n, N) block per row, updated in place: fresh temporaries
+        # of that size cost more than the arithmetic on them.
+        d2 = xs[:, None] - pts[None, :, 0]
+        d2 *= d2
+        d2 += (y - pts[:, 1]) ** 2
+        np.maximum(d2, (SINGULARITY_GUARD * ps.scale) ** 2, out=d2)
+        if quantity == "sir":
+            g = d2[:, i] ** (-0.5 * alpha)
+            d2[:, i] = np.inf
+        np.power(d2, -0.5 * alpha, out=d2)
+        w = d2.sum(axis=1)
         if quantity == "w":
-            vals[iy] = p.sum(axis=1)
+            vals[iy] = w
         else:
-            g = p[:, i]
-            w = p.sum(axis=1) - g
             with np.errstate(divide="ignore"):
                 vals[iy] = np.where(w > 0, g / w, np.inf)
     return xs, ys, vals

@@ -21,6 +21,7 @@ routines below provide a rasterized fallback.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,10 +30,13 @@ from scipy import ndimage
 
 from .errors import (MacGeoError, NonClosureError, StationaryPointError,
                      UnboundedReceptionError, UnsupportedFadingError)
-from .propagation import (SINGULARITY_GUARD, ChannelModel, sir,
+# sir and sir_and_gradient stay importable here: profilers wrap the
+# kernel at this module's names.
+from .propagation import (SINGULARITY_GUARD, ChannelModel, Field, sir,
                           sir_and_gradient)
 from .spatial import GridSpec, PointSet, gen_grid, grid_density
 
+_log = logging.getLogger(__name__)
 _GRAD_FLOOR = 1e-15
 _J = np.array([(0.0, 1.0), (-1.0, 0.0)])
 
@@ -85,9 +89,9 @@ class RangeResult:
     pattern: GridSpec | str
 
 
-def _project(i, ps, alpha, beta, z, tol, max_iter=8):
+def _project(field, beta, z, tol, max_iter=8):
     """Newton-correct z along grad S until |S - beta|/beta <= tol."""
-    s, g = sir_and_gradient(i, z, ps, alpha)
+    s, g = field.sir_and_gradient(z)
     for _ in range(max_iter):
         if abs(s - beta) <= tol * beta:
             return z, s, g
@@ -95,7 +99,7 @@ def _project(i, ps, alpha, beta, z, tol, max_iter=8):
         if math.sqrt(n2) < _GRAD_FLOOR:
             raise StationaryPointError("vanishing SIR gradient during projection")
         z = z + (beta - s) / n2 * g
-        s, g = sir_and_gradient(i, z, ps, alpha)
+        s, g = field.sir_and_gradient(z)
     if abs(s - beta) <= tol * beta:
         return z, s, g
     raise StationaryPointError("Newton projection failed to reach the level set")
@@ -110,18 +114,21 @@ def find_contour_start(i: int, ps: PointSet, model: ChannelModel,
     Raises :class:`UnboundedReceptionError` when no crossing exists within
     twice the window extent (possible for beta < 1).
     """
-    cfg = cfg or TracerConfig()
-    beta, alpha = model.beta, model.alpha
+    return _contour_start(Field(ps, i, model.alpha), model.beta, direction,
+                          cfg or TracerConfig())
+
+
+def _contour_start(field, beta, direction, cfg):
     if beta <= 0:
         raise ValueError("contour search requires beta > 0")
     u = np.array([math.cos(direction), math.sin(direction)])
-    zi = ps.points[i]
+    zi = field.center
 
-    r_in = 1e-3 * ps.scale
+    r_in = 1e-3 * field.ps.scale
     r = r_in
-    limit = 2.0 * ps.extent
+    limit = 2.0 * field.ps.extent
     while True:
-        val = sir(i, zi + r * u, ps, alpha)
+        val = field.sir(zi + r * u)
         if val < beta:
             break
         r_in = r
@@ -132,7 +139,7 @@ def find_contour_start(i: int, ps: PointSet, model: ChannelModel,
     lo, hi = r_in, r
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = sir(i, zi + mid * u, ps, alpha)
+        val = field.sir(zi + mid * u)
         if abs(val - beta) <= cfg.contour_tol * beta:
             return zi + mid * u
         if val >= beta:
@@ -140,7 +147,7 @@ def find_contour_start(i: int, ps: PointSet, model: ChannelModel,
         else:
             hi = mid
     # Interval collapsed to rounding; polish with Newton.
-    z, _, _ = _project(i, ps, alpha, beta, zi + 0.5 * (lo + hi) * u, cfg.contour_tol)
+    z, _, _ = _project(field, beta, zi + 0.5 * (lo + hi) * u, cfg.contour_tol)
     return z
 
 
@@ -152,13 +159,15 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     returned vertex obeys |S - beta| <= contour_tol * beta.  The trace
     terminates once it returns within dt of the start (after at least 10
     steps, with a matching heading); exhausting the step budget raises
-    :class:`NonClosureError` with the partial trace attached.
+    :class:`NonClosureError` with the partial trace attached.  One
+    :class:`Field` serves every SIR evaluation of the trace.
     """
     cfg = cfg or TracerConfig()
-    beta, alpha = model.beta, model.alpha
+    beta = model.beta
     dt = cfg.resolve_dt(ps)
-    z0 = find_contour_start(i, ps, model, cfg.start_direction, cfg)
-    z0, _, g0 = _project(i, ps, alpha, beta, z0, cfg.contour_tol)
+    field = Field(ps, i, model.alpha)
+    z0 = _contour_start(field, beta, cfg.start_direction, cfg)
+    z0, _, g0 = _project(field, beta, z0, cfg.contour_tol)
     t0 = _J @ (g0 / np.linalg.norm(g0))
 
     verts = [z0]
@@ -171,7 +180,7 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
         if n < _GRAD_FLOOR:
             raise StationaryPointError("vanishing SIR gradient on the contour")
         z_pred = z + dt * (_J @ g) / n
-        z, s, g = _project(i, ps, alpha, beta, z_pred, cfg.contour_tol)
+        z, s, g = _project(field, beta, z_pred, cfg.contour_tol)
         verts.append(z)
         grads.append(g)
         steps += 1
@@ -189,7 +198,10 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
         raise NonClosureError(
             f"contour did not close within {cfg.max_steps} steps", trace=partial)
 
-    r_lam, z_max = _max_range_refined(vertices, np.array(grads), i, ps, model, cfg)
+    r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta, cfg)
+    _log.debug("trace of transmitter %d: %d steps, %d near points, expansion "
+               "order %d, %d exact-path queries", i, steps, field.near_points,
+               field.order, field.exact_queries)
     return ContourTrace(vertices, z_max, r_lam, True, steps)
 
 
@@ -200,7 +212,7 @@ def _cross_of(zi, z, g):
     return (dz[0] * g[1] - dz[1] * g[0]) / r
 
 
-def _max_range_refined(vertices, grads, i, ps, model, cfg):
+def _max_range_refined(vertices, grads, field, beta, cfg):
     """Distance maximizer over the traced curve.
 
     Locates sign changes of cross(grad D, grad S) between consecutive
@@ -209,8 +221,7 @@ def _max_range_refined(vertices, grads, i, ps, model, cfg):
     the farthest raw vertex when no sign change exists.  Among equal
     maxima the point with the smallest polar angle wins.
     """
-    beta, alpha = model.beta, model.alpha
-    zi = ps.points[i]
+    zi = field.center
     dz = vertices - zi
     dists = np.hypot(dz[:, 0], dz[:, 1])
 
@@ -231,9 +242,9 @@ def _max_range_refined(vertices, grads, i, ps, model, cfg):
         zm, gm = va, grads[a]
         for _ in range(48):
             zm = 0.5 * (va + vb)
-            zm, _, gm = _project(i, ps, alpha, beta, zm, cfg.contour_tol)
+            zm, _, gm = _project(field, beta, zm, cfg.contour_tol)
             cm = _cross_of(zi, zm, gm)
-            if cm == 0.0 or math.hypot(*(va - vb)) < 1e-10 * ps.scale:
+            if cm == 0.0 or math.hypot(*(va - vb)) < 1e-10 * field.ps.scale:
                 break
             if ca * cm > 0.0:
                 va, ca = zm, cm
@@ -267,9 +278,9 @@ def max_range(trace: ContourTrace, i: int, ps: PointSet, model: ChannelModel,
     if not trace.closed:
         raise NonClosureError("max range requires a closed trace", trace=trace)
     cfg = cfg or TracerConfig()
-    grads = np.array([sir_and_gradient(i, v, ps, model.alpha)[1]
-                      for v in trace.vertices])
-    r, _ = _max_range_refined(trace.vertices, grads, i, ps, model, cfg)
+    field = Field(ps, i, model.alpha)
+    grads = np.array([field.sir_and_gradient(v)[1] for v in trace.vertices])
+    r, _ = _max_range_refined(trace.vertices, grads, field, model.beta, cfg)
     return r
 
 
@@ -285,15 +296,16 @@ def grid_success_prob_nofading(i: int, rx, ps: PointSet, model: ChannelModel) ->
     aggregate interference at rx (boundary counts as success), else 0.
 
     Evaluated on nearest-distance-normalized powers so extreme alpha does
-    not overflow."""
+    not overflow; transmitter i is left out of the interference sum."""
     rx = np.asarray(rx, dtype=float)
     pts = ps.points
     d2 = (pts[:, 0] - rx[0]) ** 2 + (pts[:, 1] - rx[1]) ** 2
     if d2[i] == 0.0:
         return 1.0
-    p = (d2 / d2.min()) ** (-0.5 * model.alpha)
-    g = p[i]
-    w = p.sum() - g
+    s0 = d2.min()
+    g = (d2[i] / s0) ** (-0.5 * model.alpha)
+    d2[i] = np.inf
+    w = np.sum((d2 / s0) ** (-0.5 * model.alpha))
     return 1.0 if g >= model.beta * w else 0.0
 
 
@@ -332,13 +344,17 @@ def membership_grid(i: int, ps: PointSet, model: ChannelModel,
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     member = np.zeros((n, n), dtype=bool)
     for iy, y in enumerate(ys):
-        dx = xs[:, None] - pts[None, :, 0]
-        dy = y - pts[None, :, 1]
-        d2 = np.maximum(dx * dx + dy * dy, guard2)
-        p = (d2 / d2.min(axis=1, keepdims=True)) ** (-0.5 * model.alpha)
-        g = p[:, i]
-        w = p.sum(axis=1) - g
-        member[iy] = g >= model.beta * w
+        # One (n, N) block per row, updated in place (see raster_field).
+        d2 = xs[:, None] - pts[None, :, 0]
+        d2 *= d2
+        d2 += (y - pts[:, 1]) ** 2
+        np.maximum(d2, guard2, out=d2)
+        s0 = d2.min(axis=1, keepdims=True)
+        g = (d2[:, i] / s0[:, 0]) ** (-0.5 * model.alpha)
+        d2[:, i] = np.inf
+        d2 /= s0
+        np.power(d2, -0.5 * model.alpha, out=d2)
+        member[iy] = g >= model.beta * d2.sum(axis=1)
     return xs, ys, member
 
 

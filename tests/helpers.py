@@ -1,5 +1,8 @@
 """Shared test oracles.
 
+A direct SIR sum with the probe left out, independent of the library's
+near/far field kernel.
+
 The alternating series for the interference CDF, in float64 with a
 cancellation guard and in high precision (mpmath).  Both are independent
 of the library's Kanter-integral evaluator.  The float series is a weak
@@ -16,6 +19,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from macgeo.propagation import psi as psi_f
 
@@ -225,3 +229,25 @@ def float_series(x, lam, alpha, fading="none", spread=1.0):
         return _series(x, lam, g, C, 400, 1e-10, fading, spread)
     except SeriesRefused:
         return None
+
+
+def full_sir_and_gradient(i, z, pts, alpha):
+    """SIR of transmitter i at z, and its gradient, by a direct sum over
+    every interferer: i is left out of the sum instead of subtracted from
+    it, so nothing cancels.  Distances are normalized by the nearest
+    interferer."""
+    z = np.asarray(z, dtype=float)
+    dx, dy = z[0] - pts[:, 0], z[1] - pts[:, 1]
+    d2 = dx * dx + dy * dy
+    d2i, diff_i = d2[i], np.array([dx[i], dy[i]])
+    d2, dx, dy = np.delete(d2, i), np.delete(dx, i), np.delete(dy, i)
+    m = d2.min()
+    u = d2 / m
+    q = u ** (-0.5 * alpha - 1.0)
+    w = np.sum(q * u)
+    dw = (-alpha / m) * np.array([q @ dx, q @ dy])
+    ui = d2i / m
+    g = ui ** (-0.5 * alpha)
+    dg = (-alpha / m) * ui ** (-0.5 * alpha - 1.0) * diff_i
+    s = g / w
+    return s, (dg - s * dw) / w

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from helpers import full_sir_and_gradient
 
 from macgeo.errors import DivergentMomentError, SingularityError
-from macgeo.propagation import (ChannelModel, gain, interference, psi,
-                                raster_field, sample_fading, sir,
-                                sir_and_gradient, sir_gradient)
-from macgeo.spatial import GridSpec, PointSet, gen_grid, rescale
+from macgeo.propagation import (VALID_RADIUS, ChannelModel, Field, gain,
+                                interference, psi, raster_field,
+                                sample_fading, sir, sir_and_gradient,
+                                sir_gradient)
+from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
+                            grid_density, rescale)
 
 
 def two_tx(d=1.0):
@@ -57,12 +61,6 @@ def test_interference_square_lattice_value():
     assert val == pytest.approx(oracle, abs=1e-3)
     # Consistency with the large-beta range table: I^(-1/4) ~ 0.638232.
     assert oracle ** -0.25 == pytest.approx(0.638232, abs=1e-4)
-
-
-def test_interference_truncation_radius():
-    ps = two_tx()
-    assert interference((0, 1), ps, None, 4.0, truncation_radius=1.1) == \
-        pytest.approx(1.0)
 
 
 def test_sir_values():
@@ -124,6 +122,61 @@ def test_sir_and_gradient_consistent():
     s, g = sir_and_gradient(0, (0.31, 0.12), ps, 4.0)
     assert s == pytest.approx(sir(0, (0.31, 0.12), ps, 4.0), rel=1e-12)
     assert np.allclose(g, sir_gradient(0, (0.31, 0.12), ps, 4.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha,rx", [(8.0, (1e-3, 3e-4)),
+                                      (8.0, (1e-2, 3e-3)),
+                                      (100.0, (0.3, 0.09))])
+def test_sir_near_probe_does_not_cancel(alpha, rx):
+    # Close to the probe its own power dominates; subtracting it from the
+    # total left rounding noise (inf, or 36% high) instead of the
+    # interference.
+    ps = gen_grid(GridSpec("square", 1.0), 20.0)
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    want, dwant = full_sir_and_gradient(i, rx, ps.points, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, g = sir_and_gradient(i, rx, ps, alpha)
+        assert sir(i, rx, ps, alpha) == pytest.approx(want, rel=1e-9)
+    assert s == pytest.approx(want, rel=1e-9)
+    assert np.linalg.norm(g - dwant) <= 1e-9 * np.linalg.norm(dwant)
+
+
+@pytest.fixture(scope="module")
+def default_windows():
+    """The CLI default map (extent 5000, d = 25) for three lattices, and a
+    Poisson set of the square lattice's density."""
+    sets = {kind: gen_grid(GridSpec(kind, 25.0), 5000.0)
+            for kind in ("square", "triangular", "hexagonal")}
+    sets["poisson"] = gen_poisson(grid_density(GridSpec("square", 25.0)),
+                                  5000.0, 7)
+    return sets
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal",
+                                  "poisson"])
+def test_field_matches_full_sum_at_default_window(kind, default_windows):
+    ps = default_windows[kind]
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    rng = np.random.default_rng(17)
+    r = VALID_RADIUS * ps.scale * np.sqrt(rng.uniform(0.0, 1.0, 40))
+    th = rng.uniform(0.0, 2.0 * math.pi, 40)
+    zs = ps.points[i] + np.column_stack([r * np.cos(th), r * np.sin(th)])
+    for alpha in (2.5, 3.0, 4.0, 8.0, 100.0):
+        field = Field(ps, i, alpha)
+        for z in zs:
+            s, g = field.sir_and_gradient(z)
+            want, dwant = full_sir_and_gradient(i, z, ps.points, alpha)
+            assert s == pytest.approx(want, rel=1e-9)
+            assert np.max(np.abs(g - dwant)) <= 1e-9 * np.max(np.abs(dwant))
+        assert field.exact_queries == 0
+    # Beyond the validity radius the query sums every point, and says so.
+    z = ps.points[i] + 1.5 * VALID_RADIUS * ps.scale * np.array([0.6, 0.8])
+    s, g = field.sir_and_gradient(z)
+    assert field.exact_queries == 1
+    want, dwant = full_sir_and_gradient(i, z, ps.points, field.alpha)
+    assert s == pytest.approx(want, rel=1e-9)
+    assert np.max(np.abs(g - dwant)) <= 1e-9 * np.max(np.abs(dwant))
 
 
 def test_singularity_guard():

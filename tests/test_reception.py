@@ -1,11 +1,15 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from helpers import full_sir_and_gradient
 
 from macgeo.errors import (NonClosureError, UnboundedReceptionError,
                            UnsupportedFadingError)
-from macgeo.propagation import ChannelModel, sir
+from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
+                                raster_field, sir)
 from macgeo.reception import (ContourTrace, TracerConfig, find_contour_start,
                               grid_range, grid_success_prob_fading,
                               grid_success_prob_nofading, max_range,
@@ -151,6 +155,42 @@ def test_grid_range_truncation_guard():
     assert res.r1 > 0
 
 
+@pytest.mark.parametrize("kind,want", [("square", 0.3335720878210912),
+                                       ("triangular", 0.3341293268989177)])
+def test_default_window_r1(kind, want):
+    # Full-window r1 at the CLI defaults (10 km map, d = 25 m).
+    res = grid_range(GridSpec(kind, 25.0), ChannelModel(4.0, 10.0),
+                     extent=5000.0)
+    assert res.r1 == pytest.approx(want, rel=1e-6)
+
+
+def test_default_window_alpha100_trace():
+    ps = gen_grid(GridSpec("square", 25.0), 5000.0)
+    trace = trace_contour(origin_index(ps), ps, ChannelModel(100.0, 1.0))
+    assert normalized_range(trace.r_lambda, ps.density) == \
+        pytest.approx(0.7009129728725239, rel=1e-6)
+
+
+def test_trace_logs_field_counters(caplog):
+    caplog.set_level(logging.DEBUG, logger="macgeo")
+    ps = gen_grid(GridSpec("square", 1.0), 40.0)
+    i = origin_index(ps)
+    trace = trace_contour(i, ps, ChannelModel(4.0, 10.0))
+    near = int(np.count_nonzero(np.hypot(*(ps.points - ps.points[i]).T)
+                                <= NEAR_RADIUS * ps.scale)) - 1
+    # Most of the Apollonius circle at c = 1.5 (radius 1.2, farthest point
+    # 2 from the transmitter) lies beyond the validity radius.
+    trace_contour(0, APOLLO, apollo_model(1.5))
+    recs = [r for r in caplog.records if r.name == "macgeo.reception"]
+    assert [r.levelno for r in recs] == [logging.DEBUG] * 2
+    assert recs[0].getMessage() == (
+        f"trace of transmitter {i}: {trace.steps} steps, {near} near points, "
+        f"expansion order {EXPANSION_ORDER}, 0 exact-path queries")
+    exact = re.search(r", 1 near points, expansion order \d+, (\d+) "
+                      r"exact-path queries$", recs[1].getMessage())
+    assert exact and int(exact.group(1)) > 0
+
+
 def test_nonclosure_carries_partial_trace():
     cfg = TracerConfig(max_steps=1000)
     with pytest.raises(NonClosureError) as err:
@@ -188,6 +228,24 @@ def test_heaviside_agrees_with_winding_number():
         hit = grid_success_prob_nofading(i, z, ps, model) == 1.0
         if abs(sir(i, z, ps, model.alpha) - model.beta) > 1e-4 * model.beta:
             assert inside == hit
+
+
+def test_batched_sir_excludes_the_probe():
+    # A 2 x 2 raster over [-0.02, 0.02]^2 samples (+-0.01, +-0.01), where
+    # the probe's own power is ~1e14 times the interference.
+    alpha = 8.0
+    ps = gen_grid(GridSpec("square", 1.0), 20.0)
+    i = origin_index(ps)
+    xs, ys, s = raster_field(ps, alpha, 0.02, 2, quantity="sir", i=i)
+    want = np.array([[full_sir_and_gradient(i, (x, y), ps.points, alpha)[0]
+                      for x in xs] for y in ys])
+    assert np.allclose(s, want, rtol=1e-9, atol=0.0)
+    for beta, member in ((want[0, 0] * (1 - 1e-6), True),
+                         (want[0, 0] * (1 + 1e-6), False)):
+        model = ChannelModel(alpha, beta)
+        assert grid_success_prob_nofading(i, (xs[0], ys[0]), ps, model) == member
+        _, _, grid = membership_grid(i, ps, model, 0.02, 2)
+        assert grid[0, 0] == member
 
 
 def test_fading_product_basic_values():
