@@ -37,7 +37,8 @@ import numpy as np
 
 from . import aloha, asymptotics, multihop, reception, spatial
 from .errors import MacGeoError, NonClosureError, UnboundedReceptionError
-from .propagation import ChannelModel, raster_field, save_field_csv
+from .propagation import (ChannelModel, decodes, raster_field,
+                          save_field_csv)
 from .spatial import GridSpec
 
 EXIT_OK = 0
@@ -223,14 +224,14 @@ def _cmd_fading_curve(cfg: RunConfig) -> str:
     # Stop short of the diagonal lattice neighbor where the SIR is singular.
     diag = np.array([spec.d, spec.d])
     ts = np.linspace(0.02, 0.98, p["n"])
+    rxs = ps.points[i] + ts[:, None] * diag
+    hits = decodes(rxs, ps, i, det_model)
     with open(cfg.output_path, "w") as fh:
         fh.write("r,p_nofading,p_fading\n")
-        for t in ts:
-            rx = ps.points[i] + t * diag
+        for t, rx, hit in zip(ts, rxs, hits):
             r = t * math.hypot(*diag)
-            p0 = reception.grid_success_prob_nofading(i, rx, ps, det_model)
             p1 = reception.grid_success_prob_fading(i, rx, ps, fad_model)
-            fh.write(f"{r:.12g},{p0:.12g},{p1:.12g}\n")
+            fh.write(f"{r:.12g},{float(hit):.12g},{p1:.12g}\n")
     return f"fading-curve {spec.kind}: {len(ts)} rows -> {cfg.output_path}"
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .propagation import ChannelModel
-from .spatial import GridSpec, gen_grid, grid_density, with_pose
+from .propagation import ChannelModel, decodes
+from .spatial import GridSpec, PointSet, gen_grid, grid_density, with_pose
 
 # Largest expected node population nu * (2 * extent)^2 a run may draw.
 MAX_NODES = 2_000_000
@@ -152,24 +152,22 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
 
 
 def _success_mask(holder_idx: int, cand_idx: np.ndarray, tx_idx: np.ndarray,
-                  nodes: np.ndarray, model: ChannelModel,
+                  nodes: np.ndarray, cfg: SimConfig,
                   rng: np.random.Generator) -> np.ndarray:
     """Reception outcome of the holder's transmission at each candidate."""
-    tx_pts = nodes[tx_idx]
+    model = cfg.model
+    col = int(np.nonzero(tx_idx == holder_idx)[0][0])
     cand = nodes[cand_idx]
+    if model.fading == "none":
+        tx = PointSet(nodes[tx_idx], cfg.scheme_density, cfg.extent)
+        return decodes(cand, tx, col, model)
+    # Exponential fading: per-candidate success probability is the product
+    # 1/(1 + beta w_j) over interferers, then a Bernoulli draw.
+    tx_pts = nodes[tx_idx]
     dx = cand[:, None, 0] - tx_pts[None, :, 0]
     dy = cand[:, None, 1] - tx_pts[None, :, 1]
     d2 = dx * dx + dy * dy
-    col = int(np.nonzero(tx_idx == holder_idx)[0][0])
-    sig_d2 = d2[:, col]
-    if model.fading == "none":
-        p = d2 ** (-0.5 * model.alpha)
-        g = p[:, col]
-        w = p.sum(axis=1) - g
-        return g >= model.beta * w
-    # Exponential fading: per-candidate success probability is the product
-    # 1/(1 + beta w_j) over interferers, then a Bernoulli draw.
-    ratio = d2 / sig_d2[:, None]
+    ratio = d2 / d2[:, col, None]
     lp = np.log1p(model.beta * ratio ** (-0.5 * model.alpha))
     lp[:, col] = 0.0
     p_succ = np.exp(-lp.sum(axis=1))
@@ -199,7 +197,7 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
     if cand.size == 0:
         return holder_idx
 
-    ok = _success_mask(holder_idx, cand, tx_idx, nodes, cfg.model, rng)
+    ok = _success_mask(holder_idx, cand, tx_idx, nodes, cfg, rng)
     winners = cand[ok]
     if winners.size == 0:
         return holder_idx
@@ -298,9 +296,10 @@ def run_simulation(cfg: SimConfig, n_packets: int,
             slot_log.append(tx_idx.copy())
         if tx_idx.size == 0:
             continue
-        tx_set = set(int(t) for t in tx_idx)
+        active = np.zeros(n, dtype=bool)
+        active[tx_idx] = True
         for k, rec in enumerate(packets):
-            if rec.delivered or holders[k] not in tx_set:
+            if rec.delivered or not active[holders[k]]:
                 continue
             rec.scheduled_slots += 1
             holders[k] = relay_step(rec, holders[k], tx_idx, nodes, tree,

@@ -32,7 +32,7 @@ from .errors import (MacGeoError, NonClosureError, StationaryPointError,
                      UnboundedReceptionError, UnsupportedFadingError)
 # sir and sir_and_gradient stay importable here: profilers wrap the
 # kernel at this module's names.
-from .propagation import (SINGULARITY_GUARD, ChannelModel, Field, sir,
+from .propagation import (ChannelModel, DecodeCounts, Field, decodes, sir,
                           sir_and_gradient)
 from .spatial import GridSpec, PointSet, gen_grid, grid_density
 
@@ -294,19 +294,8 @@ def normalized_range(r_lambda: float, lam: float) -> float:
 def grid_success_prob_nofading(i: int, rx, ps: PointSet, model: ChannelModel) -> float:
     """Deterministic reception indicator: 1 if r^(-alpha)/beta clears the
     aggregate interference at rx (boundary counts as success), else 0.
-
-    Evaluated on nearest-distance-normalized powers so extreme alpha does
-    not overflow; transmitter i is left out of the interference sum."""
-    rx = np.asarray(rx, dtype=float)
-    pts = ps.points
-    d2 = (pts[:, 0] - rx[0]) ** 2 + (pts[:, 1] - rx[1]) ** 2
-    if d2[i] == 0.0:
-        return 1.0
-    s0 = d2.min()
-    g = (d2[i] / s0) ** (-0.5 * model.alpha)
-    d2[i] = np.inf
-    w = np.sum((d2 / s0) ** (-0.5 * model.alpha))
-    return 1.0 if g >= model.beta * w else 0.0
+    One receiver of :func:`~macgeo.propagation.decodes`."""
+    return float(decodes(rx, ps, i, model)[0])
 
 
 def grid_success_prob_fading(i: int, rx, ps: PointSet, model: ChannelModel) -> float:
@@ -328,33 +317,26 @@ def grid_success_prob_fading(i: int, rx, ps: PointSet, model: ChannelModel) -> f
 
 
 def membership_grid(i: int, ps: PointSet, model: ChannelModel,
-                    extent: float, n: int):
+                    extent: float, n: int, counts: DecodeCounts | None = None):
     """Rasterized reception indicator of transmitter i on an n x n lattice
     over [-extent, extent]^2 around the transmitter.
 
     Works for any beta (including beta < 1 where the region may be
     unbounded or split); cells landing on interferers are non-members.
-    Returns (xs, ys, member) with member indexed [iy, ix].
+    Each raster row is one :func:`~macgeo.propagation.decodes` call, which
+    adds to ``counts`` when given.  Returns (xs, ys, member) with member
+    indexed [iy, ix].
     """
     zi = ps.points[i]
     step = 2.0 * extent / n
     xs = zi[0] - extent + (np.arange(n) + 0.5) * step
     ys = zi[1] - extent + (np.arange(n) + 0.5) * step
-    pts = ps.points
-    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     member = np.zeros((n, n), dtype=bool)
+    rx = np.empty((n, 2))
+    rx[:, 0] = xs
     for iy, y in enumerate(ys):
-        # One (n, N) block per row, updated in place (see raster_field).
-        d2 = xs[:, None] - pts[None, :, 0]
-        d2 *= d2
-        d2 += (y - pts[:, 1]) ** 2
-        np.maximum(d2, guard2, out=d2)
-        s0 = d2.min(axis=1, keepdims=True)
-        g = (d2[:, i] / s0[:, 0]) ** (-0.5 * model.alpha)
-        d2[:, i] = np.inf
-        d2 /= s0
-        np.power(d2, -0.5 * model.alpha, out=d2)
-        member[iy] = g >= model.beta * d2.sum(axis=1)
+        rx[:, 1] = y
+        member[iy] = decodes(rx, ps, i, model, counts)
     return xs, ys, member
 
 
@@ -363,7 +345,11 @@ def max_range_membership(i: int, ps: PointSet, model: ChannelModel,
     """Maximum range from a membership raster: the farthest member cell
     4-connected to the transmitter's own cell.  Fallback for beta < 1
     where the boundary tracer does not apply."""
-    xs, ys, member = membership_grid(i, ps, model, extent, n)
+    counts = DecodeCounts()
+    xs, ys, member = membership_grid(i, ps, model, extent, n, counts)
+    _log.debug("membership raster of transmitter %d: %d cells, %d pruned by "
+               "the nearest interferers, %d full sums", i, counts.rows,
+               counts.pruned, counts.full)
     labels, _ = ndimage.label(member)
     zi = ps.points[i]
     ix = int(np.clip(np.searchsorted(xs, zi[0]), 0, n - 1))

@@ -15,8 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 GRID_KINDS = ("square", "rectangular", "hexagonal", "triangular", "linear")
 
@@ -103,6 +105,11 @@ class PointSet:
     def scale(self) -> float:
         """Characteristic nearest-neighbor length 1/sqrt(density)."""
         return 1.0 / math.sqrt(self.density)
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over the points, built on first use."""
+        return cKDTree(self.points)
 
 
 def grid_density(spec: GridSpec) -> float:

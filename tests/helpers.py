@@ -1,7 +1,8 @@
 """Shared test oracles.
 
 A direct SIR sum with the probe left out, independent of the library's
-near/far field kernel.
+near/far field kernel, and a direct reception decision over every
+transmitter, independent of the library's pruned batched kernel.
 
 The alternating series for the interference CDF, in float64 with a
 cancellation guard and in high precision (mpmath).  Both are independent
@@ -251,3 +252,17 @@ def full_sir_and_gradient(i, z, pts, alpha):
     dg = (-alpha / m) * ui ** (-0.5 * alpha - 1.0) * diff_i
     s = g / w
     return s, (dg - s * dw) / w
+
+
+def direct_decisions(rx, pts, i, alpha, betas, guard2):
+    """Reception decisions of transmitter i at each receiver row of rx, one
+    row of the result per beta: g >= beta * w over the full set, with
+    squared distances clamped at guard2, powers normalized by the nearest
+    transmitter and i left out of w.  No pruning."""
+    rx = np.asarray(rx, dtype=float)
+    d2 = ((rx[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.maximum(d2, guard2)
+    u = d2 / d2.min(axis=1, keepdims=True)
+    g = u[:, i] ** (-0.5 * alpha)
+    w = (np.delete(u, i, axis=1) ** (-0.5 * alpha)).sum(axis=1)
+    return np.array([g >= beta * w for beta in betas])

@@ -1,12 +1,14 @@
+import hashlib
 import math
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from macgeo.multihop import (SimConfig, progress,
+from macgeo.multihop import (SimConfig, _success_mask, progress,
                              run_simulation, save_hop_log_csv,
                              save_summary_json, select_transmitters)
 from macgeo.propagation import ChannelModel, sir
@@ -168,6 +170,36 @@ def test_deterministic_logs(tmp_path):
         save_hop_log_csv(packets, path)
         out.append(path.read_bytes())
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("scheme,digest", [
+    (GridSpec("square", 1.0),
+     "2101748054ca762cb86a772a6e1cd747f8b769509cdda11ebb643182938b35a3"),
+    (1.0, "41fab419a815b524407ebd8faa8edbbeccfd5816dde2435b47a5e211479d38e0"),
+])
+def test_hop_log_pinned(tmp_path, scheme, digest):
+    # Logs of the full-sum simulator before the pruned reception kernel
+    # and the boolean transmitter mask; both must leave them unchanged.
+    cfg = SimConfig(100.0, 8.0, scheme, MODEL, slots=600, seed=21)
+    _, packets = run_simulation(cfg, 4, pair_distance=2.0)
+    path = tmp_path / "log.csv"
+    save_hop_log_csv(packets, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("interferer,candidate,want", [
+    ((1.0, 0.0), (5e-4, 0.0), True),        # SIR ~ 1e330: raw powers overflow
+    ((4500.0, 0.0), (2500.0, 0.0), False),  # SIR ~ 2e-10: both underflow to 0
+])
+def test_success_mask_extreme_alpha(interferer, candidate, want):
+    model = ChannelModel(alpha=100.0, beta=1.0)
+    cfg = SimConfig(1e-2, 5000.0, 1e-2, model)
+    nodes = np.array([(0.0, 0.0), interferer, candidate])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = _success_mask(0, np.array([2]), np.array([0, 1]), nodes, cfg,
+                           np.random.default_rng(0))
+    assert ok.tolist() == [want]
 
 
 def test_fading_randomizes_hop_lengths_paired_seed():

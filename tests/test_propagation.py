@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import full_sir_and_gradient
+from helpers import direct_decisions, full_sir_and_gradient
 
 from macgeo.errors import DivergentMomentError, SingularityError
-from macgeo.propagation import (VALID_RADIUS, ChannelModel, Field, gain,
-                                interference, psi, raster_field,
-                                sample_fading, sir, sir_and_gradient,
-                                sir_gradient)
+from macgeo.propagation import (DECODE_NEIGHBORS, SINGULARITY_GUARD,
+                                VALID_RADIUS, ChannelModel, DecodeCounts,
+                                Field, decodes, gain, interference, psi,
+                                raster_field, sample_fading, sir,
+                                sir_and_gradient, sir_gradient)
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
                             grid_density, rescale)
 
@@ -177,6 +178,69 @@ def test_field_matches_full_sum_at_default_window(kind, default_windows):
     want, dwant = full_sir_and_gradient(i, z, ps.points, field.alpha)
     assert s == pytest.approx(want, rel=1e-9)
     assert np.max(np.abs(g - dwant)) <= 1e-9 * np.max(np.abs(dwant))
+
+
+KERNEL_BETAS = (1e-5, 0.05, 1.0, 10.0, 100.0)
+
+
+@pytest.fixture(scope="module")
+def decision_sets():
+    """Three unit lattices and a Poisson set of unit density at extent 20,
+    and a two-point pair, too small for the bound: every receiver of it
+    takes the full sum."""
+    sets = {kind: gen_grid(GridSpec(kind, 1.0), 20.0)
+            for kind in ("square", "triangular", "hexagonal")}
+    sets["poisson"] = gen_poisson(1.0, 20.0, 3)
+    sets["pair"] = two_tx()
+    return sets
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal",
+                                  "poisson", "pair"])
+def test_decodes_matches_direct_decision(kind, decision_sets):
+    ps = decision_sets[kind]
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+    counts = DecodeCounts()
+    for window in (1.0, 6.0):
+        t = -window + (np.arange(40) + 0.5) * (window / 20.0)
+        gx, gy = np.meshgrid(t, t)
+        rx = ps.points[i] + np.column_stack([gx.ravel(), gy.ravel()])
+        for alpha in (2.5, 3.0, 4.0, 8.0, 100.0):
+            want = direct_decisions(rx, ps.points, i, alpha, KERNEL_BETAS,
+                                    guard2)
+            for beta, w in zip(KERNEL_BETAS, want):
+                got = decodes(rx, ps, i, ChannelModel(alpha, beta), counts)
+                assert np.array_equal(got, w), (window, alpha, beta)
+    assert counts.rows == 2 * 5 * 5 * 1600
+    assert counts.pruned + counts.full == counts.rows
+    if kind == "pair":
+        assert counts.pruned == 0
+    else:
+        assert counts.pruned > counts.rows // 2
+
+
+def test_decodes_near_tie_reaches_full_sum():
+    # Pick beta so that beta times the K-nearest bound sits 5e-14 above g:
+    # inside the pruning margin, so the row takes the full sum.
+    ps = gen_grid(GridSpec("square", 1.0), 20.0)
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    rx = np.array([[0.37, 0.21]])
+    alpha = 4.0
+    d2 = ((ps.points - rx) ** 2).sum(axis=1)
+    u = d2 / d2.min()
+    near = [j for j in np.argsort(d2)[:DECODE_NEIGHBORS] if j != i]
+    g = u[i] ** (-0.5 * alpha)
+    lower = np.sum(u[near] ** (-0.5 * alpha))
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+    for rel, pruned in ((5e-14, 0), (1e-9, 1)):
+        beta = g / lower * (1.0 + rel)
+        counts = DecodeCounts()
+        got = decodes(rx, ps, i, ChannelModel(alpha, beta), counts)
+        want = direct_decisions(rx, ps.points, i, alpha, (beta,), guard2)[0]
+        assert np.array_equal(got, want) and not got[0]
+        assert (counts.rows, counts.pruned, counts.full) == \
+            (1, pruned, 1 - pruned)
 
 
 def test_singularity_guard():

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,15 @@ def test_heaviside_agrees_with_winding_number():
             assert inside == hit
 
 
+def test_heaviside_on_an_interferer_fails_quietly():
+    ps = gen_grid(GridSpec("square", 1.0), 20.0)
+    i = origin_index(ps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_success_prob_nofading(i, (1.0, 0.0), ps,
+                                          ChannelModel(4.0, 1.0)) == 0.0
+
+
 def test_batched_sir_excludes_the_probe():
     # A 2 x 2 raster over [-0.02, 0.02]^2 samples (+-0.01, +-0.01), where
     # the probe's own power is ~1e14 times the interference.
@@ -320,6 +330,19 @@ def test_membership_grid_and_flood_fill():
     assert r_low > trace.r_lambda
     xs, ys, member = membership_grid(i, ps, low, extent=4.0, n=64)
     assert member.any() and not member.all()
+
+
+def test_membership_logs_decision_counts(caplog):
+    ps = gen_grid(GridSpec("square", 1.0), 20.0)
+    i = origin_index(ps)
+    with caplog.at_level(logging.DEBUG, logger="macgeo.reception"):
+        max_range_membership(i, ps, ChannelModel(4.0, 0.05), extent=2.0, n=40)
+    recs = [r for r in caplog.records if r.name == "macgeo.reception"]
+    assert len(recs) == 1
+    m = re.search(r"(\d+) cells, (\d+) pruned by the nearest interferers, "
+                  r"(\d+) full sums$", recs[0].getMessage())
+    cells, pruned, full = map(int, m.groups())
+    assert cells == 1600 and pruned + full == cells and 0 < pruned < cells
 
 
 def test_trace_export(tmp_path):
