@@ -34,18 +34,11 @@ class LatticeSumConfig:
     truncation_radius  summation radius at unit density; None picks a
                        radius of 200 unit lengths (and at least 100 cell
                        diameters, keeping the tail estimate honest)
-    richardson_levels  extra Aitken extrapolation sweeps over nested radii
-                       (0 disables; the tail-corrected sum rarely needs it)
     """
 
     pattern: GridSpec
     alpha: float
     truncation_radius: float | None = None
-    richardson_levels: int = 0
-
-    def __post_init__(self):
-        if self.richardson_levels < 0:
-            raise ValueError("richardson_levels must be >= 0")
 
 
 def _unit_density_spec(spec: GridSpec) -> GridSpec:
@@ -79,20 +72,7 @@ def beta_inf_range(cfg: LatticeSumConfig) -> float:
         radius = max(200.0, 100.0 * _cell_diameter(spec))
     elif radius < 100.0 * _cell_diameter(spec):
         raise ValueError("truncation radius below 100 cell diameters")
-
-    if cfg.richardson_levels == 0:
-        I = _lattice_interference(spec, cfg.alpha, radius)
-    else:
-        radii = [radius * 2.0 ** -k for k in range(cfg.richardson_levels + 2)]
-        seq = [_lattice_interference(spec, cfg.alpha, r) for r in radii[::-1]]
-        # Iterated Aitken delta-squared on the nested-radius sequence.
-        while len(seq) >= 3:
-            nxt = []
-            for a, b, c in zip(seq, seq[1:], seq[2:]):
-                den = c - 2.0 * b + a
-                nxt.append(c - (c - b) ** 2 / den if den != 0.0 else c)
-            seq = nxt
-        I = seq[-1]
+    I = _lattice_interference(spec, cfg.alpha, radius)
     return I ** (-1.0 / cfg.alpha)
 
 

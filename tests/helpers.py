@@ -4,6 +4,9 @@ A direct SIR sum with the probe left out, independent of the library's
 near/far field kernel, and a direct reception decision over every
 transmitter, independent of the library's pruned batched kernel.
 
+A Poisson-disc sampler of the ALOHA interference, independent of the
+library's ordered-arrival sampler.
+
 The alternating series for the interference CDF, in float64 with a
 cancellation guard and in high precision (mpmath).  Both are independent
 of the library's Kanter-integral evaluator.  The float series is a weak
@@ -22,7 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from macgeo.propagation import psi as psi_f
+from macgeo.propagation import psi as psi_f, sample_fading
 
 # Refuse the float series once the largest intermediate term exceeds this
 # factor times the final sum.
@@ -266,3 +269,30 @@ def direct_decisions(rx, pts, i, alpha, betas, guard2):
     g = u[:, i] ** (-0.5 * alpha)
     w = (np.delete(u, i, axis=1) ** (-0.5 * alpha)).sum(axis=1)
     return np.array([g >= beta * w for beta in betas])
+
+
+def disc_sample_w(lam, alpha, trials, rng, fading="none", spread=1.0):
+    """Draw ``trials`` samples of the aggregate interference W from a
+    Poisson disc of radius max(16, 16/sqrt(lam)) around the evaluation
+    point, sampled radially (squared distances are uniform), plus the
+    beyond-disc field's exact mean E[F] 2 pi lam R^(2-alpha)/(alpha-2).
+    Fading draws one factor per interferer."""
+    rng = np.random.default_rng(rng)
+    R = max(16.0, 16.0 / math.sqrt(lam))
+    mean_count = lam * math.pi * R * R
+    tail = psi_f(fading, 1.0, spread) * 2.0 * math.pi * lam \
+        * R ** (2.0 - alpha) / (alpha - 2.0)
+    out = np.empty(trials)
+    chunk = 8192
+    for done in range(0, trials, chunk):
+        m = min(chunk, trials - done)
+        counts = rng.poisson(mean_count, m)
+        total = int(counts.sum())
+        contrib = rng.uniform(0.0, R * R, total) ** (-0.5 * alpha)
+        if fading != "none":
+            contrib *= sample_fading(fading, rng, total, spread)
+        offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        sums = np.add.reduceat(contrib, np.minimum(offsets, total - 1))
+        sums[counts == 0] = 0.0
+        out[done:done + m] = sums
+    return out + tail

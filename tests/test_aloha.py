@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.special import erfc
+from scipy.stats import ks_2samp
 
-from helpers import float_series, mp_oracle
-from macgeo.aloha import (AlohaResult, SeriesParams, aloha_prob,
-                          aloha_prob_exponential, curve, default_mc_extent,
-                          laplace_transform_w, mc_aloha_prob, optimize_range,
-                          prob_w_below, sample_w)
+from helpers import disc_sample_w, float_series, mp_oracle
+from macgeo.aloha import (MAX_TRIALS, AlohaResult, SeriesParams, aloha_prob,
+                          aloha_prob_exponential, curve, laplace_transform_w,
+                          mc_aloha_prob, optimize_range, prob_w_below,
+                          sample_w)
 from macgeo.cli import RunConfig, run
 from macgeo.errors import UnsupportedFadingError
 from macgeo.propagation import ChannelModel
@@ -165,16 +166,46 @@ def test_mc_exponential_closed_form():
 
 
 def test_mc_validation():
-    with pytest.raises(ValueError):
-        mc_aloha_prob(0.3, 1.0, ChannelModel(4.0, 1.0), 10, seed=0)
+    model = ChannelModel(4.0, 1.0)
+    for lam, trials in ((1.0, 10), (1.0, MAX_TRIALS + 1), (0.0, 1000),
+                        (math.nan, 1000), (math.inf, 1000)):
+        with pytest.raises(ValueError):
+            mc_aloha_prob(0.3, lam, model, trials, seed=0)
 
 
 def test_sample_w_deterministic():
     a = sample_w(1.0, 4.0, 1000, 42)
     b = sample_w(1.0, 4.0, 1000, 42)
     assert np.array_equal(a, b)
-    assert default_mc_extent(0.1, 1.0) == pytest.approx(16.0)
-    assert default_mc_extent(2.0, 1.0) == pytest.approx(32.0)
+
+
+@pytest.mark.parametrize("lam, alpha, trials", [
+    (1.0, 1.5, 5),
+    (1.0, 2.0, 5),
+    (1.0, math.inf, 5),
+    (0.0, 4.0, 5),
+    (-1.0, 4.0, 5),
+    (math.nan, 4.0, 5),
+    (math.inf, 4.0, 5),
+    (1.0, 4.0, 0),
+    (1.0, 4.0, MAX_TRIALS + 1),
+])
+def test_sample_w_rejects_bad_arguments(lam, alpha, trials):
+    with pytest.raises(ValueError):
+        sample_w(lam, alpha, trials, 0)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 8.0])
+@pytest.mark.parametrize("fading", ["none", "log_uniform"])
+def test_sample_w_matches_disc_reference(alpha, fading):
+    # Two-sample Kolmogorov-Smirnov distance between the ordered-arrival
+    # sampler and the independent Poisson-disc sampler, at fixed seeds,
+    # against its 99.9% critical value.
+    n = 40_000
+    a = sample_w(1.0, alpha, n, 11, fading=fading)
+    b = disc_sample_w(1.0, alpha, n, 12, fading=fading)
+    d = ks_2samp(a, b).statistic
+    assert d < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / n)
 
 
 def test_optimizer_beta10():

@@ -56,12 +56,10 @@ def test_lattice_sum_doubling_within_tail_bound():
         assert abs(I2 - I1) <= tail
 
 
-def test_richardson_option():
+def test_triangular_beta_inf_pin():
     spec = GridSpec("triangular", 1.0)
-    base = beta_inf_range(LatticeSumConfig(spec, 4.0))
-    rich = beta_inf_range(LatticeSumConfig(spec, 4.0, richardson_levels=1))
-    assert rich == pytest.approx(base, abs=1e-4)
-    assert rich == pytest.approx(0.644845, abs=1e-3)
+    assert beta_inf_range(LatticeSumConfig(spec, 4.0)) == pytest.approx(
+        0.644845, abs=1e-3)
 
 
 def test_beta_range_alpha3():
