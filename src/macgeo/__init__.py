@@ -5,8 +5,8 @@ counts, asymptotic limits and a relaying simulator, each cross-checked by
 Monte Carlo."""
 
 from .aloha import (AlohaResult, SeriesParams, aloha_prob,
-                    aloha_prob_exponential, laplace_transform_w,
-                    mc_aloha_prob, optimize_range, prob_w_below, sample_w)
+                    aloha_prob_exponential, mc_aloha_prob, optimize_range,
+                    prob_w_below, sample_w)
 from .asymptotics import (LatticeSumConfig, alpha_inf_range, alpha_inf_table,
                           beta_inf_range, beta_inf_table, voronoi_limit_check)
 from .errors import (DivergentMomentError, DivergentSumError, MacGeoError,
@@ -15,14 +15,12 @@ from .errors import (DivergentMomentError, DivergentSumError, MacGeoError,
                      UnsupportedFadingError)
 from .multihop import (PacketRecord, SimConfig, progress, relay_step,
                        run_simulation, select_transmitters)
-from .propagation import (ChannelModel, gain, interference, psi, raster_field,
-                          sample_fading, sir, sir_gradient)
+from .propagation import ChannelModel, psi, raster_field, sample_fading, sir
 from .reception import (ContourTrace, RangeResult, TracerConfig,
                         find_contour_start, grid_range,
                         grid_success_prob_fading, grid_success_prob_nofading,
-                        max_range, max_range_membership, membership_grid,
+                        max_range_membership, membership_grid,
                         normalized_range, trace_contour)
-from .spatial import (GridSpec, PointSet, gen_grid, gen_poisson, grid_density,
-                      measured_density, rescale)
+from .spatial import GridSpec, PointSet, gen_grid, gen_poisson, grid_density
 
 __version__ = "0.1.0"

@@ -212,18 +212,6 @@ def aloha_prob_exponential(r: float, lam: float, beta: float, alpha: float) -> f
                     * beta ** g * r * r)
 
 
-def laplace_transform_w(theta: float, lam: float, alpha: float,
-                        fading: str = "none", spread: float = 1.0) -> float:
-    """E[exp(-theta W)] = exp(-pi lam psi(gamma) Gamma(1-gamma) theta^gamma)."""
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    if theta == 0.0:
-        return 1.0
-    g = 2.0 / alpha
-    return math.exp(-math.pi * lam * psi(fading, g, spread)
-                    * math.gamma(1.0 - g) * theta ** g)
-
-
 def _pow_neg_half(d2: np.ndarray, alpha: float) -> np.ndarray:
     """d2 ** (-alpha/2) with cheap paths for the common exponents."""
     if alpha == 4.0:

@@ -147,10 +147,3 @@ def alpha_inf_table():
     return [(kind, k1 / k2, alpha_inf_range(kind, k1, k2))
             for kind, k1, k2 in TABLE_PATTERNS]
 
-
-def save_table_csv(rows, path) -> None:
-    """Write table rows as CSV with header ``pattern,k1_over_k2,value``."""
-    with open(path, "w") as fh:
-        fh.write("pattern,k1_over_k2,value\n")
-        for kind, ratio, val in rows:
-            fh.write(f"{kind},{ratio:.12g},{val:.12g}\n")

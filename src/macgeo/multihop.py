@@ -22,7 +22,6 @@ Schemes:
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -332,25 +331,3 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         summary["nodes"] = nodes
     return summary, packets
 
-
-def save_hop_log_csv(packets, path) -> None:
-    """Per-hop log as CSV:
-    ``packet_id,slot,hop,from_x,from_y,to_x,to_y,progress``."""
-    with open(path, "w") as fh:
-        fh.write("packet_id,slot,hop,from_x,from_y,to_x,to_y,progress\n")
-        for pid, rec in enumerate(packets):
-            for h, (slot, prog) in enumerate(zip(rec.hop_slots,
-                                                 rec.progress_per_hop)):
-                fx, fy = rec.hops[h]
-                tx, ty = rec.hops[h + 1]
-                fh.write(f"{pid},{slot},{h},{fx:.12g},{fy:.12g},"
-                         f"{tx:.12g},{ty:.12g},{prog:.12g}\n")
-
-
-def save_summary_json(summary: dict, path) -> None:
-    """JSON summary (drops the bulky audit fields)."""
-    out = {k: v for k, v in summary.items()
-           if k not in ("slot_transmitters", "nodes")}
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")

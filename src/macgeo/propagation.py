@@ -67,41 +67,6 @@ def _as_point(p) -> np.ndarray:
     return a
 
 
-def gain(tx, rx, alpha: float) -> float:
-    """Deterministic gain ||rx - tx||^(-alpha).  Raises on coincidence."""
-    d = np.linalg.norm(_as_point(rx) - _as_point(tx))
-    if d == 0.0:
-        raise SingularityError("transmitter and receiver coincide")
-    return float(d ** -alpha)
-
-
-def _distances_sq(rx, pts: np.ndarray) -> np.ndarray:
-    diff = pts - _as_point(rx)
-    return diff[:, 0] ** 2 + diff[:, 1] ** 2
-
-
-def _guard(rx, pts: np.ndarray, scale: float) -> np.ndarray:
-    d2 = _distances_sq(rx, pts)
-    if d2.size and d2.min() < (SINGULARITY_GUARD * scale) ** 2:
-        raise SingularityError(
-            f"evaluation point within {SINGULARITY_GUARD:g} * scale of a transmitter")
-    return d2
-
-
-def interference(rx, ps: PointSet, exclude: int | None, alpha: float) -> float:
-    """Aggregate interference sum_j ||rx - z_j||^(-alpha) over the set.
-
-    ``exclude`` drops one transmitter index (None keeps all).
-    """
-    pts = ps.points
-    if exclude is not None:
-        pts = np.delete(pts, exclude, axis=0)
-    if pts.size == 0:
-        return 0.0
-    d2 = _guard(rx, pts, ps.scale)
-    return float(np.sum(d2 ** (-0.5 * alpha)))
-
-
 # Near/far split of the field kernel, in units of the set's scale.
 # Transmitters within NEAR_RADIUS of the probe are summed exactly; the
 # rest enter through a local expansion of order EXPANSION_ORDER about the
@@ -242,18 +207,6 @@ def sir(i: int, rx, ps: PointSet, alpha: float) -> float:
 def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
     """(SIR, gradient) of transmitter i at rx (see :class:`Field`)."""
     return Field(ps, i, alpha).sir_and_gradient(rx)
-
-
-def sir_gradient(i: int, rx, ps: PointSet, alpha: float) -> np.ndarray:
-    """Analytic spatial gradient of the SIR of transmitter i at rx.
-
-    Uses grad ||z - z_j||^(-a) = -a ||z - z_j||^(-a-2) (z - z_j) and the
-    quotient rule; singular at transmitter locations.
-    """
-    s, grad = sir_and_gradient(i, rx, ps, alpha)
-    if math.isinf(s):
-        raise SingularityError("SIR gradient undefined without interferers")
-    return grad
 
 
 # Batched reception decision.  A receiver whose DECODE_NEIGHBORS nearest
@@ -417,11 +370,3 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
                 vals[iy] = np.where(w > 0, g / w, np.inf)
     return xs, ys, vals
 
-
-def save_field_csv(xs, ys, vals, path) -> None:
-    """Write a rasterized field as CSV with header ``x,y,value``."""
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                fh.write(f"{x:.12g},{y:.12g},{vals[iy, ix]:.12g}\n")

@@ -272,18 +272,6 @@ def _max_range_refined(vertices, grads, field, beta, cfg):
     return float(math.hypot(best[0] - zi[0], best[1] - zi[1])), best
 
 
-def max_range(trace: ContourTrace, i: int, ps: PointSet, model: ChannelModel,
-              cfg: TracerConfig | None = None) -> float:
-    """Maximum distance from transmitter i to its traced boundary."""
-    if not trace.closed:
-        raise NonClosureError("max range requires a closed trace", trace=trace)
-    cfg = cfg or TracerConfig()
-    field = Field(ps, i, model.alpha)
-    grads = np.array([field.sir_and_gradient(v)[1] for v in trace.vertices])
-    r, _ = _max_range_refined(trace.vertices, grads, field, model.beta, cfg)
-    return r
-
-
 def normalized_range(r_lambda: float, lam: float) -> float:
     """Density-normalized range sqrt(lam) * r_lambda (scale invariant)."""
     if not (r_lambda > 0 and lam > 0):
@@ -424,14 +412,6 @@ def point_in_polygon(z, vertices: np.ndarray) -> bool:
     return bool(np.count_nonzero(hits) % 2)
 
 
-def save_trace_csv(trace: ContourTrace, path) -> None:
-    """Write the trace vertices as CSV with header ``x,y``."""
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in trace.vertices:
-            fh.write(f"{x:.12g},{y:.12g}\n")
-
-
 def trace_summary(trace: ContourTrace, spec, model: ChannelModel, lam: float) -> dict:
     """JSON-ready summary of one traced configuration."""
     pattern = spec.kind if isinstance(spec, GridSpec) else str(spec)
@@ -447,11 +427,3 @@ def trace_summary(trace: ContourTrace, spec, model: ChannelModel, lam: float) ->
         "closed": trace.closed,
     }
 
-
-def save_membership_csv(xs, ys, member, path) -> None:
-    """Write a membership raster as CSV with header ``x,y,member``."""
-    with open(path, "w") as fh:
-        fh.write("x,y,member\n")
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                fh.write(f"{x:.12g},{y:.12g},{int(member[iy, ix])}\n")

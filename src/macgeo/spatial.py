@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -205,47 +204,6 @@ def gen_poisson(lam: float, extent: float, seed) -> PointSet:
     meta = {"kind": "poisson", "lam": lam, "extent": extent,
             "seed": seed if isinstance(seed, int) else None}
     return PointSet(pts, lam, extent, meta)
-
-
-def rescale(ps: PointSet, factor: float) -> PointSet:
-    """Homothety: coordinates scale by ``factor``, intensity by 1/factor^2."""
-    if not (factor > 0):
-        raise ValueError("scale factor must be positive")
-    meta = dict(ps.meta)
-    if "d" in meta:
-        meta["d"] = meta["d"] * factor
-    return PointSet(ps.points * factor, ps.density / factor**2,
-                    ps.extent * factor, meta)
-
-
-def measured_density(ps: PointSet) -> float:
-    """Empirical intensity: point count over window area."""
-    return len(ps) / (2.0 * ps.extent) ** 2
-
-
-def save_points_csv(ps: PointSet, path) -> None:
-    """Write the set as CSV (header ``x,y``) plus a JSON metadata sidecar."""
-    path = str(path)
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in ps.points:
-            fh.write(f"{x:.12g},{y:.12g}\n")
-    sidecar = {"density": ps.density, "extent": ps.extent}
-    sidecar.update(ps.meta)
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_points_csv(path) -> PointSet:
-    """Read a set written by :func:`save_points_csv`."""
-    path = str(path)
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
-    density = meta.pop("density")
-    extent = meta.pop("extent")
-    return PointSet(pts, density, extent, meta)
 
 
 def with_pose(spec: GridSpec, rotation: float, translation) -> GridSpec:

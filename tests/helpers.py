@@ -4,8 +4,12 @@ A direct SIR sum with the probe left out, independent of the library's
 near/far field kernel, and a direct reception decision over every
 transmitter, independent of the library's pruned batched kernel.
 
+A direct interference sum over a point set, and the homothety of a point
+set; the laws behind the field kernel are checked against them.
+
 A Poisson-disc sampler of the ALOHA interference, independent of the
-library's ordered-arrival sampler.
+library's ordered-arrival sampler, and the Laplace transform of that
+interference, its mean oracle.
 
 The alternating series for the interference CDF, in float64 with a
 cancellation guard and in high precision (mpmath).  Both are independent
@@ -25,7 +29,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from macgeo.propagation import psi as psi_f, sample_fading
+from macgeo.cli import _hop_log, _write_rows_csv
+from macgeo.errors import SingularityError
+from macgeo.propagation import SINGULARITY_GUARD, psi as psi_f, sample_fading
+from macgeo.spatial import PointSet
 
 # Refuse the float series once the largest intermediate term exceeds this
 # factor times the final sum.
@@ -296,3 +303,47 @@ def disc_sample_w(lam, alpha, trials, rng, fading="none", spread=1.0):
         sums[counts == 0] = 0.0
         out[done:done + m] = sums
     return out + tail
+
+
+def interference(rx, ps, exclude, alpha):
+    """Aggregate interference sum_j ||rx - z_j||^(-alpha) over the set,
+    summed directly.  ``exclude`` drops one transmitter index (None keeps
+    all)."""
+    pts = ps.points
+    if exclude is not None:
+        pts = np.delete(pts, exclude, axis=0)
+    if pts.size == 0:
+        return 0.0
+    diff = pts - np.asarray(rx, dtype=float).reshape(2)
+    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    if d2.min() < (SINGULARITY_GUARD * ps.scale) ** 2:
+        raise SingularityError(
+            f"evaluation point within {SINGULARITY_GUARD:g} * scale of a transmitter")
+    return float(np.sum(d2 ** (-0.5 * alpha)))
+
+
+def rescale(ps, factor):
+    """Homothety: coordinates scale by ``factor``, intensity by 1/factor^2."""
+    if not (factor > 0):
+        raise ValueError("scale factor must be positive")
+    meta = dict(ps.meta)
+    if "d" in meta:
+        meta["d"] = meta["d"] * factor
+    return PointSet(ps.points * factor, ps.density / factor**2,
+                    ps.extent * factor, meta)
+
+
+def laplace_transform_w(theta, lam, alpha, fading="none", spread=1.0):
+    """E[exp(-theta W)] = exp(-pi lam psi(gamma) Gamma(1-gamma) theta^gamma)."""
+    if theta < 0:
+        raise ValueError("theta must be non-negative")
+    if theta == 0.0:
+        return 1.0
+    g = 2.0 / alpha
+    return math.exp(-math.pi * lam * psi_f(fading, g, spread)
+                    * math.gamma(1.0 - g) * theta ** g)
+
+
+def write_hop_log(packets, path):
+    """A simulation's hop log, written as ``macgeo simulate`` writes it."""
+    _write_rows_csv(path, *_hop_log(packets))

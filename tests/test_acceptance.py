@@ -10,11 +10,12 @@ import math
 import time
 
 import numpy as np
+from helpers import write_hop_log
 
 from macgeo.aloha import (SeriesParams, aloha_prob, aloha_prob_exponential,
                           optimize_range, sample_w)
 from macgeo.cli import RunConfig, _grid_range_value, run
-from macgeo.multihop import SimConfig, run_simulation, save_hop_log_csv
+from macgeo.multihop import SimConfig, run_simulation
 from macgeo.propagation import ChannelModel, sample_fading
 from macgeo.reception import (grid_range, grid_success_prob_fading,
                               origin_index, trace_contour)
@@ -222,7 +223,7 @@ def test_criterion_10_multihop_consistency(tmp_path):
     for k in range(2):
         _, packets = run_simulation(small, 4, pair_distance=2.0)
         path = tmp_path / f"log{k}.csv"
-        save_hop_log_csv(packets, path)
+        write_hop_log(packets, path)
         logs.append(path.read_bytes())
 
     ok = (delivered == 1.0 and abs(relays - predicted) <= 0.1 * predicted
@@ -243,7 +244,7 @@ def test_criterion_11_figure_sweep_orderings():
     def r1_of(kind, k1, k2, beta):
         return _grid_range_value({"pattern": kind, "d": 1.0, "k1": k1,
                                   "k2": k2, "beta": beta, "alpha": 4.0,
-                                  "extent": 60.0}, 0)["r1"]
+                                  "extent": 60.0})["r1"]
 
     sweeps = {f"{k}:{k1 / k2:g}": [r1_of(k, k1, k2, b)
                                    for b in np.geomspace(0.05, 100.0, 10)]

@@ -5,11 +5,10 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import ks_2samp
 
-from helpers import disc_sample_w, float_series, mp_oracle
+from helpers import disc_sample_w, float_series, laplace_transform_w, mp_oracle
 from macgeo.aloha import (MAX_TRIALS, AlohaResult, SeriesParams, aloha_prob,
-                          aloha_prob_exponential, curve, laplace_transform_w,
-                          mc_aloha_prob, optimize_range, prob_w_below,
-                          sample_w)
+                          aloha_prob_exponential, curve, mc_aloha_prob,
+                          optimize_range, prob_w_below, sample_w)
 from macgeo.cli import RunConfig, run
 from macgeo.errors import UnsupportedFadingError
 from macgeo.propagation import ChannelModel

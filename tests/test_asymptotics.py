@@ -5,7 +5,8 @@ import pytest
 from macgeo.asymptotics import (LatticeSumConfig, TABLE_PATTERNS,
                                 alpha_inf_range, alpha_inf_table,
                                 beta_inf_range, beta_inf_table,
-                                save_table_csv, voronoi_limit_check)
+                                voronoi_limit_check)
+from macgeo.cli import RunConfig, run
 from macgeo.errors import DivergentSumError
 from macgeo.spatial import GridSpec
 
@@ -99,7 +100,7 @@ def test_voronoi_limit_square():
 
 def test_table_csv(tmp_path):
     out = tmp_path / "t.csv"
-    save_table_csv(alpha_inf_table(), out)
+    run(RunConfig("asympt-alpha", {}, 0, str(out)))
     lines = out.read_text().splitlines()
     assert lines[0] == "pattern,k1_over_k2,value"
     assert len(lines) == 6

@@ -1,10 +1,14 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from macgeo.cli import (EXIT_BAD_PARAM, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                        RunConfig, main, parse_fading, run, sweep)
+from macgeo.cli import (_COMMANDS, EXIT_BAD_PARAM, EXIT_IO, EXIT_NUMERIC,
+                        EXIT_OK, RunConfig, _build_parser, main, parse_fading,
+                        run, sweep)
 
 
 def invoke(args, tmp_path, monkeypatch, out_name=None):
@@ -261,3 +265,91 @@ def test_run_config_api(tmp_path):
     with pytest.raises(ValueError):
         sweep(RunConfig("trace", {}, 0, str(tmp_path / "y"), "csv"),
               "beta", [1.0])
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_loses_to_abbreviated_flag(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"params": {"alpha": 4.0, "beta": 3.0}})
+    rc = invoke(["optimize", "--config", cfg, "--bet", "10", "--format",
+                 "json"], tmp_path, monkeypatch, "o.json")
+    assert rc == EXIT_OK
+    assert json.loads((tmp_path / "o.json").read_text())["beta"] == 10.0
+
+
+def test_config_fading_uses_flag_syntax(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"params": {"fading": "log-uniform:1"},
+                                  "format": "json"})
+    rc = invoke(["optimize", "--config", cfg], tmp_path, monkeypatch)
+    assert rc == EXIT_OK
+    rep = json.loads((tmp_path / "optimize.json").read_text())
+    assert rep["fading"] == "log-uniform:1"
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "simulate"},                  # another command's file
+    {"params": {"beta": 3.0}},                # asympt-beta has no --beta
+    {"seed": 4},                              # ... and no --seed
+    {"params": {"alpha": 4.0}, "extra": 1},   # not a config key at all
+])
+def test_config_key_without_flag_rejected(tmp_path, monkeypatch, doc):
+    cfg = write_config(tmp_path, doc)
+    rc = invoke(["asympt-beta", "--config", cfg], tmp_path, monkeypatch)
+    assert rc == EXIT_BAD_PARAM
+    assert not (tmp_path / "asympt_beta.csv").exists()
+
+
+def test_flag_of_another_command_rejected(tmp_path, monkeypatch, capsys):
+    for argv in (["asympt-alpha", "--slots", "7", "--quantity", "sir",
+                  "--seed", "4"],
+                 ["asympt-alpha", "--format", "json", "--out", "t.json"]):
+        with pytest.raises(SystemExit) as err:
+            invoke(argv, tmp_path, monkeypatch)
+        assert err.value.code == 2
+    assert not (tmp_path / "t.json").exists()
+    with pytest.raises(SystemExit):
+        main(["asympt-alpha", "--help"])
+    assert "--beta" not in capsys.readouterr().out
+
+
+def test_sweep_refuses_json(tmp_path, monkeypatch):
+    rc = invoke(["optimize", "--sweep", "alpha", "--values", "3,4",
+                 "--format", "json"], tmp_path, monkeypatch)
+    assert rc == EXIT_BAD_PARAM
+    assert not list(tmp_path.iterdir())
+
+
+def test_optimize_default_out_is_csv(tmp_path, monkeypatch):
+    assert invoke(["optimize"], tmp_path, monkeypatch) == EXIT_OK
+    assert not (tmp_path / "optimize.json").exists()
+    header, rows = read_csv(tmp_path / "optimize.csv")
+    assert header == ["beta", "alpha", "fading", "r1", "p_at_opt", "rp",
+                      "inv_rp"]
+    assert len(rows) == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_parse():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip()
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("macgeo ")]
+    assert len(commands) >= 12
+    for argv in commands:
+        _build_parser().parse_args(argv)  # exits 2 on a flag the command lacks
+
+
+def test_readme_flag_table_matches_commands():
+    text = README.read_text()
+    table = dict(re.findall(r"^\| `([a-z-]+)` \| (`--[^|]*`|none) \|$", text,
+                            re.M))
+    for name, (_, flags) in _COMMANDS.items():
+        assert set(re.findall(r"--([a-z0-9]+)", table[name])) == set(flags)

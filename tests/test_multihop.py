@@ -6,11 +6,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from helpers import write_hop_log
 from scipy.spatial import cKDTree
 
+from macgeo.cli import _write_json
 from macgeo.multihop import (SimConfig, _success_mask, progress,
-                             run_simulation, save_hop_log_csv,
-                             save_summary_json, select_transmitters)
+                             run_simulation, select_transmitters)
 from macgeo.propagation import ChannelModel, sir
 from macgeo.reception import grid_range
 from macgeo.spatial import GridSpec, PointSet
@@ -167,7 +168,7 @@ def test_deterministic_logs(tmp_path):
     for k in range(2):
         _, packets = run_simulation(cfg, 4, pair_distance=2.0)
         path = tmp_path / f"log{k}.csv"
-        save_hop_log_csv(packets, path)
+        write_hop_log(packets, path)
         out.append(path.read_bytes())
     assert out[0] == out[1]
 
@@ -183,7 +184,7 @@ def test_hop_log_pinned(tmp_path, scheme, digest):
     cfg = SimConfig(100.0, 8.0, scheme, MODEL, slots=600, seed=21)
     _, packets = run_simulation(cfg, 4, pair_distance=2.0)
     path = tmp_path / "log.csv"
-    save_hop_log_csv(packets, path)
+    write_hop_log(packets, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -281,10 +282,10 @@ def test_exports(tmp_path):
     cfg = SimConfig(100.0, 6.0, spec, MODEL, slots=2500, seed=71)
     summary, packets = run_simulation(cfg, 2, pair_distance=1.5)
     log = tmp_path / "hops.csv"
-    save_hop_log_csv(packets, log)
+    write_hop_log(packets, log)
     lines = log.read_text().splitlines()
     assert lines[0] == "packet_id,slot,hop,from_x,from_y,to_x,to_y,progress"
     assert len(lines) >= 3
     js = tmp_path / "summary.json"
-    save_summary_json(summary, js)
+    _write_json(js, summary)
     assert '"delivery_fraction": 1.0' in js.read_text()

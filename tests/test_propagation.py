@@ -3,28 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import direct_decisions, full_sir_and_gradient
+from helpers import (direct_decisions, full_sir_and_gradient, interference,
+                     rescale)
 
 from macgeo.errors import DivergentMomentError, SingularityError
 from macgeo.propagation import (DECODE_NEIGHBORS, SINGULARITY_GUARD,
                                 VALID_RADIUS, ChannelModel, DecodeCounts,
-                                Field, decodes, gain, interference, psi,
-                                raster_field, sample_fading, sir,
-                                sir_and_gradient, sir_gradient)
+                                Field, decodes, psi, raster_field,
+                                sample_fading, sir, sir_and_gradient)
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
-                            grid_density, rescale)
+                            grid_density)
 
 
 def two_tx(d=1.0):
     return PointSet(np.array([[0.0, 0.0], [d, 0.0]]), 1.0, 10.0 * d)
-
-
-def test_gain_values():
-    assert gain((0, 0), (1, 0), 3.7) == pytest.approx(1.0)
-    assert gain((0, 0), (2, 0), 4.0) == pytest.approx(1 / 16)
-    assert gain((0, 0), (0.5, 0), 3.0) == pytest.approx(8.0)
-    with pytest.raises(SingularityError):
-        gain((1, 1), (1, 1), 4.0)
 
 
 def test_interference_simple_sums():
@@ -87,14 +79,14 @@ def test_sir_scale_covariance():
 
 def test_sir_gradient_symmetry_and_sign():
     ps = two_tx()
-    g = sir_gradient(0, (0.5, 0.8), ps, 4.0)
+    g = sir_and_gradient(0, (0.5, 0.8), ps, 4.0)[1]
     # On the perpendicular bisector the gradient has no y-component scale:
     # the SIR is symmetric across the bisector, so the along-bisector
     # derivative vanishes... the bisector here is x = 0.5.
     assert abs(g[1]) < 1e-9 * abs(g[0])
     # Between the transmitters, nearer to 0: moving toward the interferer
     # lowers the SIR, so the gradient points back along -x.
-    g2 = sir_gradient(0, (0.3, 0.0), ps, 4.0)
+    g2 = sir_and_gradient(0, (0.3, 0.0), ps, 4.0)[1]
     assert g2[0] < 0
 
 
@@ -110,7 +102,7 @@ def test_sir_gradient_matches_finite_differences():
             if np.min(np.hypot(*(pts - rx).T)) > 0.15:
                 break
         i = int(rng.integers(n))
-        g = sir_gradient(i, rx, ps, alpha)
+        g = sir_and_gradient(i, rx, ps, alpha)[1]
         h = 1e-6
         fd = np.array([
             (sir(i, rx + (h, 0), ps, alpha) - sir(i, rx - (h, 0), ps, alpha)) / (2 * h),
@@ -122,7 +114,8 @@ def test_sir_and_gradient_consistent():
     ps = two_tx()
     s, g = sir_and_gradient(0, (0.31, 0.12), ps, 4.0)
     assert s == pytest.approx(sir(0, (0.31, 0.12), ps, 4.0), rel=1e-12)
-    assert np.allclose(g, sir_gradient(0, (0.31, 0.12), ps, 4.0), rtol=1e-12)
+    want = full_sir_and_gradient(0, np.array([0.31, 0.12]), ps.points, 4.0)[1]
+    assert np.allclose(g, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("alpha,rx", [(8.0, (1e-3, 3e-4)),
@@ -291,10 +284,6 @@ def test_raster_field(tmp_path):
     # SIR is largest nearest the probe transmitter.
     iy, ix = np.unravel_index(np.argmax(s), s.shape)
     assert math.hypot(xs[ix], ys[iy]) < 0.5
-    from macgeo.propagation import save_field_csv
-    out = tmp_path / "f.csv"
-    save_field_csv(xs, ys, s, out)
-    assert out.read_text().splitlines()[0] == "x,y,value"
 
 
 def test_channel_model_validation():

@@ -13,11 +13,10 @@ from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
                                 raster_field, sir)
 from macgeo.reception import (ContourTrace, TracerConfig, find_contour_start,
                               grid_range, grid_success_prob_fading,
-                              grid_success_prob_nofading, max_range,
+                              grid_success_prob_nofading,
                               max_range_membership, membership_grid,
                               normalized_range, origin_index,
-                              point_in_polygon, save_trace_csv, trace_contour,
-                              trace_summary)
+                              point_in_polygon, trace_contour, trace_summary)
 from macgeo.spatial import GridSpec, PointSet, gen_grid
 
 APOLLO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 10.0)
@@ -70,8 +69,6 @@ def test_trace_matches_apollonius_circle():
 def test_max_range_apollonius(c, alpha):
     trace = trace_contour(0, APOLLO, apollo_model(c, alpha))
     assert trace.r_lambda == pytest.approx(1.0 / (c - 1.0), rel=1e-3)
-    r = max_range(trace, 0, APOLLO, apollo_model(c, alpha))
-    assert r == pytest.approx(trace.r_lambda, rel=1e-9)
 
 
 def test_first_order_convergence_without_corrector():
@@ -345,28 +342,12 @@ def test_membership_logs_decision_counts(caplog):
     assert cells == 1600 and pruned + full == cells and 0 < pruned < cells
 
 
-def test_trace_export(tmp_path):
+def test_trace_export():
     model = apollo_model(2.0)
     trace = trace_contour(0, APOLLO, model)
-    out = tmp_path / "t.csv"
-    save_trace_csv(trace, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,y" and len(lines) == len(trace.vertices) + 1
     summary = trace_summary(trace, GridSpec("square", 1.0), model, 1.0)
     assert summary["closed"] is True
     assert summary["r1"] == pytest.approx(trace.r_lambda)
-
-
-def test_membership_export(tmp_path):
-    from macgeo.reception import save_membership_csv
-    ps = gen_grid(GridSpec("square", 1.0), 20.0)
-    i = origin_index(ps)
-    xs, ys, member = membership_grid(i, ps, ChannelModel(4.0, 1.0), 1.0, 8)
-    out = tmp_path / "m.csv"
-    save_membership_csv(xs, ys, member, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,y,member" and len(lines) == 65
-    assert {line.split(",")[2] for line in lines[1:]} <= {"0", "1"}
 
 
 def test_tracer_config_validation():

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from helpers import rescale
 from scipy import stats
 
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
-                            grid_density, load_points_csv, measured_density,
-                            rescale, save_points_csv, with_pose)
+                            grid_density, with_pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -32,7 +32,8 @@ def test_triangular_measured_density():
     spec = GridSpec("triangular", 25.0)
     ps = gen_grid(spec, 5000.0)
     target = 2.0 / (SQRT3 * 625.0)
-    assert abs(measured_density(ps) - target) / target < 0.005
+    measured = len(ps) / (2.0 * ps.extent) ** 2
+    assert abs(measured - target) / target < 0.005
 
 
 @pytest.mark.parametrize("spec,expected", [
@@ -56,7 +57,8 @@ def test_measured_density_all_patterns(kind, k1, k2):
     spec = GridSpec(kind, 1.0, k1, k2)
     ps = gen_grid(spec, 100.25 * max(1.0, k2))
     lam = grid_density(spec)
-    assert abs(measured_density(ps) - lam) / lam < 0.01
+    measured = len(ps) / (2.0 * ps.extent) ** 2
+    assert abs(measured - lam) / lam < 0.01
 
 
 def test_pose_equivariance():
@@ -152,18 +154,6 @@ def test_pointset_validation():
         PointSet(np.array([[3.0, 0.0]]), 1.0, 1.0)  # outside extent
     with pytest.raises(ValueError):
         PointSet(np.array([[0.0, 0.0]]), -1.0, 1.0)
-
-
-def test_csv_roundtrip(tmp_path):
-    spec = GridSpec("hexagonal", 2.0)
-    ps = gen_grid(spec, 20.0)
-    path = tmp_path / "pts.csv"
-    save_points_csv(ps, path)
-    assert (tmp_path / "pts.csv.meta.json").exists()
-    back = load_points_csv(path)
-    assert np.allclose(sorted_pts(back), sorted_pts(ps))
-    assert back.density == pytest.approx(ps.density)
-    assert back.meta["kind"] == "hexagonal"
 
 
 def test_with_pose():
