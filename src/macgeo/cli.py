@@ -21,8 +21,8 @@ Each command takes only the flags it reads (``macgeo <command> --help``).
 Sweeps: ``--sweep <param> --values a,b,c`` repeats a row-producing command
 (grid-range, optimize) once per value and writes one CSV row per value.
 
-Exit codes: 0 ok, 2 usage, 3 invalid parameter, 4 unwritable output,
-5 numerical signal from the library.
+Exit codes: 0 ok, 2 usage, 3 invalid parameter or unreadable config,
+4 unwritable output, 5 numerical signal from the library.
 
 Outputs are plot-ready CSV, or JSON for ``--format json`` on grid-range
 and optimize; ``--out`` defaults to ``<command>.<format>``, and a relative
@@ -479,7 +479,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config:
-            defaults = _config_defaults(args.config, args.command)
+            try:
+                defaults = _config_defaults(args.config, args.command)
+            except OSError as exc:
+                print(f"error: cannot read config: {exc}", file=sys.stderr)
+                return EXIT_BAD_PARAM
             args = _build_parser(args.command, defaults).parse_args(argv)
         cfg, axis, values = _run_config(args)
         if axis is not None:

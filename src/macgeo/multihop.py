@@ -17,7 +17,17 @@ Schemes:
   lam / nu, so activated nodes have intensity lam.
 * grid  -- a virtual lattice with a fresh random pose is anchored at a
   randomly chosen node each slot; every lattice point is snapped to the
-  nearest node within ``snap_radius`` (unmatched points are skipped).
+  nearest node within ``snap_radius`` (unmatched points are skipped and
+  counted in the run summary).
+
+Each slot poses a lattice index disc built once per run
+(``spatial.window_points``: gen_grid's points, float for float).  For
+beta >= 1 a decoder needs g_i >= beta * sum_j g_j >= g_j for every
+interferer j, so it lies in the holder's Voronoi cell among the slot's
+transmitters, and ``propagation.decodes`` refuses candidates past a
+bisector before any interference sum.  Below beta = 1 a receiver nearer
+to an interferer can still decode, so that pass is skipped.  Neither
+shortcut changes a hop.
 """
 
 from __future__ import annotations
@@ -30,7 +40,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .propagation import ChannelModel, decodes
-from .spatial import GridSpec, PointSet, gen_grid, grid_density, with_pose
+from .spatial import GridSpec, PointSet, grid_density, window_points, with_pose
+# Unused here since slots pose a cached index disc; perfbench's tracer still
+# wraps macgeo.multihop.gen_grid, so the name stays importable.
+from .spatial import gen_grid  # noqa: F401
 
 # Largest expected node population nu * (2 * extent)^2 a run may draw.
 MAX_NODES = 2_000_000
@@ -121,27 +134,39 @@ def progress(tx, rx, dest) -> float:
     return float((rx - tx) @ u) / n
 
 
+@dataclass
+class SnapCounts:
+    """Virtual lattice points posed, and those that found no node within
+    the snap radius, accumulated over the slots of a run."""
+
+    points: int = 0
+    misses: int = 0
+
+
 def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
-                        rng: np.random.Generator) -> np.ndarray:
+                        rng: np.random.Generator,
+                        counts: SnapCounts | None = None) -> np.ndarray:
     """Indices of the nodes activated this slot (sorted, unique).
 
     Grid scheme: anchor a freshly rotated copy of the virtual lattice at a
     random node and snap each lattice point to its nearest node within the
-    snap radius; warns when more than 10% of the points go unmatched.
-    ALOHA: Bernoulli thinning with probability lam/nu.
+    snap radius; ``counts``, when given, accumulates the points posed and
+    left unmatched.  ALOHA: Bernoulli thinning with probability lam/nu.
     """
     n = len(nodes)
     if isinstance(cfg.scheme, GridSpec):
         anchor = int(rng.integers(n))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         spec = with_pose(cfg.scheme, theta, nodes[anchor])
-        virtual = gen_grid(spec, cfg.extent).points
-        dist, idx = tree.query(virtual)
-        matched = dist <= cfg.resolved_snap_radius
-        if matched.size and np.count_nonzero(~matched) > 0.1 * matched.size:
-            warnings.warn("over 10% of virtual lattice points found no node "
-                          "within the snap radius; raise the node density",
-                          stacklevel=2)
+        virtual = window_points(spec, cfg.extent)
+        r = cfg.resolved_snap_radius
+        # The tree keeps only neighbors strictly inside the bound; lifting
+        # it one ulp above r leaves `dist <= r` to decide every match.
+        dist, idx = tree.query(virtual, distance_upper_bound=np.nextafter(r, np.inf))
+        matched = dist <= r
+        if counts is not None:
+            counts.points += matched.size
+            counts.misses += matched.size - int(np.count_nonzero(matched))
         chosen = np.unique(idx[matched])
         if anchor not in chosen:
             chosen = np.union1d(chosen, [anchor])
@@ -240,8 +265,11 @@ def run_simulation(cfg: SimConfig, n_packets: int,
 
     Returns (summary dict, list of PacketRecord); with
     ``record_transmitters`` the summary also carries the per-slot
-    transmitter index arrays for post-hoc audits.  Fully deterministic for
-    a fixed config and seed.
+    transmitter index arrays for post-hoc audits.  The summary counts the
+    virtual lattice points posed over the run (``snap_points``, 0 for
+    ALOHA) and those left unmatched (``snap_misses``); one warning per run
+    flags a miss fraction above 10%.  Fully deterministic for a fixed
+    config and seed.
     """
     if n_packets < 1:
         raise ValueError("need at least one tracked packet")
@@ -289,8 +317,9 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         dest_idx.append(dst)
 
     slot_log = [] if record_transmitters else None
+    snaps = SnapCounts()
     for slot in range(cfg.slots):
-        tx_idx = select_transmitters(nodes, tree, cfg, rng_slots)
+        tx_idx = select_transmitters(nodes, tree, cfg, rng_slots, snaps)
         if record_transmitters:
             slot_log.append(tx_idx.copy())
         if tx_idx.size == 0:
@@ -325,7 +354,13 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         if delivered else math.nan,
         "slots_to_delivery": [r.delivered_slot for r in delivered],
         "undelivered": n_packets - len(delivered),
+        "snap_misses": snaps.misses,
+        "snap_points": snaps.points,
     }
+    if snaps.misses > 0.1 * snaps.points:
+        warnings.warn(f"{snaps.misses} of {snaps.points} virtual lattice points "
+                      "found no node within the snap radius; raise the node "
+                      "density", stacklevel=2)
     if record_transmitters:
         summary["slot_transmitters"] = slot_log
         summary["nodes"] = nodes

@@ -209,14 +209,28 @@ def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
     return Field(ps, i, alpha).sir_and_gradient(rx)
 
 
-# Batched reception decision.  A receiver whose DECODE_NEIGHBORS nearest
-# interferers alone beat the signal fails whatever the rest of the set
-# adds, so only the others take the full sum, DECODE_BLOCK receivers at a
-# time.  The bound must win by the relative DECODE_MARGIN, which covers
-# summation order and the ulp the tree's distances can move the
-# normalization by.  Below DECODE_MIN_POINTS transmitters the tree query
-# and the bound cost more than the full sum they can save, so every
-# receiver takes the full sum.
+# Batched reception decision, in three passes.
+#
+# * Voronoi cell (beta >= 1 only).  Decoding needs g_i >= beta * sum_j g_j
+#   >= g_j for every interferer j, so a receiver strictly nearer to another
+#   transmitter than to i fails: every decoder of i lies in i's Voronoi
+#   cell (Baccelli & Blaszczyszyn, Stochastic Geometry and Wireless
+#   Networks, 2009).  Below beta = 1 a receiver past a bisector can still
+#   decode, so the pass is skipped.  The bisectors between i and its
+#   DECODE_CELL_NEIGHBORS nearest transmitters bound a superset of the
+#   cell, so the decision stays exact for any count.  Clamping distances
+#   at the singularity guard keeps their order, and a receiver within the
+#   guard of i is never pruned.
+# * Nearest interferers.  A receiver whose DECODE_NEIGHBORS nearest
+#   interferers alone beat the signal fails whatever the rest of the set
+#   adds.
+# * Full sum, DECODE_BLOCK receivers at a time, for every receiver left.
+#
+# A prune must win by the relative DECODE_MARGIN, which covers summation
+# order and the ulp the tree's distances can move the normalization by.
+# Below DECODE_MIN_POINTS transmitters the two pruning passes cost more
+# than the full sum they can save, so every receiver takes the full sum.
+DECODE_CELL_NEIGHBORS = 12
 DECODE_NEIGHBORS = 8
 DECODE_MARGIN = 1e-12
 DECODE_BLOCK = 384
@@ -226,14 +240,34 @@ DECODE_MIN_POINTS = 256
 @dataclass
 class DecodeCounts:
     """Receivers decided by :func:`decodes`, accumulated over calls:
-    ``pruned`` by the nearest-interferer bound, the rest by the full sum."""
+    ``pruned`` by the Voronoi cell (``cell`` of them) or the
+    nearest-interferer bound, the rest by the full sum."""
 
     rows: int = 0
     pruned: int = 0
+    cell: int = 0
 
     @property
     def full(self) -> int:
         return self.rows - self.pruned
+
+
+def _outside_cell(rx: np.ndarray, pts: np.ndarray, i: int,
+                  guard2: float) -> np.ndarray:
+    """Receivers of rx provably nearer to one of i's DECODE_CELL_NEIGHBORS
+    nearest transmitters x_j than to x_i: with y = rx - x_i and v = x_j -
+    x_i, past the bisector 2 y.v = |v|^2 by DECODE_MARGIN (|v|^2 + |y|^2),
+    which bounds the rounding of both this test and the full sum's
+    distances, near i or far from it."""
+    d2 = (pts[:, 0] - pts[i, 0]) ** 2 + (pts[:, 1] - pts[i, 1]) ** 2
+    d2[i] = np.inf
+    near = np.argpartition(d2, DECODE_CELL_NEIGHBORS - 1)[:DECODE_CELL_NEIGHBORS]
+    v = pts[near] - pts[i]
+    v2 = v[:, 0] ** 2 + v[:, 1] ** 2
+    y = rx - pts[i]
+    y2 = y[:, 0] ** 2 + y[:, 1] ** 2
+    past = 2.0 * (y @ v.T) - v2 > DECODE_MARGIN * (v2 + y2[:, None])
+    return past.any(axis=1) & (y2 * (1.0 - DECODE_MARGIN) > guard2)
 
 
 def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
@@ -244,24 +278,30 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
     Powers are normalized by the nearest-transmitter distance, so extreme
     alpha neither overflows nor underflows; distances are clamped at the
     singularity guard, so a receiver on an interferer fails; i is left out
-    of the interference.  A receiver is pruned as a failure only when its
-    nearest interferers (from ``ps.tree``) already beat the signal, so the
-    result equals the full sum's decision everywhere.  ``counts``, when
-    given, accumulates the receivers seen and pruned.
+    of the interference.  A receiver is pruned as a failure only when it
+    provably lies outside i's Voronoi cell (beta >= 1) or its nearest
+    interferers (from ``ps.tree``) already beat the signal, so the result
+    equals the full sum's decision everywhere.  ``counts``, when given,
+    accumulates the receivers seen and pruned.
     """
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
     pts = ps.points
     a = -0.5 * model.alpha
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     rows = np.arange(len(rx))
+    cell = 0
     if len(pts) >= DECODE_MIN_POINTS:
-        idx = ps.tree.query(rx, k=DECODE_NEIGHBORS)[1]
+        if model.beta >= 1.0:
+            rows = rows[~_outside_cell(rx, pts, i, guard2)]
+            cell = len(rx) - len(rows)
+        y = rx[rows]
+        idx = ps.tree.query(y, k=DECODE_NEIGHBORS)[1]
         near = pts[idx]
-        d2 = rx[:, None, 0] - near[..., 0]
+        d2 = y[:, None, 0] - near[..., 0]
         d2 *= d2
-        d2 += (rx[:, None, 1] - near[..., 1]) ** 2
+        d2 += (y[:, None, 1] - near[..., 1]) ** 2
         np.maximum(d2, guard2, out=d2)
-        di = (rx[:, 0] - pts[i, 0]) ** 2 + (rx[:, 1] - pts[i, 1]) ** 2
+        di = (y[:, 0] - pts[i, 0]) ** 2 + (y[:, 1] - pts[i, 1]) ** 2
         np.maximum(di, guard2, out=di)
         s0 = np.minimum(d2.min(axis=1), di)
         d2[idx == i] = np.inf
@@ -291,6 +331,7 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
     if counts is not None:
         counts.rows += len(rx)
         counts.pruned += len(rx) - len(rows)
+        counts.cell += cell
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -148,6 +148,30 @@ def _basis(spec: GridSpec):
     return np.array([a1, a2]).T, np.array(offs)
 
 
+def _rotation(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([(c, -s), (s, c)])
+
+
+def _pad(A: np.ndarray, d: float) -> float:
+    """Margin around the window that covers a lattice cell and its offsets."""
+    return 2.0 * max(abs(A).sum(axis=1).max(), d)
+
+
+def _pose(base: np.ndarray, spec: GridSpec, extent: float) -> np.ndarray:
+    """World points of the (K, 2) lattice vectors base = k @ A.T, every
+    in-cell offset of each, under spec's pose, kept when inside
+    [-extent, extent]^2 (the boundary included up to rotation round-off)."""
+    _, offs = _basis(spec)
+    R = _rotation(spec.rotation)
+    t = np.asarray(spec.translation, dtype=float)
+    pts = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2)
+    pts = pts @ R.T + t
+    tol = _EDGE_TOL * spec.d
+    keep = (np.abs(pts[:, 0]) <= extent + tol) & (np.abs(pts[:, 1]) <= extent + tol)
+    return pts[keep]
+
+
 def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     """Generate all pattern points inside [-extent, extent]^2.
 
@@ -157,15 +181,13 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     """
     if not (extent > 0):
         raise ValueError("extent must be positive")
-    A, offs = _basis(spec)
-    c, s = math.cos(spec.rotation), math.sin(spec.rotation)
-    R = np.array([(c, -s), (s, c)])
+    A, _ = _basis(spec)
+    R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)
 
     # Index bounds: map the (padded) window corners back to lattice
     # coordinates and take the integer hull.
-    pad = 2.0 * max(abs(A).sum(axis=1).max(), spec.d)
-    e = extent + pad
+    e = extent + _pad(A, spec.d)
     corners = np.array([(-e, -e), (-e, e), (e, -e), (e, e)]) - t
     lat_corners = np.linalg.solve(A, (R.T @ corners.T))  # shape (2, 4)
     lo = np.floor(lat_corners.min(axis=1)).astype(int) - 1
@@ -173,18 +195,46 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
 
     m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
                        indexing="ij")
-    base = np.stack([m.ravel(), n.ravel()], axis=1) @ A.T
-    pts = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2)
-    pts = pts @ R.T + t
-
-    tol = _EDGE_TOL * spec.d
-    keep = (np.abs(pts[:, 0]) <= extent + tol) & (np.abs(pts[:, 1]) <= extent + tol)
-    pts = pts[keep]
+    pts = _pose(np.stack([m.ravel(), n.ravel()], axis=1) @ A.T, spec, extent)
     meta = {"kind": spec.kind, "d": spec.d, "k1": spec.k1, "k2": spec.k2,
             "rotation": spec.rotation,
             "translation": list(map(float, spec.translation)),
             "extent": extent, "seed": None}
     return PointSet(pts, grid_density(spec), extent, meta)
+
+
+@lru_cache(maxsize=8)
+def _index_disc(spec: GridSpec, extent: float) -> np.ndarray:
+    """Integer indices k of the unposed lattice with |A k| <= sqrt(2) extent
+    + pad: shifted to the cell nearest the window's center, they cover every
+    pose of the window (a window point lies within sqrt(2) extent of the
+    center, and the shift and the in-cell offsets stay inside the pad)."""
+    A, _ = _basis(spec)
+    radius = math.sqrt(2.0) * extent + _pad(A, spec.d)
+    reach = np.ceil(radius * np.linalg.norm(np.linalg.inv(A), axis=1)).astype(int)
+    m, n = np.meshgrid(np.arange(-reach[0], reach[0] + 1),
+                       np.arange(-reach[1], reach[1] + 1), indexing="ij")
+    idx = np.stack([m.ravel(), n.ravel()], axis=1)
+    idx = idx[np.hypot(*(idx @ A.T).T) <= radius]
+    idx.setflags(write=False)
+    return idx
+
+
+def window_points(spec: GridSpec, extent: float) -> np.ndarray:
+    """The points of ``gen_grid(spec, extent)`` as a bare (N, 2) array, in
+    another order.  A disc of lattice indices, built once per unposed
+    pattern and extent, is shifted to the window's center and posed with
+    gen_grid's own arithmetic, so the points are the same floats; no
+    PointSet is built, and the disc holds fewer points than the window's
+    index hull for a sheared basis."""
+    if not (extent > 0):
+        raise ValueError("extent must be positive")
+    A, _ = _basis(spec)
+    R = _rotation(spec.rotation)
+    t = np.asarray(spec.translation, dtype=float)
+    q = np.rint(np.linalg.solve(A, R.T @ -t)).astype(int)
+    disc = _index_disc(replace(spec, rotation=0.0, translation=(0.0, 0.0)), extent)
+    return _pose((disc + q) @ A.T, spec, extent)
 
 
 def gen_poisson(lam: float, extent: float, seed) -> PointSet:

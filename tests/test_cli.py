@@ -303,6 +303,17 @@ def test_config_key_without_flag_rejected(tmp_path, monkeypatch, doc):
     assert not (tmp_path / "asympt_beta.csv").exists()
 
 
+def test_unreadable_config_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # A missing config file (or a directory) is bad input, not an
+    # unwritable output.
+    (tmp_path / "adir").mkdir()
+    for path in ("nope.json", "adir"):
+        rc = invoke(["asympt-alpha", "--config", path], tmp_path, monkeypatch)
+        assert rc == EXIT_BAD_PARAM
+        assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "asympt_alpha.csv").exists()
+
+
 def test_flag_of_another_command_rejected(tmp_path, monkeypatch, capsys):
     for argv in (["asympt-alpha", "--slots", "7", "--quantity", "sir",
                   "--seed", "4"],

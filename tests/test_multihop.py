@@ -107,13 +107,14 @@ def test_grid_snapping_dense_population():
 
 
 def test_grid_snapping_sparse_warns():
-    rng = np.random.default_rng(2)
-    nu, extent = 2.0, 15.0
-    nodes = rng.uniform(-extent, extent, size=(int(nu * (2 * extent) ** 2), 2))
-    tree = cKDTree(nodes)
-    cfg = SimConfig(nu, extent, GridSpec("square", 1.0), MODEL)
-    with pytest.warns(UserWarning, match="snap radius"):
-        select_transmitters(nodes, tree, cfg, rng)
+    # At nu = 2 most lattice points find no node within the d/10 snap
+    # radius; the run counts them and warns once.
+    cfg = SimConfig(2.0, 15.0, GridSpec("square", 1.0), MODEL, slots=5, seed=2)
+    with pytest.warns(UserWarning, match="snap radius") as record:
+        summary, _ = run_simulation(cfg, 1)
+    assert len(record) == 1
+    assert summary["snap_points"] > 4 * 30 ** 2
+    assert summary["snap_misses"] > 0.5 * summary["snap_points"]
 
 
 def test_consecutive_slots_use_fresh_poses():
@@ -173,15 +174,31 @@ def test_deterministic_logs(tmp_path):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("scheme,digest", [
+@pytest.mark.parametrize("scheme,digest,beta,extent", [
     (GridSpec("square", 1.0),
-     "2101748054ca762cb86a772a6e1cd747f8b769509cdda11ebb643182938b35a3"),
-    (1.0, "41fab419a815b524407ebd8faa8edbbeccfd5816dde2435b47a5e211479d38e0"),
+     "2101748054ca762cb86a772a6e1cd747f8b769509cdda11ebb643182938b35a3", 1.0, 8.0),
+    (1.0,
+     "41fab419a815b524407ebd8faa8edbbeccfd5816dde2435b47a5e211479d38e0", 1.0, 8.0),
+    (GridSpec("square", 1.0),
+     "40930fd7f65c25b4c21ca8f6f751e3e4e5f9131666945358f4cc2ea9d4fe491b", 10.0, 8.0),
+    (GridSpec("triangular", 1.0),
+     "3d3fef6f3793a1c45db7d9ffbde7d82ec0270d464078369828b7f082febe84fe", 1.0, 8.0),
+    (GridSpec("hexagonal", 1.0),
+     "bd31ba57a73e39fbbd3c1cfb87304b9184f749927bee96aafacc723a0de9003d", 1.0, 8.0),
+    (GridSpec("square", 1.0),
+     "3be9a2bee11e342772508957b0473343c00d2a290c93eeb7864d389e6a45bc42", 10.0, 12.0),
+    (GridSpec("hexagonal", 1.0),
+     "ba494e1aecd593043e7f27af317db7a17efc630abbc96ba26982e1f2b6a5a383", 1.0, 12.0),
 ])
-def test_hop_log_pinned(tmp_path, scheme, digest):
-    # Logs of the full-sum simulator before the pruned reception kernel
-    # and the boolean transmitter mask; both must leave them unchanged.
-    cfg = SimConfig(100.0, 8.0, scheme, MODEL, slots=600, seed=21)
+def test_hop_log_pinned(tmp_path, scheme, digest, beta, extent):
+    # Logs of the full-sum simulator that posed a fresh gen_grid lattice
+    # every slot, before the pruned reception kernel, the boolean
+    # transmitter mask, the posed index disc and the Voronoi-cell pass;
+    # none of them may change a hop.  At extent 8 the square and hexagonal
+    # lattices stay below DECODE_MIN_POINTS transmitters; at extent 12
+    # every slot takes the pruned path.
+    cfg = SimConfig(100.0, extent, scheme, ChannelModel(4.0, beta), slots=600,
+                    seed=21)
     _, packets = run_simulation(cfg, 4, pair_distance=2.0)
     path = tmp_path / "log.csv"
     write_hop_log(packets, path)
@@ -280,7 +297,11 @@ def test_progress_sum_bound():
 def test_exports(tmp_path):
     spec = GridSpec("square", 1.0)
     cfg = SimConfig(100.0, 6.0, spec, MODEL, slots=2500, seed=71)
-    summary, packets = run_simulation(cfg, 2, pair_distance=1.5)
+    with warnings.catch_warnings():
+        # About 4% of the lattice points miss at nu = 100: no warning.
+        warnings.simplefilter("error")
+        summary, packets = run_simulation(cfg, 2, pair_distance=1.5)
+    assert 0 < summary["snap_misses"] < 0.1 * summary["snap_points"]
     log = tmp_path / "hops.csv"
     write_hop_log(packets, log)
     lines = log.read_text().splitlines()

@@ -7,10 +7,12 @@ from helpers import (direct_decisions, full_sir_and_gradient, interference,
                      rescale)
 
 from macgeo.errors import DivergentMomentError, SingularityError
-from macgeo.propagation import (DECODE_NEIGHBORS, SINGULARITY_GUARD,
+from macgeo.propagation import (DECODE_CELL_NEIGHBORS, DECODE_MIN_POINTS,
+                                DECODE_NEIGHBORS, SINGULARITY_GUARD,
                                 VALID_RADIUS, ChannelModel, DecodeCounts,
-                                Field, decodes, psi, raster_field,
-                                sample_fading, sir, sir_and_gradient)
+                                Field, _outside_cell, decodes, psi,
+                                raster_field, sample_fading, sir,
+                                sir_and_gradient)
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
                             grid_density)
 
@@ -211,6 +213,7 @@ def test_decodes_matches_direct_decision(kind, decision_sets):
         assert counts.pruned == 0
     else:
         assert counts.pruned > counts.rows // 2
+        assert 0 < counts.cell < counts.pruned
 
 
 def test_decodes_near_tie_reaches_full_sum():
@@ -234,6 +237,60 @@ def test_decodes_near_tie_reaches_full_sum():
         assert np.array_equal(got, want) and not got[0]
         assert (counts.rows, counts.pruned, counts.full) == \
             (1, pruned, 1 - pruned)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal"])
+def test_decodes_on_voronoi_bisectors(kind, decision_sets):
+    # Receivers on the bisector between i and each of its nearest
+    # transmitters, and 1e-12 and 1e-9 relative to either side of it.
+    ps = decision_sets[kind]
+    pts = ps.points
+    assert len(pts) >= DECODE_MIN_POINTS
+    i = int(np.argmin(np.hypot(pts[:, 0], pts[:, 1])))
+    d2 = ((pts - pts[i]) ** 2).sum(axis=1)
+    d2[i] = np.inf
+    rx, rel = [], []
+    for j in np.argsort(d2)[:DECODE_CELL_NEIGHBORS]:
+        v = pts[j] - pts[i]
+        along = np.array([-v[1], v[0]])
+        for t in np.linspace(-1.0, 1.0, 9):
+            for r in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9):
+                rx.append(pts[i] + 0.5 * (1.0 + r) * v + t * along)
+                rel.append(r)
+    rx, rel = np.array(rx), np.array(rel)
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+    betas = (0.5, 1.0, 10.0)
+    for alpha in (3.0, 4.0, 100.0):
+        want = direct_decisions(rx, pts, i, alpha, betas, guard2)
+        for beta, w in zip(betas, want):
+            counts = DecodeCounts()
+            got = decodes(rx, ps, i, ChannelModel(alpha, beta), counts)
+            assert np.array_equal(got, w), (alpha, beta)
+            # The cell pass runs for beta >= 1 only.
+            assert (counts.cell > 0) == (beta >= 1.0)
+    # A pruned receiver is strictly nearer to another transmitter than to
+    # i; every receiver 1e-9 past a bisector is pruned.
+    out = _outside_cell(rx, pts, i, guard2)
+    d2 = ((rx[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    di = d2[:, i].copy()
+    d2[:, i] = np.inf
+    assert np.all(d2[out].min(axis=1) < di[out])
+    assert np.all(out[rel == 1e-9])
+
+
+def test_decodes_cell_pass_spares_the_guard():
+    # A second transmitter 1e-12 from i: a receiver between them sits past
+    # their bisector but within the singularity guard of both, where the
+    # clamped distances tie and beta = 1 decodes.
+    grid = gen_grid(GridSpec("square", 1.0), 10.0).points
+    i = int(np.argmin(np.hypot(grid[:, 0], grid[:, 1])))
+    pts = np.vstack([grid, grid[i] + (1e-12, 0.0)])
+    ps = PointSet(pts, 1.0, 10.0)
+    rx = grid[i] + np.array([[0.9e-12, 0.0], [0.5, 0.5]])
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+    want = direct_decisions(rx, pts, i, 4.0, (1.0,), guard2)[0]
+    assert want.tolist() == [True, False]
+    assert np.array_equal(decodes(rx, ps, i, ChannelModel(4.0, 1.0)), want)
 
 
 def test_singularity_guard():

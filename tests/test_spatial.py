@@ -6,7 +6,7 @@ from helpers import rescale
 from scipy import stats
 
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
-                            grid_density, with_pose)
+                            grid_density, window_points, with_pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -160,3 +160,23 @@ def test_with_pose():
     spec = with_pose(GridSpec("square", 1.0), 0.3, (1.0, 2.0))
     assert spec.rotation == 0.3
     assert spec.translation == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec("square", 1.0), GridSpec("triangular", 1.0),
+    GridSpec("hexagonal", 0.8), GridSpec("rectangular", 1.0, 0.5, 2.0),
+    GridSpec("linear", 0.7, 1.0, 3.0)])
+def test_window_points_equal_gen_grid(spec):
+    # The posed index disc gives gen_grid's points, float for float, for
+    # any pose; anchors near the window's corners and edges need the
+    # disc's full reach.
+    rng = np.random.default_rng(7)
+    extent = 6.3
+    for k in range(60):
+        anchor = rng.uniform(-extent, extent, 2)
+        if k % 2:
+            anchor = np.sign(anchor) * extent * (1.0 - rng.uniform(0, 1e-3, 2))
+        posed = with_pose(spec, rng.uniform(0.0, 2.0 * math.pi), anchor)
+        got = window_points(posed, extent)
+        want = sorted_pts(gen_grid(posed, extent))
+        assert np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], want)
