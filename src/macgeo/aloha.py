@@ -212,19 +212,6 @@ def aloha_prob_exponential(r: float, lam: float, beta: float, alpha: float) -> f
                     * beta ** g * r * r)
 
 
-def _pow_neg_half(d2: np.ndarray, alpha: float) -> np.ndarray:
-    """d2 ** (-alpha/2) with cheap paths for the common exponents."""
-    if alpha == 4.0:
-        r = 1.0 / d2
-        return r * r
-    if alpha == 6.0:
-        r = 1.0 / d2
-        return r * r * r
-    if alpha == 3.0:
-        return 1.0 / (d2 * np.sqrt(d2))
-    return d2 ** (-0.5 * alpha)
-
-
 def _check_field(lam: float, alpha: float, trials: int) -> None:
     """Refuse a field or a trial count that cannot give a valid sample,
     before anything is allocated."""
@@ -265,7 +252,7 @@ def sample_w(lam: float, alpha: float, trials: int, rng,
         m = min(_MC_CHUNK, trials - start)
         r2 = np.cumsum(rng.standard_exponential((m, MC_NEAREST)), axis=1)
         r2 /= math.pi * lam
-        power = _pow_neg_half(r2, alpha)
+        power = r2 ** (-0.5 * alpha)
         if fading != "none":
             power *= sample_fading(fading, rng, (m, MC_NEAREST), spread)
         out[start:start + m] = (power.sum(axis=1)

@@ -3,9 +3,10 @@
 As beta grows the reception region shrinks onto the transmitter, so the
 range is set by the interference received at the transmitter itself,
 I = sum_j ||z_j||^(-alpha) over the unit-density pattern: the normalized
-limit is r1' = beta^(1/alpha) * r -> I^(-1/alpha).  The lattice sum is
-taken directly inside a truncation disc and the remainder is folded in
-through its continuum estimate 2 pi R^(2-alpha)/(alpha - 2).
+limit is r1' = beta^(1/alpha) * r -> I^(-1/alpha).  I is the Epstein zeta
+function of the lattice's Gram form, exact by the Chowla-Selberg formula
+(Borwein et al., Lattice Sums Then and Now, 2013), or at large alpha a
+direct sum whose remainder lies below double precision.
 
 As alpha grows the reception region tends to the Voronoi cell of the
 transmitter regardless of beta, giving closed forms for the normalized
@@ -15,65 +16,77 @@ range of each pattern (corner distance of the cell times sqrt(density)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DivergentSumError
 from .propagation import ChannelModel
 from .reception import TracerConfig, grid_range
-from .spatial import GridSpec, gen_grid, grid_density
+from .spatial import GridSpec, _basis, gen_grid, grid_density
+
+# From this alpha on the lattice sum is taken directly: above it the
+# formula's dual series cancels (7e-11 relative on the triangular form at
+# alpha 60) and Gamma and K_nu overflow past alpha ~340.
+DIRECT_SUM_ALPHA = 20.0
+# Half-width of the direct-sum window, in nearest spacings.
+DIRECT_WINDOW = 32.0
+# Dual-series terms j, k <= DUAL_TERMS; a reduced form has Delta >= 3, so
+# the first dropped term carries K_nu(16 pi sqrt(3)) ~ e^-87.
+DUAL_TERMS = 16
 
 
-@dataclass(frozen=True)
-class LatticeSumConfig:
-    """Setup for the beta -> infinity lattice sum.
-
-    pattern            any GridSpec; internally rescaled to unit density
-    alpha              attenuation exponent (> 2)
-    truncation_radius  summation radius at unit density; None picks a
-                       radius of 200 unit lengths (and at least 100 cell
-                       diameters, keeping the tail estimate honest)
-    """
-
-    pattern: GridSpec
-    alpha: float
-    truncation_radius: float | None = None
-
-
-def _unit_density_spec(spec: GridSpec) -> GridSpec:
-    """Same pattern rescaled so the intensity is exactly 1."""
-    lam = grid_density(spec)
-    return GridSpec(spec.kind, spec.d * math.sqrt(lam), spec.k1, spec.k2)
+def _epstein(b: float, c: float, s: float) -> float:
+    """sum' (m^2 + b m n + c n^2)^(-s) for a reduced form (|b| <= 1 <= c),
+    by the Chowla-Selberg formula with Delta = 4c - b^2:
+    2 zeta(2s) + 2^2s sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) Delta^(s-1/2))
+    + 2^(s+5/2) pi^s / (Gamma(s) Delta^(s/2-1/4))
+      sum_{j,k>=1} (j/k)^(s-1/2) cos(pi j k b) K_{s-1/2}(pi j k sqrt(Delta))."""
+    delta = 4.0 * c - b * b
+    nu = s - 0.5
+    j = np.arange(1, DUAL_TERMS + 1)[:, None]
+    k = j.T
+    dual = np.sum((j / k) ** nu * np.cos(math.pi * j * k * b)
+                  * special.kv(nu, math.pi * j * k * math.sqrt(delta)))
+    return (2.0 * special.zeta(2.0 * s)
+            + 4.0 ** s * math.sqrt(math.pi) * math.gamma(nu)
+            * special.zeta(2.0 * s - 1.0) / (math.gamma(s) * delta ** nu)
+            + 2.0 ** (s + 2.5) * math.pi ** s * dual
+            / (math.gamma(s) * delta ** (0.5 * s - 0.25)))
 
 
-def _cell_diameter(spec: GridSpec) -> float:
-    return spec.d * max(1.0, spec.k2)
-
-
-def _lattice_interference(spec: GridSpec, alpha: float, radius: float) -> float:
-    """Tail-corrected I = sum ||z||^(-alpha) over the pattern minus origin."""
-    ps = gen_grid(spec, radius * 1.02)
-    d2 = ps.points[:, 0] ** 2 + ps.points[:, 1] ** 2
-    d2 = d2[(d2 > 1e-18) & (d2 <= radius * radius)]
-    inner = float(np.sum(d2 ** (-0.5 * alpha)))
-    tail = 2.0 * math.pi * radius ** (2.0 - alpha) / (alpha - 2.0)
-    return inner + tail
-
-
-def beta_inf_range(cfg: LatticeSumConfig) -> float:
+def beta_inf_range(spec: GridSpec, alpha: float) -> float:
     """Normalized maximum range r1' = I^(-1/alpha) of the pattern in the
-    large-beta limit, at unit density."""
-    if cfg.alpha <= 2.0:
+    large-beta limit, at unit density, as sqrt(s0) (sum' (|z|^2 /
+    s0)^(-alpha/2))^(-1/alpha) with s0 the nearest squared distance, which
+    is finite for every finite alpha > 2.  Below DIRECT_SUM_ALPHA the sum
+    is :func:`_epstein` of the basis, and the honeycomb's is (S_tri(d) +
+    S_tri(sqrt(3) d)) / 2 (the triangular lattice of spacing d is the
+    honeycomb plus its hexagon centres).  Otherwise it runs over gen_grid's
+    window of DIRECT_WINDOW nearest spacings; at most 4 (rho + 1/2)^2
+    points lie within rho spacings, so the rest add below 5 * 32^(2-alpha)
+    < 1e-20 of the sum.  Raises ValueError for a non-finite alpha and
+    DivergentSumError for alpha <= 2."""
+    if not math.isfinite(alpha):
+        raise ValueError("attenuation exponent alpha must be finite")
+    if alpha <= 2.0:
         raise DivergentSumError("lattice interference diverges for alpha <= 2")
-    spec = _unit_density_spec(cfg.pattern)
-    radius = cfg.truncation_radius
-    if radius is None:
-        radius = max(200.0, 100.0 * _cell_diameter(spec))
-    elif radius < 100.0 * _cell_diameter(spec):
-        raise ValueError("truncation radius below 100 cell diameters")
-    I = _lattice_interference(spec, cfg.alpha, radius)
-    return I ** (-1.0 / cfg.alpha)
+    spec = GridSpec(spec.kind, spec.d * math.sqrt(grid_density(spec)),
+                    spec.k1, spec.k2)
+    s = 0.5 * alpha
+    A, _ = _basis(spec)
+    (a, ab), (_, c) = A.T @ A
+    # The honeycomb's basis spans its sublattice of spacing sqrt(3) d.
+    s0 = a / 3.0 if spec.kind == "hexagonal" else a
+    if alpha < DIRECT_SUM_ALPHA:
+        total = _epstein(2.0 * ab / a, c / a, s)
+        if spec.kind == "hexagonal":
+            total *= 0.5 * (1.0 + 3.0 ** -s)
+    else:
+        d2 = np.sum(gen_grid(spec, DIRECT_WINDOW * math.sqrt(s0)).points ** 2,
+                    axis=1)
+        total = np.sum((d2[d2 > 0.0] / s0) ** -s)
+    return float(math.sqrt(s0) * total ** (-1.0 / alpha))
 
 
 def alpha_inf_range(kind: str, k1: float = 1.0, k2: float = 1.0) -> float:
@@ -132,14 +145,10 @@ TABLE_PATTERNS = (
 )
 
 
-def beta_inf_table(alpha: float, truncation_radius: float | None = None):
+def beta_inf_table(alpha: float):
     """(pattern, k1/k2, r1') rows for the large-beta comparison table."""
-    rows = []
-    for kind, k1, k2 in TABLE_PATTERNS:
-        spec = GridSpec(kind, 1.0, k1, k2)
-        val = beta_inf_range(LatticeSumConfig(spec, alpha, truncation_radius))
-        rows.append((kind, k1 / k2, val))
-    return rows
+    return [(kind, k1 / k2, beta_inf_range(GridSpec(kind, 1.0, k1, k2), alpha))
+            for kind, k1, k2 in TABLE_PATTERNS]
 
 
 def alpha_inf_table():

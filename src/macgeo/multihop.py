@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .propagation import ChannelModel, decodes
+from .propagation import ChannelModel, decodes, fading_success_prob
 from .spatial import GridSpec, PointSet, grid_density, window_points, with_pose
 # Unused here since slots pose a cached index disc; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
@@ -182,20 +182,11 @@ def _success_mask(holder_idx: int, cand_idx: np.ndarray, tx_idx: np.ndarray,
     model = cfg.model
     col = int(np.nonzero(tx_idx == holder_idx)[0][0])
     cand = nodes[cand_idx]
+    tx = PointSet(nodes[tx_idx], cfg.scheme_density, cfg.extent)
     if model.fading == "none":
-        tx = PointSet(nodes[tx_idx], cfg.scheme_density, cfg.extent)
         return decodes(cand, tx, col, model)
-    # Exponential fading: per-candidate success probability is the product
-    # 1/(1 + beta w_j) over interferers, then a Bernoulli draw.
-    tx_pts = nodes[tx_idx]
-    dx = cand[:, None, 0] - tx_pts[None, :, 0]
-    dy = cand[:, None, 1] - tx_pts[None, :, 1]
-    d2 = dx * dx + dy * dy
-    ratio = d2 / d2[:, col, None]
-    lp = np.log1p(model.beta * ratio ** (-0.5 * model.alpha))
-    lp[:, col] = 0.0
-    p_succ = np.exp(-lp.sum(axis=1))
-    return rng.random(len(cand_idx)) < p_succ
+    # Exponential fading: one Bernoulli draw per candidate.
+    return rng.random(len(cand_idx)) < fading_success_prob(cand, tx, col, model)
 
 
 def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentMomentError, SingularityError
+from .errors import (DivergentMomentError, SingularityError,
+                     UnsupportedFadingError)
 from .spatial import PointSet
 
 FADING_KINDS = ("none", "log_uniform", "exponential")
@@ -333,6 +334,28 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
         counts.pruned += len(rx) - len(rows)
         counts.cell += cell
     return out
+
+
+def fading_success_prob(rx, ps: PointSet, i: int,
+                        model: ChannelModel) -> np.ndarray:
+    """Reception probability of transmitter i at each receiver of the
+    (M, 2) array rx under exponential (unit-mean) fading on every link:
+    prod_j 1 / (1 + beta w_j) over the interferers, w_j = (d_j / r)^(-alpha).
+    Each factor is log(1 + e^x), x = log(beta w_j), split at x = 0 so that
+    nothing overflows; distances are clamped as in :func:`decodes`."""
+    if model.fading != "exponential":
+        raise UnsupportedFadingError(
+            "closed-form product requires exponential fading")
+    rx = np.asarray(rx, dtype=float).reshape(-1, 2)
+    d2 = np.subtract.outer(rx[:, 0], ps.points[:, 0]) ** 2
+    d2 += np.subtract.outer(rx[:, 1], ps.points[:, 1]) ** 2
+    np.maximum(d2, (SINGULARITY_GUARD * ps.scale) ** 2, out=d2)
+    d2 /= d2[:, i, None]
+    log_beta = math.log(model.beta) if model.beta > 0 else -math.inf
+    x = log_beta - 0.5 * model.alpha * np.log(d2)
+    x[:, i] = -np.inf
+    lp = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return np.exp(-lp.sum(axis=1))
 
 
 def psi(fading: str, s: float, spread: float = 1.0) -> float:

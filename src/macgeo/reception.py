@@ -29,11 +29,11 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import (MacGeoError, NonClosureError, StationaryPointError,
-                     UnboundedReceptionError, UnsupportedFadingError)
+                     UnboundedReceptionError)
 # sir and sir_and_gradient stay importable here: profilers wrap the
 # kernel at this module's names.
-from .propagation import (ChannelModel, DecodeCounts, Field, decodes, sir,
-                          sir_and_gradient)
+from .propagation import (ChannelModel, DecodeCounts, Field, decodes,
+                          fading_success_prob, sir, sir_and_gradient)
 from .spatial import GridSpec, PointSet, gen_grid, grid_density
 
 _log = logging.getLogger(__name__)
@@ -288,20 +288,9 @@ def grid_success_prob_nofading(i: int, rx, ps: PointSet, model: ChannelModel) ->
 
 def grid_success_prob_fading(i: int, rx, ps: PointSet, model: ChannelModel) -> float:
     """Reception probability under exponential (unit-mean) power fading on
-    every link: prod_j 1 / (1 + beta w_j) with w_j the interferer-to-signal
-    distance-loss ratio.  Exact for the exponential model only."""
-    if model.fading != "exponential":
-        raise UnsupportedFadingError(
-            "closed-form product requires exponential fading")
-    rx = np.asarray(rx, dtype=float)
-    pts = ps.points
-    d2 = (pts[:, 0] - rx[0]) ** 2 + (pts[:, 1] - rx[1]) ** 2
-    r2 = d2[i]
-    if r2 == 0.0:
-        return 1.0
-    d2 = np.delete(d2, i)
-    w = (d2 / r2) ** (-0.5 * model.alpha)
-    return float(np.exp(-np.sum(np.log1p(model.beta * w))))
+    every link, prod_j 1 / (1 + beta w_j).  One receiver of
+    :func:`~macgeo.propagation.fading_success_prob`."""
+    return float(fading_success_prob(rx, ps, i, model)[0])
 
 
 def membership_grid(i: int, ps: PointSet, model: ChannelModel,

@@ -7,6 +7,9 @@ transmitter, independent of the library's pruned batched kernel.
 A direct interference sum over a point set, and the homothety of a point
 set; the laws behind the field kernel are checked against them.
 
+A brute lattice sum with a continuum tail, independent of the library's
+Chowla-Selberg evaluator of the large-beta range.
+
 A Poisson-disc sampler of the ALOHA interference, independent of the
 library's ordered-arrival sampler, and the Laplace transform of that
 interference, its mean oracle.
@@ -32,7 +35,7 @@ import numpy as np
 from macgeo.cli import _hop_log, _write_rows_csv
 from macgeo.errors import SingularityError
 from macgeo.propagation import SINGULARITY_GUARD, psi as psi_f, sample_fading
-from macgeo.spatial import PointSet
+from macgeo.spatial import GridSpec, PointSet, gen_grid, grid_density
 
 # Refuse the float series once the largest intermediate term exceeds this
 # factor times the final sum.
@@ -276,6 +279,24 @@ def direct_decisions(rx, pts, i, alpha, betas, guard2):
     g = u[:, i] ** (-0.5 * alpha)
     w = (np.delete(u, i, axis=1) ** (-0.5 * alpha)).sum(axis=1)
     return np.array([g >= beta * w for beta in betas])
+
+
+def brute_lattice_sum(spec, alphas):
+    """{alpha: (I, tail)} for the interference I = sum' |z|^(-alpha) at the
+    origin of the unit-density pattern: every point within R = max(200, 100
+    cell diameters) summed directly, the rest by its continuum estimate
+    tail = 2 pi R^(2-alpha)/(alpha-2), which also bounds the error of I."""
+    d = spec.d * math.sqrt(grid_density(spec))
+    unit = GridSpec(spec.kind, d, spec.k1, spec.k2)
+    R = max(200.0, 100.0 * d * max(1.0, spec.k2))
+    pts = gen_grid(unit, R * 1.02).points
+    d2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    d2 = d2[(d2 > 1e-18) & (d2 <= R * R)]
+    out = {}
+    for alpha in alphas:
+        tail = 2.0 * math.pi * R ** (2.0 - alpha) / (alpha - 2.0)
+        out[alpha] = (float(np.sum(d2 ** (-0.5 * alpha))) + tail, tail)
+    return out
 
 
 def disc_sample_w(lam, alpha, trials, rng, fading="none", spread=1.0):

@@ -1,11 +1,14 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
+from helpers import brute_lattice_sum
 
-from macgeo.asymptotics import (LatticeSumConfig, TABLE_PATTERNS,
-                                alpha_inf_range, alpha_inf_table,
-                                beta_inf_range, beta_inf_table,
-                                voronoi_limit_check)
+from macgeo import asymptotics
+from macgeo.asymptotics import (TABLE_PATTERNS, alpha_inf_range,
+                                alpha_inf_table, beta_inf_range,
+                                beta_inf_table, voronoi_limit_check)
 from macgeo.cli import RunConfig, run
 from macgeo.errors import DivergentSumError
 from macgeo.spatial import GridSpec
@@ -18,6 +21,21 @@ BETA_TABLE = {
     ("hexagonal", 1.0): 0.609856,
     ("triangular", 1.0): 0.644845,
 }
+
+# The five table rows at large alpha, as the truncated brute sums gave
+# them (radius 200 unit lengths plus a continuum tail).
+LARGE_ALPHA_TABLE = {
+    50.0: (0.972654946832538, 0.6973718331752028, 0.49311635224667955,
+           0.8583148560513822, 1.036744306790101),
+    100.0: (0.9862327044933592, 0.7022224378689986, 0.49654624771851796,
+            0.867796395851906, 1.0554876877850876),
+    300.0: (0.9953896791032291, 0.7054749035590243, 0.4988460882635116,
+            0.8741755399198469, 1.0681711564527894),
+    1000.0: (0.9986146661010289, 0.7066168219413649, 0.49965354649522625,
+             0.876419301196921, 1.072646284843835),
+}
+# Table rows plus two linear patterns far from square.
+SUM_PATTERNS = TABLE_PATTERNS + (("linear", 1.0, 2.0), ("linear", 1.0, 16.0))
 
 
 def test_beta_table_values():
@@ -33,8 +51,8 @@ def test_beta_table_ordering_alpha4():
 
 
 def test_beta_range_scale_invariant():
-    a = beta_inf_range(LatticeSumConfig(GridSpec("square", 1.0), 4.0))
-    b = beta_inf_range(LatticeSumConfig(GridSpec("square", 25.0), 4.0))
+    a = beta_inf_range(GridSpec("square", 1.0), 4.0)
+    b = beta_inf_range(GridSpec("square", 25.0), 4.0)
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -42,39 +60,76 @@ def test_beta_range_monotone_in_aspect():
     vals = []
     for ratio in (0.8, 0.5, 0.3, 0.15):
         spec = GridSpec("rectangular", 1.0, 1.0, 1.0 / ratio)
-        vals.append(beta_inf_range(LatticeSumConfig(spec, 4.0)))
+        vals.append(beta_inf_range(spec, 4.0))
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_lattice_sum_doubling_within_tail_bound():
-    for kind, k1, k2 in TABLE_PATTERNS:
+def _epstein_mp(kind, alpha):
+    """Unit-density I from the Epstein-zeta closed forms (mpmath):
+    square 4 zeta(s) beta(s), triangular 6 zeta(s) L_-3(s) at spacing
+    d^2 = 2/sqrt(3), s = alpha/2."""
+    with mp.workdps(40):
+        s = mp.mpf(alpha) / 2
+        if kind == "square":
+            dbeta = (mp.zeta(s, 0.25) - mp.zeta(s, 0.75)) / 4 ** s
+            return float(4 * mp.zeta(s) * dbeta)
+        l3 = (mp.zeta(s, mp.mpf(1) / 3) - mp.zeta(s, mp.mpf(2) / 3)) / 3 ** s
+        return float((mp.sqrt(3) / 2) ** s * 6 * mp.zeta(s) * l3)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+def test_matches_epstein_closed_forms(kind):
+    for alpha in np.r_[np.linspace(2.05, 30.0, 15), 19.99, 20.0]:
+        got = beta_inf_range(GridSpec(kind, 1.0), alpha) ** -alpha
+        assert got == pytest.approx(_epstein_mp(kind, alpha), rel=1e-13)
+
+
+def test_matches_brute_lattice_sum():
+    # Within the oracle's tail, plus 1e-14 relative for its rounding.
+    alphas = (2.5, 3.0, 4.0, 8.0)
+    for kind, k1, k2 in SUM_PATTERNS:
         spec = GridSpec(kind, 1.0, k1, k2)
-        R = 200.0
-        r1 = beta_inf_range(LatticeSumConfig(spec, 4.0, truncation_radius=R))
-        r2 = beta_inf_range(LatticeSumConfig(spec, 4.0, truncation_radius=2 * R))
-        I1, I2 = r1 ** -4.0, r2 ** -4.0
-        tail = 2.0 * math.pi * R ** -2.0 / 2.0
-        assert abs(I2 - I1) <= tail
+        for alpha, (brute, tail) in brute_lattice_sum(spec, alphas).items():
+            err = abs(beta_inf_range(spec, alpha) ** -alpha - brute)
+            assert err <= tail + 1e-14 * brute
+
+
+def test_branches_agree_at_switch(monkeypatch):
+    for alpha in (19.5, asymptotics.DIRECT_SUM_ALPHA, 20.5):
+        vals = []
+        for switch in (math.inf, 2.0):
+            monkeypatch.setattr(asymptotics, "DIRECT_SUM_ALPHA", switch)
+            vals.append([beta_inf_range(GridSpec(kind, 1.0, k1, k2), alpha)
+                         for kind, k1, k2 in SUM_PATTERNS])
+        assert vals[0] == pytest.approx(vals[1], rel=1e-13)
+
+
+def test_large_alpha_table():
+    for alpha, want in LARGE_ALPHA_TABLE.items():
+        got = [v for _, _, v in beta_inf_table(alpha)]
+        assert got == pytest.approx(want, rel=1e-12)
+    vals = [v for _, _, v in beta_inf_table(1e4)]
+    assert all(math.isfinite(v) and v > 0 for v in vals)
 
 
 def test_triangular_beta_inf_pin():
     spec = GridSpec("triangular", 1.0)
-    assert beta_inf_range(LatticeSumConfig(spec, 4.0)) == pytest.approx(
+    assert beta_inf_range(spec, 4.0) == pytest.approx(
         0.644845, abs=1e-3)
 
 
 def test_beta_range_alpha3():
     # Slow-decay sanity: still converges for any alpha > 2.
-    val = beta_inf_range(LatticeSumConfig(GridSpec("square", 1.0), 3.0))
+    val = beta_inf_range(GridSpec("square", 1.0), 3.0)
     assert 0.3 < val < 0.8
 
 
 def test_divergent_sum_signal():
     with pytest.raises(DivergentSumError):
-        beta_inf_range(LatticeSumConfig(GridSpec("square", 1.0), 2.0))
-    with pytest.raises(ValueError):
-        beta_inf_range(LatticeSumConfig(GridSpec("square", 1.0), 4.0,
-                                        truncation_radius=5.0))
+        beta_inf_range(GridSpec("square", 1.0), 2.0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            beta_inf_range(GridSpec("square", 1.0), alpha)
 
 
 def test_alpha_closed_forms():

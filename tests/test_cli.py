@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -241,6 +242,9 @@ def test_exit_codes(tmp_path, monkeypatch):
                   "/nonexistent-dir/x.csv") == EXIT_IO
     assert invoke(["asympt-beta", "--alpha", "2"], tmp_path,
                   monkeypatch) == EXIT_NUMERIC
+    for alpha in ("nan", "inf"):
+        assert invoke(["asympt-beta", "--alpha", alpha], tmp_path,
+                      monkeypatch) == EXIT_BAD_PARAM
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
@@ -364,3 +368,15 @@ def test_readme_flag_table_matches_commands():
                             re.M))
     for name, (_, flags) in _COMMANDS.items():
         assert set(re.findall(r"--([a-z0-9]+)", table[name])) == set(flags)
+
+
+def test_tracer_sites_resolve():
+    # perfbench's tracer wraps each (module, attribute) of its SITES at
+    # install; one the package no longer has stops every traced run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SITES
+    for mod, attr, _, _ in tracer.SITES:
+        assert hasattr(importlib.import_module(mod), attr), f"{mod}.{attr}"

@@ -220,6 +220,19 @@ def test_success_mask_extreme_alpha(interferer, candidate, want):
     assert ok.tolist() == [want]
 
 
+def test_success_mask_fading_extreme_alpha():
+    # The fading product at alpha 100: the candidate 1e-3 from the
+    # interferer would overflow a raw distance-ratio power.
+    model = ChannelModel(alpha=100.0, beta=1.0, fading="exponential")
+    cfg = SimConfig(1e-2, 50.0, 1e-2, model)
+    nodes = np.array([(0.0, 0.0), (10.0, 0.0), (9.999, 0.0), (1e-3, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = _success_mask(0, np.array([2, 3]), np.array([0, 1]), nodes, cfg,
+                           np.random.default_rng(0))
+    assert ok.tolist() == [False, True]
+
+
 def test_fading_randomizes_hop_lengths_paired_seed():
     # Without fading the reception area is deterministic, so no hop can
     # exceed the traced maximum range (snap slack aside).  Exponential

@@ -10,7 +10,7 @@ from helpers import full_sir_and_gradient
 from macgeo.errors import (NonClosureError, UnboundedReceptionError,
                            UnsupportedFadingError)
 from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
-                                raster_field, sir)
+                                fading_success_prob, raster_field, sir)
 from macgeo.reception import (ContourTrace, TracerConfig, find_contour_start,
                               grid_range, grid_success_prob_fading,
                               grid_success_prob_nofading,
@@ -264,6 +264,20 @@ def test_fading_product_basic_values():
         pytest.approx(0.5, rel=1e-12)
     with pytest.raises(UnsupportedFadingError):
         grid_success_prob_fading(0, (0.5, 0.0), APOLLO, ChannelModel(4.0, 1.0))
+
+
+def test_fading_product_extreme_alpha():
+    # At alpha 100 an interferer 1e-3 from the receiver outweighs the holder
+    # by 1e400, past the float range; the product stays finite and silent.
+    ps = PointSet(np.array([(0.0, 0.0), (10.0, 0.0)]), 1e-2, 20.0)
+    model = ChannelModel(100.0, 1.0, fading="exponential")
+    rx = np.array([(9.999, 0.0), (1e-3, 0.0), (5.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [grid_success_prob_fading(0, z, ps, model) for z in rx]
+        batch = fading_success_prob(rx, ps, 0, model)
+    assert got == [0.0, 1.0, 0.5]
+    assert batch.tolist() == got
 
 
 def test_fading_product_monotone():
