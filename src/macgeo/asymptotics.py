@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DivergentSumError
 from .propagation import ChannelModel
@@ -42,6 +41,7 @@ def _epstein(b: float, c: float, s: float) -> float:
     2 zeta(2s) + 2^2s sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) Delta^(s-1/2))
     + 2^(s+5/2) pi^s / (Gamma(s) Delta^(s/2-1/4))
       sum_{j,k>=1} (j/k)^(s-1/2) cos(pi j k b) K_{s-1/2}(pi j k sqrt(Delta))."""
+    from scipy import special
     delta = 4.0 * c - b * b
     nu = s - 0.5
     j = np.arange(1, DUAL_TERMS + 1)[:, None]

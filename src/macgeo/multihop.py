@@ -35,15 +35,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .propagation import ChannelModel, decodes, fading_success_prob
 from .spatial import GridSpec, PointSet, grid_density, window_points, with_pose
 # Unused here since slots pose a cached index disc; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Largest expected node population nu * (2 * extent)^2 a run may draw.
 MAX_NODES = 2_000_000
@@ -262,6 +265,7 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     flags a miss fraction above 10%.  Fully deterministic for a fixed
     config and seed.
     """
+    from scipy.spatial import cKDTree
     if n_packets < 1:
         raise ValueError("need at least one tracked packet")
     inner = 0.8 * cfg.extent

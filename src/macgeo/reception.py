@@ -26,13 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (MacGeoError, NonClosureError, StationaryPointError,
                      UnboundedReceptionError)
 # sir and sir_and_gradient stay importable here: profilers wrap the
 # kernel at this module's names.
-from .propagation import (ChannelModel, DecodeCounts, Field, decodes,
+from .propagation import (DECODE_MARGIN, DECODE_NEIGHBORS,
+                          SINGULARITY_GUARD, ChannelModel, Field, decodes,
                           fading_success_prob, sir, sir_and_gradient)
 from .spatial import GridSpec, PointSet, gen_grid, grid_density
 
@@ -293,28 +293,261 @@ def grid_success_prob_fading(i: int, rx, ps: PointSet, model: ChannelModel) -> f
     return float(fading_success_prob(rx, ps, i, model)[0])
 
 
+# Membership raster in certified blocks: near sums exact, far sums bounded
+# (Barnes & Hut 1986).  The raster is tiled into RASTER_BLOCK x RASTER_BLOCK
+# blocks.  With c a block's center and delta the largest distance from c to
+# one of its cells, every cell y of the block has |y - x| within delta of
+# |c - x| for every transmitter x.
+#
+# * Block test.  A block fails whole when the signal at its nearest possible
+#   distance |c - x_i| - delta loses to the DECODE_NEIGHBORS + 1 nearest
+#   transmitters of c (i left out) at their farthest, |c - x_j| + delta.
+# * Near/far interval.  In a surviving block, the block test's neighbors,
+#   summed exactly per cell, fail most cells.  Where cells are still open,
+#   interferers within RASTER_NEAR scales plus delta of c are near, and the
+#   rest enter as the interval
+#   [sum (|c - x| + delta)^-alpha, sum (|c - x| - delta)^-alpha] (those far
+#   from every open block through one interval that all of them share).  A
+#   block succeeds whole when the signal at |c - x_i| + delta clears beta
+#   times the near transmitters at their nearest plus the upper end.
+#   Otherwise the near ones are summed exactly per cell: a cell succeeds
+#   when the signal clears beta (near + upper end) and fails when it loses
+#   to beta (near + lower end).
+# * Full sum.  Cells the bounds leave open go through decodes, so the full
+#   sum has the last word.
+#
+# A bound must win by the relative DECODE_MARGIN, widened for a subnormal
+# beta by the absolute rounding of the full sum's products.  Comparisons are
+# between logs of sums normalized by their largest term, over distances in
+# units of the set's scale, so extreme alpha and beta neither overflow nor
+# underflow, and a NaN settles nothing.  Temporary (blocks x points) arrays
+# hold at most RASTER_CHUNK entries, well under the full sum's own blocks.
+RASTER_BLOCK = 8
+RASTER_NEAR = 3.0
+RASTER_CHUNK = 1 << 18
+# Cell states: left open for the full sum, member, failed by a cell's own
+# bounds, failed with its whole block.
+_OPEN, _MEMBER, _FAILED, _BLOCK_FAILED = -1, 1, 0, 2
+
+
+@dataclass
+class RasterCounts:
+    """Cells of membership rasters, accumulated over calls: settled by the
+    block test (``block``), by the near/far interval (``interval``), or by
+    the full sum of :func:`~macgeo.propagation.decodes` (``full``)."""
+
+    cells: int = 0
+    block: int = 0
+    interval: int = 0
+
+    @property
+    def full(self) -> int:
+        return self.cells - self.block - self.interval
+
+
+def _log_power_sum(t: np.ndarray, p: float) -> np.ndarray:
+    """log sum_j t_j^-p along the last axis of t, each row normalized by its
+    smallest entry.  inf entries add nothing (a row of them gives -inf); a
+    row with an entry <= 0, a distance bound that may vanish, gives inf."""
+    t0 = t.min(axis=-1, initial=np.inf)
+    norm = np.where(np.isinf(t0), 1.0, t0)
+    u = t / norm[..., None]
+    np.power(u, -p, out=u)
+    return np.where(t0 <= 0, np.inf, np.log(u.sum(axis=-1)) - p * np.log(norm))
+
+
+def _chunks(rows: int, width: int):
+    """Row slices of a (rows, width) array, RASTER_CHUNK entries or fewer
+    each (one row at least)."""
+    step = max(1, RASTER_CHUNK // max(width, 1))
+    return (slice(s, s + step) for s in range(0, rows, step))
+
+
 def membership_grid(i: int, ps: PointSet, model: ChannelModel,
-                    extent: float, n: int, counts: DecodeCounts | None = None):
+                    extent: float, n: int, counts: RasterCounts | None = None):
     """Rasterized reception indicator of transmitter i on an n x n lattice
     over [-extent, extent]^2 around the transmitter.
 
     Works for any beta (including beta < 1 where the region may be
     unbounded or split); cells landing on interferers are non-members.
-    Each raster row is one :func:`~macgeo.propagation.decodes` call, which
-    adds to ``counts`` when given.  Returns (xs, ys, member) with member
-    indexed [iy, ix].
+    Blocks of cells are settled by bounds where they provably decide, and
+    the remaining cells by :func:`~macgeo.propagation.decodes`, so every
+    cell equals the full sum's decision.  ``counts``, when given,
+    accumulates how each cell was settled.  Returns (xs, ys, member) with
+    member indexed [iy, ix].
     """
+    if n < 1:
+        raise ValueError("the raster needs at least one cell per side")
     zi = ps.points[i]
     step = 2.0 * extent / n
-    xs = zi[0] - extent + (np.arange(n) + 0.5) * step
-    ys = zi[1] - extent + (np.arange(n) + 0.5) * step
-    member = np.zeros((n, n), dtype=bool)
-    rx = np.empty((n, 2))
-    rx[:, 0] = xs
-    for iy, y in enumerate(ys):
-        rx[:, 1] = y
-        member[iy] = decodes(rx, ps, i, model, counts)
-    return xs, ys, member
+    b = min(RASTER_BLOCK, n)
+    nb = -(-n // b)
+    # Cell centers, continued past the raster so that every block is full;
+    # row k of bxs (bys) holds the x (y) of block column (row) k.
+    xs = zi[0] - extent + (np.arange(nb * b) + 0.5) * step
+    ys = zi[1] - extent + (np.arange(nb * b) + 0.5) * step
+    bxs, bys = xs.reshape(nb, b), ys.reshape(nb, b)
+    cx = 0.5 * (bxs[:, 0] + bxs[:, -1])
+    cy = 0.5 * (bys[:, 0] + bys[:, -1])
+    delta = math.hypot(np.abs(bxs - cx[:, None]).max(),
+                       np.abs(bys - cy[:, None]).max())
+    # Block by * nb + bx, cell [u, v] is raster cell [by b + u, bx b + v].
+    centers = np.stack(np.broadcast_arrays(cx[None, :], cy[:, None]),
+                       axis=-1).reshape(-1, 2)
+    state = np.full((nb * nb, b, b), _OPEN, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        _settle_blocks(i, ps, model, centers, bxs, bys, delta, state)
+    state = state.reshape(nb, nb, b, b).transpose(0, 2, 1, 3)
+    state = state.reshape(nb * b, nb * b)[:n, :n]
+    member = state == _MEMBER
+    iy, ix = np.nonzero(state == _OPEN)
+    member[iy, ix] = decodes(np.column_stack((xs[ix], ys[iy])), ps, i, model)
+    if counts is not None:
+        counts.cells += n * n
+        counts.block += int(np.count_nonzero(state == _BLOCK_FAILED))
+        counts.interval += int(np.count_nonzero((state == _MEMBER)
+                                                | (state == _FAILED)))
+    return xs[:n], ys[:n], member
+
+
+def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
+    """Settle the cells of the (blocks, b, b) array state that the bounds
+    decide."""
+    pts = ps.points
+    alpha = model.alpha
+    inv_s = 1.0 / ps.scale
+    if model.beta > 0:
+        margin = (DECODE_MARGIN
+                  + 2.0 * np.finfo(float).smallest_subnormal / model.beta)
+        win = math.log(model.beta) + math.log1p(margin)
+        lose = math.log(model.beta) + math.log1p(-margin)
+    else:
+        win = lose = -math.inf
+    nb = len(bxs)
+
+    def cells(blocks, nidx):
+        return _cell_sums(i, ps, alpha, centers[blocks], bxs[blocks % nb],
+                          bys[blocks // nb], nidx)
+
+    # Block test.
+    k = min(DECODE_NEIGHBORS + 1, len(pts))
+    dist, idx = ps.tree.query(centers, k=k)
+    dist = dist.reshape(len(centers), k)
+    idx = idx.reshape(len(centers), k)
+    dist[idx == i] = np.inf
+    dc = np.hypot(centers[:, 0] - pts[i, 0], centers[:, 1] - pts[i, 1])
+    fail = (-alpha * np.log((dc - delta) * inv_s)
+            < lose + _log_power_sum((dist + delta) * inv_s, alpha))
+    state[fail] = _BLOCK_FAILED
+
+    # The same neighbors, summed exactly per cell, fail most cells of the
+    # surviving blocks.
+    live = np.flatnonzero(~fail)
+    lg, ln = cells(live, idx[live])
+    state[live] = np.where(lg - ln < lose, _FAILED, _OPEN)
+
+    # Near/far interval, for blocks with cells still open.
+    live = live[(state[live] == _OPEN).any(axis=(1, 2))]
+    if not len(live):
+        return
+    radius = RASTER_NEAR * ps.scale + delta
+    k = min(len(pts), math.ceil(1.5 * math.pi * (radius * inv_s) ** 2)
+            + DECODE_NEIGHBORS)
+    dist, near = ps.tree.query(centers[live], k=k, distance_upper_bound=radius)
+    # Sorted by distance, so the columns past the fullest row are empty;
+    # an empty slot (index N) points at i, which no sum takes.
+    k = int(np.count_nonzero(near.reshape(len(live), k) < len(pts),
+                             axis=1).max()) or 1
+    dist = dist.reshape(len(live), -1)[:, :k]
+    near = near.reshape(len(live), -1)[:, :k]
+    near[near == len(pts)] = i
+    dist[near == i] = np.inf
+    llo, lhi = _far_interval(i, ps, alpha, centers[live], near, radius, delta)
+    near_hi = _log_power_sum((dist - delta) * inv_s, alpha)
+    whole = (-alpha * np.log((dc[live] + delta) * inv_s)
+             >= win + np.logaddexp(near_hi, lhi))
+    s = state[live[whole]]
+    s[s == _OPEN] = _MEMBER
+    state[live[whole]] = s
+    keep = ~whole
+    live, llo, lhi = live[keep], llo[keep, None, None], lhi[keep, None, None]
+    lg, ln = cells(live, near[keep])
+    s = state[live]
+    s[(s == _OPEN) & (lg - np.logaddexp(ln, lhi) >= win)] = _MEMBER
+    s[(s == _OPEN) & (lg - np.logaddexp(ln, llo) < lose)] = _FAILED
+    state[live] = s
+
+
+def _cell_sums(i, ps, alpha, centers, bx, by, nidx):
+    """Per cell [u, v] of each block, whose cells sit at (bx[v], by[u]): log
+    of the signal and log of the interference from the block's
+    transmitters nidx (i left out), over distances in units of the scale,
+    clamped as in decodes."""
+    pts = ps.points
+    inv_s = 1.0 / ps.scale
+    guard2 = SINGULARITY_GUARD ** 2
+    b = bx.shape[1]
+    lg = np.empty((len(centers), b, b))
+    ln = np.empty((len(centers), b, b))
+    for sl in _chunks(len(centers), b * b * nidx.shape[1]):
+        # Offsets from the block's center; a left-out transmitter sits at
+        # infinity.
+        c = centers[sl]
+        ox = (bx[sl] - c[:, :1]) * inv_s
+        oy = (by[sl] - c[:, 1:]) * inv_s
+        q = (pts[nidx[sl]] - c[:, None, :]) * inv_s
+        q[nidx[sl] == i] = np.inf
+        dx = ox[:, None, :, None] - q[:, None, None, :, 0]
+        dy = oy[:, :, None, None] - q[:, None, None, :, 1]
+        d2 = dx * dx + dy * dy
+        np.maximum(d2, guard2, out=d2)
+        ln[sl] = _log_power_sum(d2, 0.5 * alpha)
+        qi = (pts[i] - c) * inv_s
+        di = (((ox - qi[:, :1]) ** 2)[:, None, :]
+              + ((oy - qi[:, 1:]) ** 2)[:, :, None])
+        np.maximum(di, guard2, out=di)
+        lg[sl] = -0.5 * alpha * np.log(di)
+    return lg, ln
+
+
+def _far_interval(i, ps, alpha, centers, near, radius, delta):
+    """Logs of the lower and upper ends of the far interference of each
+    block: every transmitter but i and the block's near ones, at
+    |c - x| + delta and |c - x| - delta, in units of the scale.
+
+    Transmitters farther than twice the diagonal of the blocks' bounding
+    box plus the near radius from that box enter through one interval
+    shared by every block, from their nearest and farthest distances to
+    the box; only the rest are summed per block."""
+    pts = ps.points
+    inv_s = 1.0 / ps.scale
+    low, high = centers.min(axis=0), centers.max(axis=0)
+    gap = np.hypot(*np.maximum(np.maximum(low - pts, pts - high), 0.0).T)
+    reach = np.hypot(*np.maximum(np.abs(pts - low), np.abs(pts - high)).T)
+    out = gap > 2.0 * math.hypot(*(high - low)) + radius
+    out[i] = False
+    out[near] = False
+    lo_out = _log_power_sum((reach[out] + delta) * inv_s, alpha)
+    hi_out = _log_power_sum((gap[out] - delta) * inv_s, alpha)
+    # The rest, with i and the near transmitters at infinity.
+    mid = np.flatnonzero(~out)
+    pos = np.empty(len(pts), dtype=np.intp)
+    pos[mid] = np.arange(len(mid))
+    near = pos[near]
+    llo = np.empty(len(centers))
+    lhi = np.empty(len(centers))
+    for sl in _chunks(len(centers), len(mid)):
+        d = np.subtract.outer(centers[sl, 0], pts[mid, 0])
+        d *= d
+        d += np.subtract.outer(centers[sl, 1], pts[mid, 1]) ** 2
+        np.sqrt(d, out=d)
+        d *= inv_s
+        d[:, pos[i]] = np.inf
+        np.put_along_axis(d, near[sl], np.inf, axis=1)
+        llo[sl] = _log_power_sum(d + delta * inv_s, alpha)
+        d -= delta * inv_s
+        lhi[sl] = _log_power_sum(d, alpha)
+    return np.logaddexp(llo, lo_out), np.logaddexp(lhi, hi_out)
 
 
 def max_range_membership(i: int, ps: PointSet, model: ChannelModel,
@@ -322,11 +555,12 @@ def max_range_membership(i: int, ps: PointSet, model: ChannelModel,
     """Maximum range from a membership raster: the farthest member cell
     4-connected to the transmitter's own cell.  Fallback for beta < 1
     where the boundary tracer does not apply."""
-    counts = DecodeCounts()
+    from scipy import ndimage
+    counts = RasterCounts()
     xs, ys, member = membership_grid(i, ps, model, extent, n, counts)
-    _log.debug("membership raster of transmitter %d: %d cells, %d pruned by "
-               "the nearest interferers, %d full sums", i, counts.rows,
-               counts.pruned, counts.full)
+    _log.debug("membership raster of transmitter %d: %d cells, %d settled by "
+               "the block test, %d by the near/far interval, %d full sums", i,
+               counts.cells, counts.block, counts.interval, counts.full)
     labels, _ = ndimage.label(member)
     zi = ps.points[i]
     ix = int(np.clip(np.searchsorted(xs, zi[0]), 0, n - 1))

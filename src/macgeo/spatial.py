@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 GRID_KINDS = ("square", "rectangular", "hexagonal", "triangular", "linear")
 
@@ -108,6 +111,7 @@ class PointSet:
     @cached_property
     def tree(self) -> cKDTree:
         """k-d tree over the points, built on first use."""
+        from scipy.spatial import cKDTree
         return cKDTree(self.points)
 
 
@@ -193,9 +197,26 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     lo = np.floor(lat_corners.min(axis=1)).astype(int) - 1
     hi = np.ceil(lat_corners.max(axis=1)).astype(int) + 1
 
-    m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
-                       indexing="ij")
-    pts = _pose(np.stack([m.ravel(), n.ravel()], axis=1) @ A.T, spec, extent)
+    # Clip each row m of the hull to the n whose lattice point m u + n v + t
+    # lies in the padded window, one half-plane pair per axis (a row that
+    # misses an axis's slab comes out empty); rounding is covered by one
+    # index of slack, and the pose's own filter decides what is kept.
+    m = np.arange(lo[0], hi[0] + 1)
+    n_lo = np.full(len(m), float(lo[1]))
+    n_hi = np.full(len(m), float(hi[1]))
+    u, v = R @ A[:, 0], R @ A[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(2):
+            base = m * u[c] + t[c]
+            a, b = (-e - base) / v[c], (e - base) / v[c]
+            n_lo = np.fmax(n_lo, np.floor(np.fmin(a, b)) - 1)
+            n_hi = np.fmin(n_hi, np.ceil(np.fmax(a, b)) + 1)
+    count = np.maximum(n_hi - n_lo + 1, 0).astype(int)
+    start = np.cumsum(count) - count
+    n = np.arange(count.sum()) - np.repeat(start, count) + np.repeat(
+        n_lo, count).astype(int)
+    k = np.stack([np.repeat(m, count), n], axis=1)
+    pts = _pose(k @ A.T, spec, extent)
     meta = {"kind": spec.kind, "d": spec.d, "k1": spec.k1, "k2": spec.k2,
             "rotation": spec.rotation,
             "translation": list(map(float, spec.translation)),

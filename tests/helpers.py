@@ -7,6 +7,12 @@ transmitter, independent of the library's pruned batched kernel.
 A direct interference sum over a point set, and the homothety of a point
 set; the laws behind the field kernel are checked against them.
 
+A membership raster decided one row at a time by the batched decision,
+independent of the library's block bounds.
+
+The integer-hull lattice generator, independent of the library's per-row
+clipping of that hull.
+
 A brute lattice sum with a continuum tail, independent of the library's
 Chowla-Selberg evaluator of the large-beta range.
 
@@ -34,8 +40,10 @@ import numpy as np
 
 from macgeo.cli import _hop_log, _write_rows_csv
 from macgeo.errors import SingularityError
-from macgeo.propagation import SINGULARITY_GUARD, psi as psi_f, sample_fading
-from macgeo.spatial import GridSpec, PointSet, gen_grid, grid_density
+from macgeo.propagation import (SINGULARITY_GUARD, decodes, psi as psi_f,
+                                sample_fading)
+from macgeo.spatial import (GridSpec, PointSet, _basis, _pad, _pose,
+                            _rotation, gen_grid, grid_density)
 
 # Refuse the float series once the largest intermediate term exceeds this
 # factor times the final sum.
@@ -279,6 +287,39 @@ def direct_decisions(rx, pts, i, alpha, betas, guard2):
     g = u[:, i] ** (-0.5 * alpha)
     w = (np.delete(u, i, axis=1) ** (-0.5 * alpha)).sum(axis=1)
     return np.array([g >= beta * w for beta in betas])
+
+
+def rowwise_membership(i, ps, model, extent, n):
+    """(xs, ys, member) of transmitter i's n x n membership raster over
+    [-extent, extent]^2 around it, one decodes call per raster row."""
+    zi = ps.points[i]
+    step = 2.0 * extent / n
+    xs = zi[0] - extent + (np.arange(n) + 0.5) * step
+    ys = zi[1] - extent + (np.arange(n) + 0.5) * step
+    member = np.zeros((n, n), dtype=bool)
+    rx = np.empty((n, 2))
+    rx[:, 0] = xs
+    for iy, y in enumerate(ys):
+        rx[:, 1] = y
+        member[iy] = decodes(rx, ps, i, model)
+    return xs, ys, member
+
+
+def hull_grid(spec, extent):
+    """Points of the pattern inside [-extent, extent]^2: every index of the
+    integer hull of the padded window in lattice coordinates, posed and
+    filtered."""
+    A, _ = _basis(spec)
+    R = _rotation(spec.rotation)
+    t = np.asarray(spec.translation, dtype=float)
+    e = extent + _pad(A, spec.d)
+    corners = np.array([(-e, -e), (-e, e), (e, -e), (e, e)]) - t
+    lat_corners = np.linalg.solve(A, (R.T @ corners.T))
+    lo = np.floor(lat_corners.min(axis=1)).astype(int) - 1
+    hi = np.ceil(lat_corners.max(axis=1)).astype(int) + 1
+    m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                       np.arange(lo[1], hi[1] + 1), indexing="ij")
+    return _pose(np.stack([m.ravel(), n.ravel()], axis=1) @ A.T, spec, extent)
 
 
 def brute_lattice_sum(spec, alphas):

@@ -1,12 +1,16 @@
 import importlib.util
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import macgeo
 from macgeo.cli import (_COMMANDS, EXIT_BAD_PARAM, EXIT_IO, EXIT_NUMERIC,
                         EXIT_OK, RunConfig, _build_parser, main, parse_fading,
                         run, sweep)
@@ -100,7 +104,20 @@ def test_grid_range_membership_fallback(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     _, rows = read_csv(tmp_path / "grid_range.csv")
     assert rows[0][6] == "membership"
-    assert float(rows[0][5]) > 5.0  # far past the beta >= 1 ranges
+    # The benchmark's pinned r1, at the CSV's precision.
+    assert rows[0][5] == f"{7.621982554136137:.12g}"
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used, so a command that needs none of
+    # it starts without it.
+    src = os.path.dirname(os.path.dirname(macgeo.__file__))
+    code = ("import sys, macgeo, macgeo.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_beta_monotone(tmp_path, monkeypatch):

@@ -5,19 +5,20 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import full_sir_and_gradient
+from helpers import full_sir_and_gradient, rowwise_membership
 
 from macgeo.errors import (NonClosureError, UnboundedReceptionError,
                            UnsupportedFadingError)
 from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
                                 fading_success_prob, raster_field, sir)
-from macgeo.reception import (ContourTrace, TracerConfig, find_contour_start,
-                              grid_range, grid_success_prob_fading,
+from macgeo.reception import (ContourTrace, RasterCounts, TracerConfig,
+                              find_contour_start, grid_range,
+                              grid_success_prob_fading,
                               grid_success_prob_nofading,
                               max_range_membership, membership_grid,
                               normalized_range, origin_index,
                               point_in_polygon, trace_contour, trace_summary)
-from macgeo.spatial import GridSpec, PointSet, gen_grid
+from macgeo.spatial import GridSpec, PointSet, gen_grid, gen_poisson
 
 APOLLO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 10.0)
 
@@ -341,19 +342,103 @@ def test_membership_grid_and_flood_fill():
     assert r_low > trace.r_lambda
     xs, ys, member = membership_grid(i, ps, low, extent=4.0, n=64)
     assert member.any() and not member.all()
+    with pytest.raises(ValueError):
+        membership_grid(i, ps, low, extent=4.0, n=0)
 
 
 def test_membership_logs_decision_counts(caplog):
     ps = gen_grid(GridSpec("square", 1.0), 20.0)
     i = origin_index(ps)
     with caplog.at_level(logging.DEBUG, logger="macgeo.reception"):
-        max_range_membership(i, ps, ChannelModel(4.0, 0.05), extent=2.0, n=40)
+        max_range_membership(i, ps, ChannelModel(4.0, 0.05), extent=4.0, n=40)
     recs = [r for r in caplog.records if r.name == "macgeo.reception"]
     assert len(recs) == 1
-    m = re.search(r"(\d+) cells, (\d+) pruned by the nearest interferers, "
-                  r"(\d+) full sums$", recs[0].getMessage())
-    cells, pruned, full = map(int, m.groups())
-    assert cells == 1600 and pruned + full == cells and 0 < pruned < cells
+    m = re.search(r"(\d+) cells, (\d+) settled by the block test, (\d+) by "
+                  r"the near/far interval, (\d+) full sums$",
+                  recs[0].getMessage())
+    cells, block, interval, full = map(int, m.groups())
+    assert cells == 1600 and block + interval + full == cells
+    assert block > 0 and interval > 0
+
+
+@pytest.fixture(scope="module")
+def raster_sets():
+    """Unit-density square, triangular and hexagonal lattices, a 1:4
+    rectangular lattice and a Poisson set, each about 12 scales wide, and
+    a square lattice wide enough that most of it lies far from every
+    block the bounds leave open."""
+    sets = {kind: gen_grid(GridSpec(kind, 1.0), 12.0)
+            for kind in ("square", "triangular", "hexagonal")}
+    sets["rectangular"] = gen_grid(GridSpec("rectangular", 1.0, 1.0, 4.0), 24.0)
+    sets["poisson"] = gen_poisson(1.0, 12.0, 5)
+    sets["wide"] = gen_grid(GridSpec("square", 1.0), 40.0)
+    return sets
+
+
+# (alpha, beta, n): rasters smaller than a block and not a multiple of it
+# (37 is odd, so one cell sits on i) at every alpha and beta, and full
+# size at alpha 4; beta from near the smallest normal number (holes
+# around the interferers only) to 10 (a small region).
+RASTER_CASES = ([(alpha, beta, n) for alpha in (2.2, 4.0, 100.0)
+                 for beta in (1e-300, 1e-5, 0.05, 0.5, 10.0) for n in (2, 37)]
+                + [(4.0, beta, 384) for beta in (1e-5, 0.05, 0.5, 10.0)])
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal",
+                                  "rectangular", "poisson"])
+def test_membership_grid_equals_rowwise(kind, raster_sets):
+    # Every cell equals the row-by-row full-sum decision.  Below beta 0.01
+    # the raster spans 8 scales, enough to reach the region's edge at
+    # beta 1e-5.
+    ps = raster_sets[kind]
+    i = origin_index(ps)
+    counts = RasterCounts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta, n in RASTER_CASES:
+            model = ChannelModel(alpha, beta)
+            extent = (8.0 if beta < 0.01 else 3.0) * ps.scale
+            got = membership_grid(i, ps, model, extent, n, counts)
+            want = rowwise_membership(i, ps, model, extent, n)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (alpha, beta, n)
+    assert counts.block > 0 and counts.interval > 0
+    assert counts.full < counts.cells // 100
+
+
+def test_membership_grid_ties_reach_the_full_sum():
+    # Six transmitters: every interferer is near, so the bounds are exact
+    # sums, and beta set to a cell's own SIR (and one ulp either side)
+    # ties there.  Only the margin keeps such a cell from a bound that
+    # rounds differently from the full sum.
+    rng = np.random.default_rng(2)
+    ps = PointSet(rng.uniform(-3.0, 3.0, (6, 2)), 6.0 / 36.0, 3.0)
+    i, n, extent = 0, 16, 2.0
+    xs, ys, _ = rowwise_membership(i, ps, ChannelModel(4.0, 1.0), extent, n)
+    for alpha in (2.2, 4.0, 100.0):
+        for iy, ix in rng.integers(0, n, (12, 2)):
+            d2 = (xs[ix] - ps.points[:, 0]) ** 2 + (ys[iy] - ps.points[:, 1]) ** 2
+            u = d2 / d2.min()
+            sir_cell = u[i] ** (-0.5 * alpha) / np.sum(np.delete(u, i) ** (-0.5 * alpha))
+            for beta in (np.nextafter(sir_cell, 0.0), sir_cell,
+                         np.nextafter(sir_cell, np.inf)):
+                model = ChannelModel(alpha, float(beta))
+                got = membership_grid(i, ps, model, extent, n)[2]
+                want = rowwise_membership(i, ps, model, extent, n)[2]
+                assert np.array_equal(got, want), (alpha, iy, ix, beta)
+
+
+def test_membership_grid_far_transmitters_share_a_bound(raster_sets):
+    # Most of the set lies far from every open block, so it enters through
+    # the shared interval.
+    ps = raster_sets["wide"]
+    i = origin_index(ps)
+    for alpha, beta, extent in ((2.2, 0.05, 8.0), (4.0, 0.5, 8.0),
+                                (2.2, 0.5, 3.0)):
+        model = ChannelModel(alpha, beta)
+        got = membership_grid(i, ps, model, extent, 384)
+        want = rowwise_membership(i, ps, model, extent, 384)
+        assert np.array_equal(got[2], want[2]), (alpha, beta)
 
 
 def test_trace_export():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import rescale
+from helpers import hull_grid, rescale
 from scipy import stats
 
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
@@ -180,3 +180,23 @@ def test_window_points_equal_gen_grid(spec):
         got = window_points(posed, extent)
         want = sorted_pts(gen_grid(posed, extent))
         assert np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], want)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec("square", 1.0), GridSpec("triangular", 1.7),
+    GridSpec("hexagonal", 0.8), GridSpec("rectangular", 1.0, 1.0, 2.5),
+    GridSpec("linear", 0.7, 1.0, 10.0)])
+def test_gen_grid_equals_hull_generator(spec):
+    # Clipping each hull row to the window keeps the same points, float for
+    # float, in the same order, under any pose; quarter and half turns make
+    # a basis vector's component exactly zero.
+    rng = np.random.default_rng(11)
+    poses = [(0.0, (0.0, 0.0)), (math.pi / 2, (3.7, -11.2)),
+             (math.pi, (-0.5, 0.25)), (math.pi / 3, (1e3, 2.0))]
+    poses += [(rng.uniform(-math.pi, math.pi), tuple(rng.uniform(-20, 20, 2)))
+              for _ in range(6)]
+    for rotation, translation in poses:
+        posed = with_pose(spec, rotation, translation)
+        for extent in (0.3, 5.0, 40.0):
+            assert np.array_equal(gen_grid(posed, extent).points,
+                                  hull_grid(posed, extent))
