@@ -9,13 +9,14 @@ from .aloha import (AlohaResult, SeriesParams, aloha_prob,
                     prob_w_below, sample_w)
 from .asymptotics import (alpha_inf_range, alpha_inf_table, beta_inf_range,
                           beta_inf_table, voronoi_limit_check)
-from .errors import (DivergentMomentError, DivergentSumError, MacGeoError,
-                     NonClosureError, PrecisionLossError, SingularityError,
-                     StationaryPointError, UnboundedReceptionError,
-                     UnsupportedFadingError)
+from .errors import (DivergentMomentError, DivergentSumError, FloatRangeError,
+                     MacGeoError, NonClosureError, PrecisionLossError,
+                     SingularityError, StationaryPointError,
+                     UnboundedReceptionError, UnsupportedFadingError)
 from .multihop import (PacketRecord, SimConfig, progress, relay_step,
                        run_simulation, select_transmitters)
-from .propagation import ChannelModel, psi, raster_field, sample_fading, sir
+from .propagation import (ChannelModel, log_psi, psi, raster_field,
+                          sample_fading, sir)
 from .reception import (ContourTrace, RangeResult, TracerConfig,
                         find_contour_start, grid_range,
                         grid_success_prob_fading, grid_success_prob_nofading,

@@ -28,8 +28,11 @@ For a link of length r at SIR threshold beta, x = r^(-alpha)/beta and
 
 so the success probability depends on (r, beta, lam) only through
 rho = r sqrt(lam) beta^(1/alpha).  Log-uniform fading F = e^u,
-u ~ U[-f, f], also scales the signal by e^u; the average over u is a
-fixed Gauss-Legendre rule.
+u ~ U[-f, f], also scales the signal by e^u, which moves log z uniformly
+over a range of width 2w, w = f gamma/(1-gamma).  The average of
+exp(-A z) over that range is the exponential-integral difference
+(E1(A z0) - E1(A z0 e^2w)) / (2w), z0 the least faded z, so the fading
+integral is again one Kanter integral, split at both ends of the range.
 
 Exponential (unit-mean) fading has the exact closed form
 
@@ -48,12 +51,13 @@ fluctuation it leaves out has variance E[F^2] pi lam r_K^(2-2 alpha) /
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedFadingError
+from .errors import FloatRangeError, UnsupportedFadingError
 from .propagation import ChannelModel, psi, sample_fading
 
 # Tanh-sinh rule on [0, 1] with step 1/16: node s_k, its distance 1 - s_k
@@ -71,20 +75,46 @@ _SPLIT_V = np.linspace(-20.0, 40.0, 241)
 _SPLIT_T = np.pi / (1.0 + np.exp(-_SPLIT_V))
 _SPLIT_GAP = np.pi / (1.0 + np.exp(_SPLIT_V))
 
-# Entries evaluated together: bounds each node array at ~0.9 MB.
+# Rows evaluated together: bounds each panel's node array at ~0.9 MB, and
+# with a fade, whose Gauss-Laguerre sums take 40 entries a node, each
+# array at ~2.5 MB through _CHUNK // 40 rows.
 _CHUNK = 1024
 
-# Gauss-Legendre rule on [-1, 1] for the log-uniform fading average.  It
-# holds p to 1e-10 while the fade moves log z by at most _MAX_FADE_SHIFT
-# either way (measured against mpmath up to gamma/(1-gamma) = 10).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_MAX_FADE_SHIFT = 10.0
+# Log-uniform fading averages the integrand exp(-a) over a e^s, s uniform
+# on [0, 2w], w = f gamma/(1-gamma):
+#
+#     G(a) = (1/2w) int exp(-a e^s) ds = (E1(a) - E1(b)) / (2w),  b = a e^2w.
+#
+# G has three forms, none of which cancels:
+#   b < _SERIES_EDGE:  the entire series 1 - sum_k (-1)^(k+1) r_k b^k / k!,
+#                      r_k = (1 - e^(-2kw)) / (2kw);
+#   a >= _E1_EDGE:     E1(a) - E1(b) by Gauss-Laguerre, taken in one sum,
+#                      e^-a d/(2w) sum_j w_j (1/(a+t_j) + q/d) / (b+t_j),
+#                      d = b - a = b (1 - e^-2w), q = 1 - e^-d;
+#   otherwise:         E1(a) - E1(b) as it stands (d > 1, so E1(b) < E1(a)/e).
+# E1(x) is -gamma_E - ln x + Ein(x) below _E1_EDGE and the Gauss-Laguerre
+# sum e^-x sum_j w_j / (x + t_j) above it: 1e-14 relative against mpmath.
+# _SERIES_TERMS terms of either series leave under 1e-16 at their edges.
+_E1_EDGE = 2.0
+_SERIES_EDGE = 3.0
+_SERIES_TERMS = 30
+_LAG_T, _LAG_W = np.polynomial.laguerre.laggauss(40)
+_EULER = 0.5772156649015329
+_TERM_K = np.arange(1, _SERIES_TERMS + 1)
+_INV_FACT = 1.0 / np.cumprod(_TERM_K.astype(float))
+_EIN_COEF = -(-1.0) ** _TERM_K * _INV_FACT / _TERM_K
+# Past these, e^-x is 0 in float64 and e^x would overflow; a fade shift
+# w up to _MAX_SHIFT keeps every log z + 2w finite.
+_LOG_UNDERFLOW = math.log(746.0)
+_LOG_CAP = 700.0
+_MAX_SHIFT = 1e300
 
 # The optimizer searches s = C rho^2, C the no-fading constant
 # (z = s^(1/(1-gamma))), over _S_BOUNDS by golden section in log rho down
 # to a relative width _RHO_RTOL: about 30 evaluations.  The optimum sits at
-# s in [0.4, 2.1] for alpha from 2.05 to 100 over the whole accepted
-# fading range.
+# s in [0.4, 2.1] for alpha from 2.05 to 100 while f gamma <= 1; a wider
+# log-uniform fade moves it out to about f gamma / 4 (s = 209 at f = 800,
+# alpha = 2.05), so the upper end scales with f gamma there.
 _S_BOUNDS = (1e-2, 1e2)
 _RHO_RTOL = 1e-5
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -131,26 +161,89 @@ def _log_kanter_a(t, pi_minus_t, g):
             - np.log(np.sin(np.minimum(t, pi_minus_t))) / (1.0 - g))
 
 
-def _kanter_cdf(log_z, g):
-    """Pr(W < x) elementwise, from log z (see the module docstring).
-    Works through _CHUNK entries at a time to bound the node arrays."""
+def _powers(x):
+    """(n, _SERIES_TERMS) array of x^k, k = 1.._SERIES_TERMS."""
+    return x[:, None] ** _TERM_K
+
+
+@functools.lru_cache(maxsize=64)
+def _split_table(g):
+    """log A at the _SPLIT_V grid, read-only (it is shared)."""
+    table = _log_kanter_a(_SPLIT_T, _SPLIT_GAP, g)
+    table.flags.writeable = False
+    return table
+
+
+def _e1_series(log_x):
+    """E1(x) = -gamma_E - ln x + Ein(x) for x < _E1_EDGE, from log x so
+    that x may underflow."""
+    return -_EULER - log_x + _powers(np.exp(log_x)) @ _EIN_COEF
+
+
+def _e1_laguerre(x):
+    """E1(x) for x >= _E1_EDGE; 0 once e^-x underflows."""
+    return np.exp(-x) * ((1.0 / (x[:, None] + _LAG_T)) @ _LAG_W)
+
+
+def _fade_average(log_a, w):
+    """G elementwise from log a (see the comment above _E1_EDGE)."""
+    log_b = log_a + 2.0 * w
+    out = np.zeros_like(log_a)
+    series = log_b < math.log(_SERIES_EDGE)
+    x = 2.0 * w * _TERM_K
+    coef = -(-1.0) ** _TERM_K * (-np.expm1(-x) / x) * _INV_FACT
+    out[series] = 1.0 - _powers(np.exp(log_b[series])) @ coef
+    wide = ~series & (log_a < math.log(_E1_EDGE))
+    b = np.exp(np.minimum(log_b[wide], _LOG_CAP))
+    out[wide] = (_e1_series(log_a[wide]) - _e1_laguerre(b)) / (2.0 * w)
+    near = ~series & ~wide & (log_a < _LOG_UNDERFLOW)
+    a = np.exp(log_a[near])
+    b = np.exp(np.minimum(log_b[near], _LOG_CAP))
+    d = b * -np.expm1(-2.0 * w)
+    qd = -np.expm1(-d) / d
+    s = ((1.0 / (a[:, None] + _LAG_T) + qd[:, None])
+         / (b[:, None] + _LAG_T)) @ _LAG_W
+    out[near] = np.exp(-a) * (d / (2.0 * w)) * s
+    return out
+
+
+def _kanter_cdf(log_z, g, w=0.0):
+    """Pr(W < x) elementwise, from log z (see the module docstring); with
+    w > 0 the integrand is averaged over a fade z e^s, s uniform on
+    [0, 2w].  Works through a few rows at a time to bound the node arrays
+    (see _CHUNK)."""
     log_z = np.asarray(log_z, dtype=float)
     flat = log_z.ravel()
     log_a0 = g / (1.0 - g) * math.log(g) + math.log(1.0 - g)
-    table = _log_kanter_a(_SPLIT_T, _SPLIT_GAP, g)
+    table = _split_table(g)
+    # Split where A z - A(0) z = e^offset: 1 without a fade, e^(-2w) and 1
+    # with one (the corners of G).
+    offsets = np.array([0.0] if w == 0.0 else [-2.0 * w, 0.0])
+    rows = _CHUNK if w == 0.0 else _CHUNK // _LAG_T.size
     out = np.empty_like(flat)
-    for k in range(0, flat.size, _CHUNK):
-        lz = flat[k:k + _CHUNK, None]
-        v = np.interp(np.logaddexp(log_a0, -lz), table, _SPLIT_V)
+    for k in range(0, flat.size, rows):
+        lz = flat[k:k + rows, None]
+        v = np.interp(np.logaddexp(log_a0, offsets - lz), table, _SPLIT_V)
         split, gap = np.pi / (1.0 + np.exp(-v)), np.pi / (1.0 + np.exp(v))
-        total = 0.0
-        for start, length, end_gap in ((0.0, split, gap), (split, gap, 0.0)):
-            log_a = _log_kanter_a(start + length * _TS_LEFT,
-                                  end_gap + length * _TS_RIGHT, g)
+        # Each panel's length from whichever end keeps its digits.
+        inner = np.where(v[:, 1:] <= 0.0, split[:, 1:] - split[:, :-1],
+                         gap[:, :-1] - gap[:, 1:])
+        length = np.concatenate([split[:, :1], inner, gap[:, -1:]], axis=1)
+        start = np.concatenate([np.zeros_like(lz), split], axis=1)
+        end_gap = np.concatenate([gap, np.zeros_like(lz)], axis=1)
+        log_y = _log_kanter_a(start[..., None] + length[..., None] * _TS_LEFT,
+                              end_gap[..., None]
+                              + length[..., None] * _TS_RIGHT, g)
+        log_y += lz[..., None]
+        if w == 0.0:
             with np.errstate(over="ignore"):
-                f = np.exp(-np.exp(log_a + lz))
-            total = total + length[:, 0] * (f @ _TS_WEIGHT)
-        out[k:k + _CHUNK] = total / np.pi
+                f = np.exp(-np.exp(log_y))
+        else:
+            f = _fade_average(log_y, w)
+        total = 0.0
+        for j in range(offsets.size + 1):
+            total = total + length[:, j] * (f[:, j] @ _TS_WEIGHT)
+        out[k:k + rows] = total / np.pi
     # The rule's weights sum to 1 within an ulp, which can lift p = 1 above.
     return np.minimum(out, 1.0).reshape(log_z.shape)
 
@@ -181,27 +274,35 @@ def aloha_prob(r, params: SeriesParams, fading: str = "none",
     form: use :func:`aloha_prob_exponential` or the Monte Carlo path.
     """
     r = np.asarray(r, dtype=float)
-    if not np.all(r > 0):
-        raise ValueError("link length must be positive")
+    if not np.all((r > 0) & (r < math.inf)):
+        raise ValueError("link length must be positive and finite")
     if fading == "exponential":
         raise UnsupportedFadingError(
             "exponential fading has a closed form; use "
             "aloha_prob_exponential or mc_aloha_prob")
     g = params.gamma
-    log_z = (math.log(params.series_constant(fading, spread) * params.lam)
+    log_z = (math.log(params.series_constant() * params.lam)
              + 2.0 * np.log(r) + g * math.log(params.beta)) / (1.0 - g)
-    if fading == "none":
-        return _scalar_or_array(_kanter_cdf(log_z, g))
-    # A signal fade e^u scales x by e^u and z by e^(-u gamma/(1-gamma)).
-    max_shift = spread * g / (1.0 - g)
-    if max_shift > _MAX_FADE_SHIFT:
-        raise UnsupportedFadingError(
-            f"log-uniform spread {spread:g} moves log z by {max_shift:.3g}, "
-            f"past the {_MAX_FADE_SHIFT:g} the fading rule resolves; "
-            "use mc_aloha_prob")
-    shifts = max_shift * _GL_NODES
-    p = _kanter_cdf(log_z[..., None] - shifts, g) @ _GL_WEIGHTS / 2.0
-    return _scalar_or_array(p)
+    w = 0.0
+    if fading == "log_uniform":
+        if not (math.isfinite(spread) and spread > 0):
+            raise ValueError("log-uniform spread must be finite and positive")
+        # A signal fade e^u scales x by e^u and z by e^(-u gamma/(1-gamma)),
+        # so the faded z runs over z0 e^s, s in [0, 2w], w = f gamma/(1-gamma).
+        # The least, z0, carries psi(gamma) e^(-f gamma) = (1 - e^-2v)/(2v),
+        # v = f gamma, in place of psi(gamma): no spread overflows it, and
+        # log z0 keeps its digits however large w is.
+        v = spread * g
+        w = v / (1.0 - g)
+        if not w <= _MAX_SHIFT:
+            raise FloatRangeError(
+                f"log-uniform spread {spread:g} moves log z by {w:.3g}, "
+                f"past the {_MAX_SHIFT:g} that log z + 2w keeps finite")
+        if w > 0.0:
+            log_z = log_z + math.log(-math.expm1(-2 * v) / (2 * v)) / (1 - g)
+    elif fading != "none":
+        raise ValueError(f"unknown fading model {fading!r}")
+    return _scalar_or_array(_kanter_cdf(log_z, g, w))
 
 
 def aloha_prob_exponential(r: float, lam: float, beta: float, alpha: float) -> float:
@@ -315,7 +416,10 @@ def optimize_range(params: SeriesParams, fading: str = "none",
         rho = math.exp(log_rho)
         return rho * aloha_prob(rho, unit, fading, spread)
 
-    a, b = (0.5 * (math.log(s) - log_c) for s in _S_BOUNDS)
+    s_lo, s_hi = _S_BOUNDS
+    if fading == "log_uniform":
+        s_hi *= max(1.0, spread * params.gamma)
+    a, b = (0.5 * (math.log(s) - log_c) for s in (s_lo, s_hi))
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = rho_p(c), rho_p(d)
     while b - a > _RHO_RTOL:

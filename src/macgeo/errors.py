@@ -45,5 +45,10 @@ class DivergentMomentError(MacGeoError):
     """Fading moment E[F^s] does not exist for the requested exponent."""
 
 
+class FloatRangeError(MacGeoError):
+    """A result passes the float64 range, so it has no value to return;
+    a log-domain counterpart (such as ``log_psi``) may still exist."""
+
+
 class DivergentSumError(MacGeoError):
     """Interference lattice sum diverges (attenuation exponent <= 2)."""

@@ -25,11 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergentMomentError, SingularityError,
-                     UnsupportedFadingError)
+from .errors import (DivergentMomentError, FloatRangeError,
+                     SingularityError, UnsupportedFadingError)
 from .spatial import PointSet
 
 FADING_KINDS = ("none", "log_uniform", "exponential")
+
+# log of the largest float64.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # Evaluation closer than this (relative to the set's characteristic
 # spacing) to any transmitter is treated as a singularity.
@@ -364,19 +367,45 @@ def psi(fading: str, s: float, spread: float = 1.0) -> float:
     none         -> 1
     log_uniform  -> sinh(f s) / (f s), with the s -> 0 limit 1
     exponential  -> Gamma(1 + s), defined for s > -1 only
+
+    Raises FloatRangeError where the moment passes the float range (from
+    |f s| = 710 or s = 170); :func:`log_psi` goes on past it.
     """
+    lp = log_psi(fading, s, spread)
+    if lp > _LOG_FLOAT_MAX:
+        raise FloatRangeError(
+            f"E[F^s] at s = {s:g} passes the float range; use log_psi")
     if fading == "none":
         return 1.0
     if fading == "log_uniform":
+        # sinh itself overflows before sinh(x) / x does.
         x = spread * s
-        if x == 0.0:
-            return 1.0
-        return math.sinh(x) / x
+        if abs(x) > 700.0:
+            return math.exp(lp)
+        return math.sinh(x) / x if x != 0.0 else 1.0
+    return math.gamma(1.0 + s)
+
+
+def log_psi(fading: str, s: float, spread: float = 1.0) -> float:
+    """log E[F^s], finite wherever the moment exists; for log-uniform
+    fading x - log(2x) + log1p(-e^(-2x)) with x = |f s|, which no finite
+    f s overflows."""
+    if fading == "none":
+        return 0.0
+    if fading == "log_uniform":
+        x = abs(spread * s)
+        if x < 1.0:
+            return math.log(math.sinh(x) / x) if x != 0.0 else 0.0
+        if not math.isfinite(x):
+            raise FloatRangeError(f"log-uniform f s = {spread * s:g} is "
+                                  "past the float range")
+        return (x - math.log(2.0) - math.log(x)
+                + math.log1p(-math.exp(-2.0 * x)))
     if fading == "exponential":
         if s <= -1.0:
             raise DivergentMomentError(
                 f"E[F^s] diverges for exponential fading at s = {s}")
-        return math.gamma(1.0 + s)
+        return math.lgamma(1.0 + s)
     raise ValueError(f"unknown fading model {fading!r}")
 
 

@@ -30,6 +30,12 @@ For integer attenuation exponents gamma = 2/alpha is rational p/q, so
 terms q apart are related by a polynomial factor; the high-precision sum
 walks q interleaved recurrence streams and needs mp.gamma only once per
 stream.
+
+Kanter's integral under log-uniform fading as an mpmath double quadrature
+over the angle t and the fade u, independent of the library's closed-form
+fade average; it serves every alpha and every spread, where the series
+needs integer alpha and loses its terms to the fade constant at wide
+spreads.
 """
 
 import math
@@ -241,6 +247,31 @@ def mp_oracle(x, lam, alpha, fading="none", spread=1.0, dps_cap=1200):
         except ValueError:
             continue
     return None
+
+
+def mp_fading_quadrature(r, beta, alpha, spread, lam=1.0, dps=15):
+    """Log-uniform success probability of a link of length r:
+
+        p = 1/(2 f pi) int_0^pi int_-f^f exp(-A(t) z e^(-u k)) du dt,
+
+    k = gamma/(1-gamma), with Kanter's A(t) and z built with the fading
+    constant.  For each t the u-integral is split where
+    A(t) z e^(-u k) = 1, the edge of its double-exponential decay."""
+    with mp.workdps(dps):
+        f = mp.mpf(spread)
+        g = 2 / mp.mpf(alpha)
+        k = g / (1 - g)
+        c = mp.pi * mp.sinh(f * g) / (f * g) * mp.gamma(1 - g) * lam
+        log_z = (mp.log(c) + 2 * mp.log(r) + g * mp.log(beta)) / (1 - g)
+
+        def over_u(t):
+            log_az = (k * mp.log(mp.sin(g * t)) + mp.log(mp.sin((1 - g) * t))
+                      - mp.log(mp.sin(t)) / (1 - g) + log_z)
+            edge = log_az / k
+            pts = [-f, edge, f] if -f < edge < f else [-f, f]
+            return mp.quad(lambda u: mp.exp(-mp.exp(log_az - k * u)), pts)
+
+        return float(mp.quad(over_u, [0, mp.pi / 2, mp.pi]) / (2 * f * mp.pi))
 
 
 def float_series(x, lam, alpha, fading="none", spread=1.0):

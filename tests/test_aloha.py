@@ -1,16 +1,19 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erfc
 from scipy.stats import ks_2samp
 
-from helpers import disc_sample_w, float_series, laplace_transform_w, mp_oracle
-from macgeo.aloha import (MAX_TRIALS, AlohaResult, SeriesParams, aloha_prob,
-                          aloha_prob_exponential, curve, mc_aloha_prob,
-                          optimize_range, prob_w_below, sample_w)
+from helpers import (disc_sample_w, float_series, laplace_transform_w,
+                     mp_fading_quadrature, mp_oracle)
+from macgeo.aloha import (MAX_TRIALS, AlohaResult, SeriesParams, _e1_laguerre,
+                          _e1_series, aloha_prob, aloha_prob_exponential,
+                          curve, mc_aloha_prob, optimize_range, prob_w_below,
+                          sample_w)
 from macgeo.cli import RunConfig, run
-from macgeo.errors import UnsupportedFadingError
+from macgeo.errors import FloatRangeError, UnsupportedFadingError
 from macgeo.propagation import ChannelModel
 
 P144 = SeriesParams(1.0, 1.0, 4.0)
@@ -109,9 +112,96 @@ def test_fading_series_crosses_once_above_at_large_r():
 def test_exponential_fading_rejected_by_series():
     with pytest.raises(UnsupportedFadingError):
         aloha_prob(0.3, P144, "exponential")
-    # Past a fade shift of 10 in log z the fixed fading rule loses accuracy.
-    with pytest.raises(UnsupportedFadingError):
-        aloha_prob(0.3, P144, "log_uniform", 10.5)
+
+
+def test_log_uniform_small_spreads_match_mpmath():
+    # At small spreads E1(a) - E1(a e^2w), taken as it stands, would cancel
+    # to eps / w (6e-11 off at f = 1e-8, 1e-6 at 1e-12); the fade average
+    # holds 2e-14 here.
+    cells = 0
+    for spread in (1e-12, 1e-8, 1e-4, 1e-2):
+        for alpha in (3.0, 6.0):
+            for beta in (1.0, 100.0):
+                for r in (0.2, 0.5, 1.0):
+                    want = mp_oracle(r ** -alpha / beta, 1.0, alpha,
+                                     "log_uniform", spread)
+                    if want is None:
+                        continue
+                    cells += 1
+                    got = aloha_prob(r, SeriesParams(1.0, beta, alpha),
+                                     "log_uniform", spread)
+                    assert abs(got - want) < 1e-12, (spread, alpha, beta, r)
+    assert cells >= 40
+
+
+@pytest.mark.parametrize("alpha, beta, r, spread", [(4.0, 1.0, 0.3, 10.5),
+                                                    (4.0, 1.0, 0.3, 20.0),
+                                                    (2.5, 10.0, 0.05, 20.0)])
+def test_log_uniform_wide_spreads_match_double_quadrature(alpha, beta, r,
+                                                          spread):
+    # Past a fade shift of 10 in log z, where the series oracle runs out.
+    got = aloha_prob(r, SeriesParams(1.0, beta, alpha), "log_uniform", spread)
+    want = mp_fading_quadrature(r, beta, alpha, spread)
+    assert abs(got - want) < 1e-10
+
+
+def test_log_uniform_deep_lower_tail_matches_mpmath():
+    for alpha, beta, r, size in ((4.0, 100.0, 1.0, 1.567e-139),
+                                 (6.0, 100.0, 2.0, 2.13e-77)):
+        got = aloha_prob(r, SeriesParams(1.0, beta, alpha), "log_uniform", 1.0)
+        want = mp_oracle(r ** -alpha / beta, 1.0, alpha, "log_uniform", 1.0,
+                         dps_cap=2500)
+        assert want == pytest.approx(size, rel=1e-2, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+def test_log_uniform_any_finite_spread():
+    rs = np.geomspace(1e-3, 30.0, 40)
+    base = aloha_prob(rs, P144)
+    # A fade below 1e-300 leaves exp(-y) to the last bit or so.
+    for spread in (5e-324, 1e-300):
+        got = aloha_prob(rs, P144, "log_uniform", spread)
+        assert np.abs(got - base).max() <= 4e-16
+    for alpha in (2.05, 4.0, 100.0):
+        for spread in (800.0, 1e5, 1e15, 1e298):
+            ps = aloha_prob(rs, SeriesParams(1.0, 1.0, alpha), "log_uniform",
+                            spread)
+            assert np.all((ps >= 0.0) & (ps <= 1.0))
+            assert np.all(np.diff(ps) <= 1e-15)
+    # Past w ~ 1e3 every node has a = A z0 << 1 << a e^2w, where
+    # G = (-gamma_E - ln a) / (2w) to O(a): p is that averaged over t.
+    with mp.workdps(30):
+        g, f = mp.mpf(0.5), mp.mpf(1e298)
+        log_z0 = 2 * (mp.log(mp.pi * mp.gamma(1 - g) * 0.09)
+                      - mp.log(2 * f * g))
+        # At alpha = 4, A(t) = sin(t/2)^2 / sin(t)^2.
+        mean_log_a = mp.quad(lambda t: 2 * mp.log(mp.sin(t / 2) / mp.sin(t)),
+                             [0, mp.pi]) / mp.pi
+        want = float((-mp.euler - log_z0 - mean_log_a) / (2 * f))
+    assert aloha_prob(0.3, P144, "log_uniform", 1e298) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    with pytest.raises(FloatRangeError):
+        aloha_prob(0.3, P144, "log_uniform", 1.7e308)
+    for spread in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            aloha_prob(0.3, P144, "log_uniform", spread)
+
+
+def test_e1_matches_mpmath():
+    # Both sides of the x = 2 edge, from 1e-300 to where e^-x leaves the
+    # normal range.
+    below = np.concatenate([np.geomspace(1e-300, 1.0, 120),
+                            np.linspace(1.0, 2.0, 41)[1:-1],
+                            [np.nextafter(2.0, 0.0)]])
+    above = np.concatenate([[2.0], np.linspace(2.0, 10.0, 41)[1:],
+                            np.geomspace(10.0, 700.0, 80)[1:]])
+    for got, xs in ((_e1_series(np.log(below)), below),
+                    (_e1_laguerre(above), above)):
+        want = np.array([float(mp.e1(x)) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+    # Past the float range E1 underflows to 0.
+    assert np.array_equal(_e1_laguerre(np.array([750.0, 1e300, math.inf])),
+                          np.zeros(3))
 
 
 def test_laplace_transform():
@@ -232,6 +322,20 @@ def test_optimizer_fading_penalty():
     fad = optimize_range(SeriesParams(1.0, 10.0, 4.0), "log_uniform", 1.0)
     penalty = 1.0 - fad.r / base.r
     assert 0.01 < penalty < 0.05
+
+
+def test_optimizer_wide_fading():
+    # A wide fade moves the optimum to s = C rho^2 ~ f gamma / 4, past the
+    # bracket that serves f gamma <= 1; a dense scan in log rho must not
+    # beat the optimizer.
+    for alpha, spread in ((2.05, 800.0), (4.0, 1e4)):
+        unit = SeriesParams(1.0, 1.0, alpha)
+        rho = np.exp(np.linspace(-5.0, 10.0, 3001))
+        f = rho * aloha_prob(rho, unit, "log_uniform", spread)
+        k = int(np.argmax(f))
+        res = optimize_range(unit, "log_uniform", spread)
+        assert res.rp >= f[k] * (1.0 - 1e-9)
+        assert res.r == pytest.approx(rho[k], rel=0.02)
 
 
 def test_curve_rows_and_csv(tmp_path):

@@ -108,16 +108,21 @@ def test_grid_range_membership_fallback(tmp_path, monkeypatch):
     assert rows[0][5] == f"{7.621982554136137:.12g}"
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # scipy is imported where it is used, so a command that needs none of
-    # it starts without it.
+    # it starts without it; the log-uniform ALOHA path (E1 and all) is one.
     src = os.path.dirname(os.path.dirname(macgeo.__file__))
     code = ("import sys, macgeo, macgeo.cli; "
+            "macgeo.cli.main(['aloha-curve', '--fading', 'log-uniform:1', "
+            "'--n', '5', '--out', 'c.csv']); "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {k: v for k, v in os.environ.items() if k != "MACGEO_OUTDIR"}
     out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**env, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "[]"
+    _, rows = read_csv(tmp_path / "c.csv")
+    assert [r[3] for r in rows] == ["none"] * 5 + ["log-uniform:1"] * 5
 
 
 def test_sweep_beta_monotone(tmp_path, monkeypatch):
