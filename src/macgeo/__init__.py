@@ -4,9 +4,8 @@ networks.  Reception areas, normalized transmission ranges, retransmission
 counts, asymptotic limits and a relaying simulator, each cross-checked by
 Monte Carlo."""
 
-from .aloha import (AlohaResult, SeriesParams, aloha_prob,
-                    aloha_prob_exponential, mc_aloha_prob, optimize_range,
-                    prob_w_below, sample_w)
+from .aloha import (AlohaResult, aloha_prob, aloha_prob_exponential,
+                    mc_aloha_prob, optimize_range, prob_w_below, sample_w)
 from .asymptotics import (alpha_inf_range, alpha_inf_table, beta_inf_range,
                           beta_inf_table, voronoi_limit_check)
 from .errors import (DivergentMomentError, DivergentSumError, FloatRangeError,

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,30 +127,21 @@ _MC_CHUNK = 8192
 MAX_TRIALS = 10 ** 8
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Stable-law parameters for one (lam, beta, alpha)."""
+def _stable_constant(g):
+    """C = pi Gamma(1 - gamma) of the no-fading field."""
+    return math.pi * math.gamma(1.0 - g)
 
-    lam: float
-    beta: float
-    alpha: float
 
-    def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError("intensity must be positive")
-        if not (self.beta > 0):
-            raise ValueError("SIR threshold must be positive")
-        if not (self.alpha > 2):
-            raise ValueError("attenuation coefficient must exceed 2")
+def _check_intensity(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("intensity must be finite and positive")
 
-    @property
-    def gamma(self) -> float:
-        return 2.0 / self.alpha
 
-    def series_constant(self, fading: str = "none", spread: float = 1.0) -> float:
-        """C = pi psi(gamma) Gamma(1 - gamma)."""
-        g = self.gamma
-        return math.pi * psi(fading, g, spread) * math.gamma(1.0 - g)
+def _check_link(lam: float, model: ChannelModel) -> None:
+    """The model is checked where it is built; beta = 0 has no finite z."""
+    _check_intensity(lam)
+    if not (model.beta > 0):
+        raise ValueError("SIR threshold must be positive")
 
 
 def _log_kanter_a(t, pi_minus_t, g):
@@ -252,74 +243,75 @@ def _scalar_or_array(p):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def prob_w_below(x, params: SeriesParams):
-    """Pr(W < x) for the no-fading Poisson interference field; ``x`` may be
-    a scalar or an array."""
+def prob_w_below(x, lam: float, alpha: float):
+    """Pr(W < x) for the no-fading Poisson interference field of intensity
+    lam; ``x`` may be a scalar or an array."""
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("signal level x must be positive")
-    g = params.gamma
-    log_z = (math.log(params.series_constant() * params.lam)
-             - g * np.log(x)) / (1.0 - g)
+    _check_intensity(lam)
+    g = ChannelModel(alpha, 0.0).gamma
+    log_z = (math.log(_stable_constant(g) * lam) - g * np.log(x)) / (1.0 - g)
     return _scalar_or_array(_kanter_cdf(log_z, g))
 
 
-def aloha_prob(r, params: SeriesParams, fading: str = "none",
-               spread: float = 1.0):
-    """Success probability of a link of length r under slotted ALOHA.
+def aloha_prob(r, lam: float, model: ChannelModel):
+    """Success probability of a link of length r under slotted ALOHA at
+    transmitter intensity lam.
 
-    ``r`` may be a scalar or an array.  ``fading="none"`` evaluates
-    Pr(W < r^(-alpha)/beta); ``log_uniform`` uses the fading constant and
-    averages over the signal fade.  Exponential fading has its own exact
-    form: use :func:`aloha_prob_exponential` or the Monte Carlo path.
+    ``r`` may be a scalar or an array.  Without fading this is
+    Pr(W < r^(-alpha)/beta); ``log_uniform`` fading uses the fading
+    constant and averages over the signal fade.  Exponential fading has
+    its own exact form: use :func:`aloha_prob_exponential` or the Monte
+    Carlo path.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((r > 0) & (r < math.inf)):
         raise ValueError("link length must be positive and finite")
-    if fading == "exponential":
+    _check_link(lam, model)
+    if model.fading == "exponential":
         raise UnsupportedFadingError(
             "exponential fading has a closed form; use "
             "aloha_prob_exponential or mc_aloha_prob")
-    g = params.gamma
-    log_z = (math.log(params.series_constant() * params.lam)
-             + 2.0 * np.log(r) + g * math.log(params.beta)) / (1.0 - g)
+    g = model.gamma
+    log_z = (math.log(_stable_constant(g) * lam)
+             + 2.0 * np.log(r) + g * math.log(model.beta)) / (1.0 - g)
     w = 0.0
-    if fading == "log_uniform":
-        if not (math.isfinite(spread) and spread > 0):
-            raise ValueError("log-uniform spread must be finite and positive")
+    if model.fading == "log_uniform":
         # A signal fade e^u scales x by e^u and z by e^(-u gamma/(1-gamma)),
         # so the faded z runs over z0 e^s, s in [0, 2w], w = f gamma/(1-gamma).
         # The least, z0, carries psi(gamma) e^(-f gamma) = (1 - e^-2v)/(2v),
         # v = f gamma, in place of psi(gamma): no spread overflows it, and
         # log z0 keeps its digits however large w is.
-        v = spread * g
+        v = model.spread * g
         w = v / (1.0 - g)
         if not w <= _MAX_SHIFT:
             raise FloatRangeError(
-                f"log-uniform spread {spread:g} moves log z by {w:.3g}, "
+                f"log-uniform spread {model.spread:g} moves log z by {w:.3g}, "
                 f"past the {_MAX_SHIFT:g} that log z + 2w keeps finite")
         if w > 0.0:
             log_z = log_z + math.log(-math.expm1(-2 * v) / (2 * v)) / (1 - g)
-    elif fading != "none":
-        raise ValueError(f"unknown fading model {fading!r}")
     return _scalar_or_array(_kanter_cdf(log_z, g, w))
 
 
 def aloha_prob_exponential(r: float, lam: float, beta: float, alpha: float) -> float:
     """Exact success probability with exponential (unit-mean) fading on
-    every link: exp(-lam pi Gamma(1-g) Gamma(1+g) beta^g r^2), g = 2/alpha."""
-    g = 2.0 / alpha
+    every link: exp(-lam pi Gamma(1-g) Gamma(1+g) beta^g r^2), g = 2/alpha.
+
+    Raises ValueError unless alpha and beta make a ChannelModel, lam is
+    finite and positive and r is finite and non-negative."""
+    g = ChannelModel(alpha, beta).gamma
+    _check_intensity(lam)
+    if not (0 <= r < math.inf):
+        raise ValueError("link length must be finite and non-negative")
     return math.exp(-lam * math.pi * math.gamma(1.0 - g) * math.gamma(1.0 + g)
                     * beta ** g * r * r)
 
 
-def _check_field(lam: float, alpha: float, trials: int) -> None:
-    """Refuse a field or a trial count that cannot give a valid sample,
-    before anything is allocated."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("intensity must be finite and positive")
-    if not (math.isfinite(alpha) and alpha > 2):
-        raise ValueError("attenuation coefficient must be finite and exceed 2")
+def _check_trials(lam: float, trials: int) -> None:
+    """Refuse an intensity or a trial count that cannot give a valid
+    sample, before anything is allocated."""
+    _check_intensity(lam)
     if not (1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
 
@@ -341,11 +333,12 @@ def sample_w(lam: float, alpha: float, trials: int, rng,
     E[F^2] pi lam r_K^(2-2 alpha)/(alpha-1); at alpha = 3 and K = 128 that
     is about 9e-4, against a W scale (C lam)^(alpha/2) of about 24.
 
-    Raises ValueError unless lam is finite and positive, alpha > 2 and
-    1 <= trials <= MAX_TRIALS.  The same generator state gives the same
-    samples.
+    Raises ValueError unless alpha, fading and spread make a ChannelModel,
+    lam is finite and positive and 1 <= trials <= MAX_TRIALS.  The same
+    generator state gives the same samples.
     """
-    _check_field(lam, alpha, trials)
+    ChannelModel(alpha, 0.0, fading, spread)
+    _check_trials(lam, trials)
     rng = np.random.default_rng(rng)
     tail = psi(fading, 1.0, spread) * 2.0 * math.pi * lam / (alpha - 2.0)
     out = np.empty(trials)
@@ -371,7 +364,7 @@ def mc_aloha_prob(r: float, lam: float, model: ChannelModel, trials: int,
     the SIR condition.  Returns the success fraction and its binomial
     standard error.
     """
-    _check_field(lam, model.alpha, trials)
+    _check_trials(lam, trials)
     if trials < 1000:
         raise ValueError("use at least 1000 trials")
     if not (r > 0):
@@ -400,8 +393,7 @@ class AlohaResult:
     inv_rp: float
 
 
-def optimize_range(params: SeriesParams, fading: str = "none",
-                   spread: float = 1.0) -> AlohaResult:
+def optimize_range(lam: float, model: ChannelModel) -> AlohaResult:
     """Maximize r * p(lam, r, beta, alpha) over the link length r.
 
     p depends on (r, beta, lam) only through rho = r sqrt(lam)
@@ -409,16 +401,17 @@ def optimize_range(params: SeriesParams, fading: str = "none",
     beta = lam = 1, in log rho, serves every (beta, lam):
     r* = rho* / (sqrt(lam) beta^(1/alpha)).
     """
-    unit = SeriesParams(1.0, 1.0, params.alpha)
-    log_c = math.log(unit.series_constant())
+    _check_link(lam, model)
+    unit = replace(model, beta=1.0)
+    log_c = math.log(_stable_constant(model.gamma))
 
     def rho_p(log_rho):
         rho = math.exp(log_rho)
-        return rho * aloha_prob(rho, unit, fading, spread)
+        return rho * aloha_prob(rho, 1.0, unit)
 
     s_lo, s_hi = _S_BOUNDS
-    if fading == "log_uniform":
-        s_hi *= max(1.0, spread * params.gamma)
+    if model.fading == "log_uniform":
+        s_hi *= max(1.0, model.spread * model.gamma)
     a, b = (0.5 * (math.log(s) - log_c) for s in (s_lo, s_hi))
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = rho_p(c), rho_p(d)
@@ -433,15 +426,14 @@ def optimize_range(params: SeriesParams, fading: str = "none",
             fd = rho_p(d)
     log_rho, rho_p_max = (c, fc) if fc > fd else (d, fd)
     rho = math.exp(log_rho)
-    r = rho / (math.sqrt(params.lam) * params.beta ** (1.0 / params.alpha))
+    r = rho / (math.sqrt(lam) * model.beta ** (1.0 / model.alpha))
     p = rho_p_max / rho
     rp = r * p
     return AlohaResult(r, p, rp, 1.0 / rp if rp > 0 else math.inf)
 
 
-def curve(params: SeriesParams, r_values, fading: str = "none",
-          spread: float = 1.0):
+def curve(lam: float, model: ChannelModel, r_values):
     """(r, p, r*p) rows for plot export, all r evaluated in one call."""
     rs = np.asarray(r_values, dtype=float)
-    ps = aloha_prob(rs, params, fading, spread)
+    ps = aloha_prob(rs, lam, model)
     return [(float(r), float(p), float(r * p)) for r, p in zip(rs, ps)]

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aloha, asymptotics, multihop, reception, spatial
-from .errors import MacGeoError, NonClosureError, UnboundedReceptionError
+from .errors import MacGeoError
 from .propagation import ChannelModel, decodes, raster_field
 from .spatial import GridSpec
 
@@ -72,10 +72,7 @@ def parse_fading(text: str) -> tuple[str, float]:
         return "exponential", 1.0
     if text.startswith("log-uniform"):
         parts = text.split(":")
-        spread = float(parts[1]) if len(parts) > 1 else 1.0
-        if spread <= 0:
-            raise ValueError("log-uniform spread must be positive")
-        return "log_uniform", spread
+        return "log_uniform", float(parts[1]) if len(parts) > 1 else 1.0
     raise ValueError(f"unknown fading spec {text!r}")
 
 
@@ -96,36 +93,24 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+def _model(p, **fixed) -> ChannelModel:
+    """The command's ChannelModel from its parameters (``fixed`` overrides
+    them); a command without --beta has no threshold.  Built before any
+    other work, so a bad alpha, beta or spread is refused first."""
+    keys = dict(alpha=p["alpha"], beta=p.get("beta", 0.0),
+                fading=p.get("fading", "none"), spread=p.get("spread", 1.0))
+    return ChannelModel(**{**keys, **fixed})
+
+
 def _grid_range_value(params) -> dict:
-    """r1 of a lattice scheme; tracer first, membership raster for the
-    beta < 1 regimes where the boundary is not a single closed curve."""
+    """r1 of a lattice scheme, traced or rastered (see
+    :func:`~macgeo.reception.grid_range`)."""
+    model = _model(params)
     spec = _grid_spec(params)
-    model = ChannelModel(alpha=params["alpha"], beta=params["beta"])
-    extent = params["extent"]
-    lam = spatial.grid_density(spec)
-    try:
-        res = reception.grid_range(spec, model, extent=extent)
-        return {"pattern": spec.kind, "k1_over_k2": spec.k1 / spec.k2,
-                "beta": model.beta, "alpha": model.alpha,
-                "r_lambda": res.r_lambda, "r1": res.r1, "method": "trace"}
-    except (UnboundedReceptionError, NonClosureError):
-        scale = 1.0 / math.sqrt(lam)
-        window = 4.0 * scale * max(1.0, model.beta ** (-1.0 / model.alpha))
-        while True:
-            window = min(window, extent)
-            # Interferers beyond ~3 windows shift the frontier by well
-            # under the raster cell; keep the set small.
-            ps = spatial.gen_grid(spec, min(extent, 3.0 * window + 5.0 * scale))
-            i = reception.origin_index(ps)
-            r_lam = reception.max_range_membership(i, ps, model, window, n=384)
-            if r_lam < 0.8 * window or window >= extent:
-                break
-            window *= 2.0
-        return {"pattern": spec.kind, "k1_over_k2": spec.k1 / spec.k2,
-                "beta": model.beta, "alpha": model.alpha,
-                "r_lambda": r_lam,
-                "r1": reception.normalized_range(r_lam, lam),
-                "method": "membership"}
+    res = reception.grid_range(spec, model, extent=params["extent"])
+    return {"pattern": spec.kind, "k1_over_k2": spec.k1 / spec.k2,
+            "beta": model.beta, "alpha": model.alpha,
+            "r_lambda": res.r_lambda, "r1": res.r1, "method": res.method}
 
 
 def _write_rows_csv(path, header, rows) -> None:
@@ -165,22 +150,24 @@ def _cmd_grid_range(cfg: RunConfig) -> str:
 
 def _cmd_aloha_curve(cfg: RunConfig) -> str:
     p = cfg.params
-    params = aloha.SeriesParams(p["lam"], p["beta"], p["alpha"])
+    model = _model(p)
     rs = np.linspace(p["rmin"], p["rmax"], p["n"])
-    fading, spread = p["fading"], p["spread"]
+    models = [_model(p, fading="none", spread=1.0)]
+    if model.fading != "none":
+        models.append(model)
     rows = []
-    for kind, spr in (("none", 1.0),) + (((fading, spread),) if fading != "none" else ()):
-        label = _fading_label(kind, spr)
-        rows += [(r, pv, rp, label) for r, pv, rp in aloha.curve(params, rs, kind, spr)]
+    for m in models:
+        label = _fading_label(m.fading, m.spread)
+        rows += [(r, pv, rp, label) for r, pv, rp in aloha.curve(p["lam"], m, rs)]
     _write_rows_csv(cfg.output_path, ["r", "p", "rp", "method"], rows)
     return f"aloha-curve: {len(rows)} rows -> {cfg.output_path}"
 
 
 def _optimize_report(p) -> dict:
-    params = aloha.SeriesParams(p["lam"], p["beta"], p["alpha"])
-    res = aloha.optimize_range(params, p["fading"], p["spread"])
+    model = _model(p)
+    res = aloha.optimize_range(p["lam"], model)
     return {"beta": p["beta"], "alpha": p["alpha"],
-            "fading": _fading_label(p["fading"], p["spread"]),
+            "fading": _fading_label(model.fading, model.spread),
             "r1": res.r * math.sqrt(p["lam"]), "p_at_opt": res.p,
             "rp": res.rp, "inv_rp": res.inv_rp}
 
@@ -211,8 +198,8 @@ def _cmd_asympt_alpha(cfg: RunConfig) -> str:
 
 def _cmd_trace(cfg: RunConfig) -> str:
     p = cfg.params
+    model = _model(p)
     spec = _grid_spec(p)
-    model = ChannelModel(alpha=p["alpha"], beta=p["beta"])
     ps = spatial.gen_grid(spec, p["extent"])
     i = reception.origin_index(ps)
     tcfg = reception.TracerConfig(dt=p["dt"], start_direction=p["direction"])
@@ -226,11 +213,11 @@ def _cmd_trace(cfg: RunConfig) -> str:
 
 def _cmd_fading_curve(cfg: RunConfig) -> str:
     p = cfg.params
+    det_model = _model(p)
+    fad_model = _model(p, fading="exponential")
     spec = _grid_spec(p)
     ps = spatial.gen_grid(spec, p["extent"])
     i = reception.origin_index(ps)
-    det_model = ChannelModel(alpha=p["alpha"], beta=p["beta"])
-    fad_model = ChannelModel(alpha=p["alpha"], beta=p["beta"], fading="exponential")
     # Stop short of the diagonal lattice neighbor where the SIR is singular.
     diag = np.array([spec.d, spec.d])
     ts = np.linspace(0.02, 0.98, p["n"])
@@ -256,8 +243,7 @@ def _hop_log(packets) -> tuple[list, list]:
 
 def _cmd_simulate(cfg: RunConfig) -> str:
     p = cfg.params
-    model = ChannelModel(alpha=p["alpha"], beta=p["beta"],
-                         fading=p["fading"], spread=p["spread"])
+    model = _model(p)
     if p["scheme"] == "aloha":
         scheme = p["lam"]
     else:
@@ -275,7 +261,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_compare(cfg: RunConfig) -> str:
     p = cfg.params
-    model = ChannelModel(alpha=p["alpha"], beta=p["beta"])
+    model = _model(p)
     k1, k2 = p["k1"], p["k2"]
     if k1 == k2:
         k1, k2 = 1.0, 2.0  # degenerate aspect would duplicate the square
@@ -298,12 +284,13 @@ def _cmd_compare(cfg: RunConfig) -> str:
 
 def _cmd_field(cfg: RunConfig) -> str:
     p = cfg.params
+    model = _model(p)
     if p["pattern"] == "poisson":
         ps = spatial.gen_poisson(p["lam"], p["extent"], cfg.seed)
     else:
         ps = spatial.gen_grid(_grid_spec(p), p["extent"])
     window = p["window"] or p["extent"]
-    xs, ys, vals = raster_field(ps, p["alpha"], window, p["n"],
+    xs, ys, vals = raster_field(ps, model.alpha, window, p["n"],
                                 quantity=p["quantity"],
                                 i=reception.origin_index(ps))
     xl = xs.tolist()

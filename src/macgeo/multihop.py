@@ -17,7 +17,7 @@ Schemes:
   lam / nu, so activated nodes have intensity lam.
 * grid  -- a virtual lattice with a fresh random pose is anchored at a
   randomly chosen node each slot; every lattice point is snapped to the
-  nearest node within ``snap_radius`` (unmatched points are skipped and
+  nearest node within d / SNAP_DIVISOR (unmatched points are skipped and
   counted in the run summary).
 
 Each slot poses a lattice index disc built once per run
@@ -52,6 +52,8 @@ if TYPE_CHECKING:
 MAX_NODES = 2_000_000
 # Source/destination draws per tracked packet before giving up.
 PAIR_DRAWS = 10_000
+# A virtual lattice point snaps to the nearest node within d / SNAP_DIVISOR.
+SNAP_DIVISOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class SimConfig:
     scheme        GridSpec for a lattice scheme, or a float: the ALOHA
                   transmitter intensity lam
     model         channel model (fading 'none' or 'exponential')
-    snap_radius   lattice-point snap tolerance; None -> d/10 (grid only)
     slots         slot budget per run
     seed          root seed; everything downstream derives from it
 
@@ -75,7 +76,6 @@ class SimConfig:
     extent: float
     scheme: GridSpec | float
     model: ChannelModel
-    snap_radius: float | None = None
     slots: int = 1000
     seed: int = 0
 
@@ -91,10 +91,6 @@ class SimConfig:
         lam = self.scheme_density
         if self.node_density < lam:
             raise ValueError("node density below the scheme's transmitter density")
-        if isinstance(self.scheme, GridSpec):
-            snap = self.snap_radius
-            if snap is not None and not (0 < snap < self.scheme.d / 4):
-                raise ValueError("snap radius must lie in (0, d/4)")
         if self.model.fading not in ("none", "exponential"):
             raise ValueError("relaying supports fading 'none' or 'exponential'")
 
@@ -102,12 +98,6 @@ class SimConfig:
     def scheme_density(self) -> float:
         return grid_density(self.scheme) if isinstance(self.scheme, GridSpec) \
             else float(self.scheme)
-
-    @property
-    def resolved_snap_radius(self) -> float:
-        if not isinstance(self.scheme, GridSpec):
-            return 0.0
-        return self.snap_radius if self.snap_radius is not None else self.scheme.d / 10.0
 
 
 @dataclass
@@ -162,7 +152,7 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         spec = with_pose(cfg.scheme, theta, nodes[anchor])
         virtual = window_points(spec, cfg.extent)
-        r = cfg.resolved_snap_radius
+        r = cfg.scheme.d / SNAP_DIVISOR
         # The tree keeps only neighbors strictly inside the bound; lifting
         # it one ulp above r leaves `dist <= r` to decide every match.
         dist, idx = tree.query(virtual, distance_upper_bound=np.nextafter(r, np.inf))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,10 @@ SINGULARITY_GUARD = 1e-9
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Propagation parameters: attenuation alpha > 2, SIR threshold beta,
-    and the fading model (``spread`` is the half-width f of log-uniform
-    fading; ignored otherwise).  Noise is 0 and transmit power 1."""
+    """Propagation parameters, checked here and nowhere else: finite
+    attenuation alpha > 2, SIR threshold beta >= 0, and the fading model
+    (``spread`` > 0 is the half-width f of log-uniform fading; ignored
+    otherwise, but finite).  Noise is 0 and transmit power 1."""
 
     alpha: float
     beta: float
@@ -51,14 +53,14 @@ class ChannelModel:
     spread: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 2):
-            raise ValueError("attenuation coefficient alpha must exceed 2")
-        if not (self.beta >= 0):
-            raise ValueError("SIR threshold beta must be non-negative")
+        if not (2 < self.alpha < math.inf):
+            raise ValueError("attenuation alpha must be finite and exceed 2")
+        if not (0 <= self.beta < math.inf):
+            raise ValueError("SIR threshold beta must be finite and >= 0")
         if self.fading not in FADING_KINDS:
             raise ValueError(f"unknown fading model {self.fading!r}")
-        if self.fading == "log_uniform" and not (self.spread > 0):
-            raise ValueError("log-uniform spread must be positive")
+        if not (0 < self.spread < math.inf):
+            raise ValueError("fading spread must be finite and positive")
 
     @property
     def gamma(self) -> float:
@@ -145,6 +147,11 @@ class Field:
         self._valid2 = (VALID_RADIUS * ps.scale) ** 2
         self._guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
 
+    @cached_property
+    def _interferers(self) -> np.ndarray:
+        """Every transmitter but the probe, built on the first exact query."""
+        return np.delete(self.ps.points, self.i, axis=0)
+
     def sir(self, rx) -> float:
         """SIR of the probe at rx (see :meth:`sir_and_gradient`)."""
         return self.sir_and_gradient(rx)[0]
@@ -163,7 +170,7 @@ class Field:
         if hi2 <= self._valid2:
             pts = self._near
         else:
-            pts, coef = np.delete(self.ps.points, self.i, axis=0), None
+            pts, coef = self._interferers, None
             self.exact_queries += 1
         diff = z - pts
         d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2

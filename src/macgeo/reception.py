@@ -15,8 +15,8 @@ the SIR gradient are parallel, i.e. where their 2D cross product changes
 sign along the curve.
 
 For beta < 1 the reception region can be unbounded or split into several
-components; the tracer then reports an error and the membership-grid
-routines below provide a rasterized fallback.
+components; the tracer then reports an error, and grid_range falls back to
+the membership-grid routines below.
 """
 
 from __future__ import annotations
@@ -81,12 +81,14 @@ class ContourTrace:
 
 @dataclass(frozen=True)
 class RangeResult:
-    """Maximum range bundle for one scheme at one (beta, alpha)."""
+    """Maximum range bundle for one scheme at one (beta, alpha); ``method``
+    says how r_lambda was found, ``"trace"`` or ``"membership"``."""
 
     r_lambda: float
     r1: float
     lam: float
     pattern: GridSpec | str
+    method: str
 
 
 def _project(field, beta, z, tol, max_iter=8):
@@ -589,14 +591,17 @@ def origin_index(ps: PointSet, at=(0.0, 0.0)) -> int:
 def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
                cfg: TracerConfig | None = None,
                verify_truncation: bool = False) -> RangeResult:
-    """Trace the boundary for the probe transmitter of a grid scheme and
-    return (r_lambda, r1).
+    """Maximum range (r_lambda, r1) of the probe transmitter of a grid
+    scheme.
 
     The probe is the lattice point at the spec's translation (the window
-    center by default).  With ``verify_truncation`` the computation is
-    repeated at twice the extent and a relative r1 change above 0.1%
-    raises, guarding against a too-small window standing in for the
-    infinite pattern.
+    center by default).  Its boundary is traced first.  Where the tracer
+    finds no closed curve around the probe (the beta < 1 regimes where
+    the region is unbounded or split), the farthest cell of a membership
+    raster takes over, and ``method`` says which one answered.  With
+    ``verify_truncation`` the computation is repeated at twice the extent
+    and a relative r1 change above 0.1% raises, guarding against a
+    too-small window standing in for the infinite pattern.
     """
     lam = grid_density(spec)
 
@@ -606,21 +611,42 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
         ref = np.asarray(spec.translation, dtype=float)
         if math.hypot(*(ps.points[i] - ref)) > 1e-6 * spec.d:
             raise MacGeoError("probe transmitter missing from the window center")
-        trace = trace_contour(i, ps, model, cfg)
-        if not point_in_polygon(ps.points[i], trace.vertices):
-            # The start ray hit an interferer's exclusion-hole boundary
-            # (possible for beta < 1), not the probe's outer boundary.
-            raise UnboundedReceptionError(
-                "traced level-set component does not enclose the probe")
-        return trace.r_lambda
+        try:
+            trace = trace_contour(i, ps, model, cfg)
+            if point_in_polygon(ps.points[i], trace.vertices):
+                return trace.r_lambda, "trace"
+            # Otherwise the start ray hit an interferer's exclusion-hole
+            # boundary (possible for beta < 1), not the probe's outer one.
+        except (UnboundedReceptionError, NonClosureError):
+            pass
+        return _raster_range(spec, model, ext), "membership"
 
-    r_lam = _run(extent)
+    r_lam, method = _run(extent)
     if verify_truncation:
-        r_lam2 = _run(2.0 * extent)
+        r_lam2, _ = _run(2.0 * extent)
         if abs(r_lam2 - r_lam) > 1e-3 * r_lam:
             raise MacGeoError(
                 f"window truncation error above 0.1%: r={r_lam:.6g} vs {r_lam2:.6g}")
-    return RangeResult(r_lam, normalized_range(r_lam, lam), lam, spec)
+    return RangeResult(r_lam, normalized_range(r_lam, lam), lam, spec, method)
+
+
+def _raster_range(spec: GridSpec, model: ChannelModel, extent: float) -> float:
+    """r_lambda from membership rasters of 384 cells a side, on a window
+    that starts at 4 lattice scales (more where beta < 1 widens the
+    region) and doubles until the region ends well inside it or the
+    window reaches ``extent``."""
+    scale = 1.0 / math.sqrt(grid_density(spec))
+    window = 4.0 * scale * max(1.0, model.beta ** (-1.0 / model.alpha))
+    while True:
+        window = min(window, extent)
+        # Interferers beyond ~3 windows shift the frontier by well under
+        # the raster cell; keep the set small.
+        ps = gen_grid(spec, min(extent, 3.0 * window + 5.0 * scale))
+        i = origin_index(ps, spec.translation)
+        r_lam = max_range_membership(i, ps, model, window, n=384)
+        if r_lam < 0.8 * window or window >= extent:
+            return r_lam
+        window *= 2.0
 
 
 def point_in_polygon(z, vertices: np.ndarray) -> bool:

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
@@ -71,13 +71,11 @@ class PointSet:
     points   (N, 2) float64 array
     density  points per square meter (> 0)
     extent   half-width of the containing square window, meters
-    meta     provenance for serialization (kind, d, seed, ...)
     """
 
     points: np.ndarray
     density: float
     extent: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -216,12 +214,7 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     n = np.arange(count.sum()) - np.repeat(start, count) + np.repeat(
         n_lo, count).astype(int)
     k = np.stack([np.repeat(m, count), n], axis=1)
-    pts = _pose(k @ A.T, spec, extent)
-    meta = {"kind": spec.kind, "d": spec.d, "k1": spec.k1, "k2": spec.k2,
-            "rotation": spec.rotation,
-            "translation": list(map(float, spec.translation)),
-            "extent": extent, "seed": None}
-    return PointSet(pts, grid_density(spec), extent, meta)
+    return PointSet(_pose(k @ A.T, spec, extent), grid_density(spec), extent)
 
 
 @lru_cache(maxsize=8)
@@ -271,10 +264,7 @@ def gen_poisson(lam: float, extent: float, seed) -> PointSet:
     rng = np.random.default_rng(seed)
     area = (2.0 * extent) ** 2
     n = rng.poisson(lam * area)
-    pts = rng.uniform(-extent, extent, size=(n, 2))
-    meta = {"kind": "poisson", "lam": lam, "extent": extent,
-            "seed": seed if isinstance(seed, int) else None}
-    return PointSet(pts, lam, extent, meta)
+    return PointSet(rng.uniform(-extent, extent, size=(n, 2)), lam, extent)
 
 
 def with_pose(spec: GridSpec, rotation: float, translation) -> GridSpec:

@@ -419,11 +419,8 @@ def rescale(ps, factor):
     """Homothety: coordinates scale by ``factor``, intensity by 1/factor^2."""
     if not (factor > 0):
         raise ValueError("scale factor must be positive")
-    meta = dict(ps.meta)
-    if "d" in meta:
-        meta["d"] = meta["d"] * factor
     return PointSet(ps.points * factor, ps.density / factor**2,
-                    ps.extent * factor, meta)
+                    ps.extent * factor)
 
 
 def laplace_transform_w(theta, lam, alpha, fading="none", spread=1.0):

@@ -12,9 +12,9 @@ import time
 import numpy as np
 from helpers import write_hop_log
 
-from macgeo.aloha import (SeriesParams, aloha_prob, aloha_prob_exponential,
-                          optimize_range, sample_w)
-from macgeo.cli import RunConfig, _grid_range_value, run
+from macgeo.aloha import (aloha_prob, aloha_prob_exponential, optimize_range,
+                          sample_w)
+from macgeo.cli import RunConfig, run
 from macgeo.multihop import SimConfig, run_simulation
 from macgeo.propagation import ChannelModel, sample_fading
 from macgeo.reception import (grid_range, grid_success_prob_fading,
@@ -111,8 +111,8 @@ def test_criterion_5_series_vs_monte_carlo():
             f_sig = (np.ones(trials) if fading == "none"
                      else sample_fading(fading, rng, trials, spread))
             for beta in betas:
-                p_lib = aloha_prob(np.array(rs), SeriesParams(1.0, beta, alpha),
-                                   fading, spread)
+                p_lib = aloha_prob(np.array(rs), 1.0,
+                                   ChannelModel(alpha, beta, fading, spread))
                 for r, p_s in zip(rs, p_lib):
                     x = r ** -alpha / beta
                     hits = int(np.count_nonzero(w < x * f_sig))
@@ -153,7 +153,7 @@ def test_criterion_6_exponential_fading_closed_form():
 def test_criterion_7_headline_comparison():
     model = ChannelModel(alpha=4.0, beta=10.0)
     tri = grid_range(GridSpec("triangular", 25.0), model, extent=2500.0)
-    res = optimize_range(SeriesParams(1.0, 10.0, 4.0))
+    res = optimize_range(1.0, model)
     range_ratio = tri.r1 / res.r
     capacity_ratio = res.inv_rp / (1.0 / tri.r1)
     ok = 1.7 <= range_ratio <= 2.3 and 2.5 <= capacity_ratio <= 3.5
@@ -164,8 +164,8 @@ def test_criterion_7_headline_comparison():
 def test_criterion_8_fading_penalty_on_optimum():
     penalties = {}
     for beta in (1.0, 10.0, 100.0):
-        base = optimize_range(SeriesParams(1.0, beta, 4.0))
-        fad = optimize_range(SeriesParams(1.0, beta, 4.0), "log_uniform", 1.0)
+        base = optimize_range(1.0, ChannelModel(4.0, beta))
+        fad = optimize_range(1.0, ChannelModel(4.0, beta, "log_uniform", 1.0))
         penalties[beta] = 1.0 - fad.r / base.r
     ok = all(0.01 <= p <= 0.05 for p in penalties.values())
     report(8, ok, "optimal-range penalty " +
@@ -242,9 +242,8 @@ def test_criterion_11_figure_sweep_orderings():
                ("triangular", 1.0, 1.0)]
 
     def r1_of(kind, k1, k2, beta):
-        return _grid_range_value({"pattern": kind, "d": 1.0, "k1": k1,
-                                  "k2": k2, "beta": beta, "alpha": 4.0,
-                                  "extent": 60.0})["r1"]
+        return grid_range(GridSpec(kind, 1.0, k1, k2), ChannelModel(4.0, beta),
+                          extent=60.0).r1
 
     sweeps = {f"{k}:{k1 / k2:g}": [r1_of(k, k1, k2, b)
                                    for b in np.geomspace(0.05, 100.0, 10)]

@@ -8,15 +8,19 @@ from scipy.stats import ks_2samp
 
 from helpers import (disc_sample_w, float_series, laplace_transform_w,
                      mp_fading_quadrature, mp_oracle)
-from macgeo.aloha import (MAX_TRIALS, AlohaResult, SeriesParams, _e1_laguerre,
-                          _e1_series, aloha_prob, aloha_prob_exponential,
-                          curve, mc_aloha_prob, optimize_range, prob_w_below,
+from macgeo.aloha import (MAX_TRIALS, AlohaResult, _e1_laguerre, _e1_series,
+                          aloha_prob, aloha_prob_exponential, curve,
+                          mc_aloha_prob, optimize_range, prob_w_below,
                           sample_w)
 from macgeo.cli import RunConfig, run
 from macgeo.errors import FloatRangeError, UnsupportedFadingError
 from macgeo.propagation import ChannelModel
 
-P144 = SeriesParams(1.0, 1.0, 4.0)
+M44 = ChannelModel(4.0, 1.0)
+
+
+def log_uniform(alpha, beta, spread):
+    return ChannelModel(alpha, beta, "log_uniform", spread)
 
 
 def levy_cdf(x, lam=1.0):
@@ -27,7 +31,7 @@ def levy_cdf(x, lam=1.0):
 def test_series_matches_levy_closed_form():
     # x = 0.2 sits in the deep lower tail (p ~ 1.3e-18).
     for x in (0.2, 0.7, 1.0, 2.0, 5.0, 20.0, 200.0, 1e4, 1e8):
-        err = abs(prob_w_below(x, P144) - levy_cdf(x))
+        err = abs(prob_w_below(x, 1.0, 4.0) - levy_cdf(x))
         assert err <= 1e-9 and err <= 1e-6 * levy_cdf(x)
 
 
@@ -36,7 +40,7 @@ def test_aloha_prob_matches_levy_grid():
     the whole r range, lower tail included."""
     rs = np.linspace(0.02, 5.0, 250)
     for beta in (0.1, 1.0, 10.0, 100.0):
-        got = aloha_prob(rs, SeriesParams(1.0, beta, 4.0))
+        got = aloha_prob(rs, 1.0, ChannelModel(4.0, beta))
         want = erfc(math.pi ** 1.5 * math.sqrt(beta) * rs ** 2 / 2.0)
         err = np.abs(got - want)
         assert err.max() < 1e-10
@@ -47,7 +51,7 @@ def test_aloha_prob_matches_levy_grid():
 def test_deep_lower_tail_matches_mpmath():
     # p ~ 5.8e-39 in the deep lower tail, where the alternating series
     # cancels down to garbage.
-    got = aloha_prob(2.0, SeriesParams(1.0, 10.0, 6.0))
+    got = aloha_prob(2.0, 1.0, ChannelModel(6.0, 10.0))
     want = mp_oracle(2.0 ** -6 / 10.0, 1.0, 6.0)
     assert want is not None and want < 1e-38
     assert got == pytest.approx(want, rel=1e-6, abs=0.0)
@@ -62,8 +66,8 @@ def test_agrees_with_series_and_mpmath_oracles():
                 for r in (0.1, 0.2, 0.3, 0.5, 1.0):
                     x = r ** -alpha / beta
                     cell = (alpha, fading, beta, r)
-                    got = aloha_prob(r, SeriesParams(1.0, beta, alpha),
-                                     fading, 1.0)
+                    got = aloha_prob(r, 1.0,
+                                     ChannelModel(alpha, beta, fading, 1.0))
                     want = mp_oracle(x, 1.0, alpha, fading, 1.0)
                     if want is not None:
                         assert abs(got - want) < 1e-10, cell
@@ -73,26 +77,25 @@ def test_agrees_with_series_and_mpmath_oracles():
 
 
 def test_series_limits():
-    assert prob_w_below(1e12, P144) == pytest.approx(1.0, abs=1e-5)
-    dilute = SeriesParams(1e-8, 1.0, 4.0)
-    assert prob_w_below(3.0, dilute) == pytest.approx(1.0, abs=1e-6)
-    assert aloha_prob(1e-3, P144) == pytest.approx(1.0, abs=1e-5)
+    assert prob_w_below(1e12, 1.0, 4.0) == pytest.approx(1.0, abs=1e-5)
+    assert prob_w_below(3.0, 1e-8, 4.0) == pytest.approx(1.0, abs=1e-6)
+    assert aloha_prob(1e-3, 1.0, M44) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_series_monotone_in_x():
     xs = np.geomspace(0.8, 1e6, 40)
-    ps = [prob_w_below(float(x), P144) for x in xs]
+    ps = [prob_w_below(float(x), 1.0, 4.0) for x in xs]
     assert all(b >= a - 1e-12 for a, b in zip(ps, ps[1:]))
     assert all(0.0 <= p <= 1.0 for p in ps)
 
 
 def test_aloha_prob_monotone_in_r_and_beta():
     for beta in (0.1, 1.0, 10.0, 100.0):
-        params = SeriesParams(1.0, beta, 4.0)
-        ps = aloha_prob(np.linspace(0.05, 1.0, 12), params)
+        ps = aloha_prob(np.linspace(0.05, 1.0, 12), 1.0,
+                        ChannelModel(4.0, beta))
         assert np.all(np.diff(ps) <= 1e-12)
     for r in (0.1, 0.3, 0.5):
-        ps = [aloha_prob(r, SeriesParams(1.0, beta, 4.0))
+        ps = [aloha_prob(r, 1.0, ChannelModel(4.0, beta))
               for beta in (0.1, 1.0, 10.0, 100.0)]
         assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
 
@@ -100,8 +103,8 @@ def test_aloha_prob_monotone_in_r_and_beta():
 def test_fading_series_crosses_once_above_at_large_r():
     diffs = []
     for r in np.linspace(0.1, 0.9, 33):
-        pn = aloha_prob(float(r), P144)
-        pf = aloha_prob(float(r), P144, "log_uniform", 1.0)
+        pn = aloha_prob(float(r), 1.0, M44)
+        pf = aloha_prob(float(r), 1.0, log_uniform(4.0, 1.0, 1.0))
         diffs.append(pf - pn)
     signs = np.sign(diffs)
     changes = np.nonzero(np.diff(signs))[0]
@@ -111,7 +114,7 @@ def test_fading_series_crosses_once_above_at_large_r():
 
 def test_exponential_fading_rejected_by_series():
     with pytest.raises(UnsupportedFadingError):
-        aloha_prob(0.3, P144, "exponential")
+        aloha_prob(0.3, 1.0, ChannelModel(4.0, 1.0, "exponential"))
 
 
 def test_log_uniform_small_spreads_match_mpmath():
@@ -128,8 +131,7 @@ def test_log_uniform_small_spreads_match_mpmath():
                     if want is None:
                         continue
                     cells += 1
-                    got = aloha_prob(r, SeriesParams(1.0, beta, alpha),
-                                     "log_uniform", spread)
+                    got = aloha_prob(r, 1.0, log_uniform(alpha, beta, spread))
                     assert abs(got - want) < 1e-12, (spread, alpha, beta, r)
     assert cells >= 40
 
@@ -140,7 +142,7 @@ def test_log_uniform_small_spreads_match_mpmath():
 def test_log_uniform_wide_spreads_match_double_quadrature(alpha, beta, r,
                                                           spread):
     # Past a fade shift of 10 in log z, where the series oracle runs out.
-    got = aloha_prob(r, SeriesParams(1.0, beta, alpha), "log_uniform", spread)
+    got = aloha_prob(r, 1.0, log_uniform(alpha, beta, spread))
     want = mp_fading_quadrature(r, beta, alpha, spread)
     assert abs(got - want) < 1e-10
 
@@ -148,7 +150,7 @@ def test_log_uniform_wide_spreads_match_double_quadrature(alpha, beta, r,
 def test_log_uniform_deep_lower_tail_matches_mpmath():
     for alpha, beta, r, size in ((4.0, 100.0, 1.0, 1.567e-139),
                                  (6.0, 100.0, 2.0, 2.13e-77)):
-        got = aloha_prob(r, SeriesParams(1.0, beta, alpha), "log_uniform", 1.0)
+        got = aloha_prob(r, 1.0, log_uniform(alpha, beta, 1.0))
         want = mp_oracle(r ** -alpha / beta, 1.0, alpha, "log_uniform", 1.0,
                          dps_cap=2500)
         assert want == pytest.approx(size, rel=1e-2, abs=0.0)
@@ -157,15 +159,14 @@ def test_log_uniform_deep_lower_tail_matches_mpmath():
 
 def test_log_uniform_any_finite_spread():
     rs = np.geomspace(1e-3, 30.0, 40)
-    base = aloha_prob(rs, P144)
+    base = aloha_prob(rs, 1.0, M44)
     # A fade below 1e-300 leaves exp(-y) to the last bit or so.
     for spread in (5e-324, 1e-300):
-        got = aloha_prob(rs, P144, "log_uniform", spread)
+        got = aloha_prob(rs, 1.0, log_uniform(4.0, 1.0, spread))
         assert np.abs(got - base).max() <= 4e-16
     for alpha in (2.05, 4.0, 100.0):
         for spread in (800.0, 1e5, 1e15, 1e298):
-            ps = aloha_prob(rs, SeriesParams(1.0, 1.0, alpha), "log_uniform",
-                            spread)
+            ps = aloha_prob(rs, 1.0, log_uniform(alpha, 1.0, spread))
             assert np.all((ps >= 0.0) & (ps <= 1.0))
             assert np.all(np.diff(ps) <= 1e-15)
     # Past w ~ 1e3 every node has a = A z0 << 1 << a e^2w, where
@@ -178,13 +179,13 @@ def test_log_uniform_any_finite_spread():
         mean_log_a = mp.quad(lambda t: 2 * mp.log(mp.sin(t / 2) / mp.sin(t)),
                              [0, mp.pi]) / mp.pi
         want = float((-mp.euler - log_z0 - mean_log_a) / (2 * f))
-    assert aloha_prob(0.3, P144, "log_uniform", 1e298) == pytest.approx(
+    assert aloha_prob(0.3, 1.0, log_uniform(4.0, 1.0, 1e298)) == pytest.approx(
         want, rel=1e-12, abs=0.0)
     with pytest.raises(FloatRangeError):
-        aloha_prob(0.3, P144, "log_uniform", 1.7e308)
+        aloha_prob(0.3, 1.0, log_uniform(4.0, 1.0, 1.7e308))
     for spread in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            aloha_prob(0.3, P144, "log_uniform", spread)
+            aloha_prob(0.3, 1.0, log_uniform(4.0, 1.0, spread))
 
 
 def test_e1_matches_mpmath():
@@ -228,10 +229,10 @@ def test_laplace_transform_with_fading():
 
 def test_mc_matches_series():
     p_mc, se = mc_aloha_prob(0.3, 1.0, ChannelModel(4.0, 1.0), 200_000, seed=42)
-    p_s = aloha_prob(0.3, P144)
+    p_s = aloha_prob(0.3, 1.0, M44)
     assert abs(p_mc - p_s) < 3 * se
     # Same draw at the spec's example threshold x = 0.3^-4.
-    p2 = prob_w_below(0.3 ** -4, P144)
+    p2 = prob_w_below(0.3 ** -4, 1.0, 4.0)
     assert abs(p_mc - p2) < 3 * se
 
 
@@ -243,7 +244,7 @@ def test_mc_beta_zero_always_succeeds():
 def test_mc_log_uniform_fading():
     model = ChannelModel(4.0, 1.0, fading="log_uniform", spread=1.0)
     p_mc, se = mc_aloha_prob(0.4, 1.0, model, 200_000, seed=5)
-    p_s = aloha_prob(0.4, P144, "log_uniform", 1.0)
+    p_s = aloha_prob(0.4, 1.0, log_uniform(4.0, 1.0, 1.0))
     assert abs(p_mc - p_s) < 3 * se
 
 
@@ -252,6 +253,32 @@ def test_mc_exponential_closed_form():
     p_mc, se = mc_aloha_prob(0.3, 1.0, model, 200_000, seed=7)
     p_cf = aloha_prob_exponential(0.3, 1.0, 1.0, 4.0)
     assert abs(p_mc - p_cf) < 3 * se
+
+
+@pytest.mark.parametrize("r, lam, beta, alpha, match", [
+    (0.3, 1.0, 1.0, 1.5, "alpha"),      # Gamma(1 - 2/alpha) < 0: p = 3.93
+    (0.3, 1.0, 1.0, 2.0, "alpha"),      # Gamma(0): a bare math domain error
+    (0.3, 1.0, 1.0, math.inf, "alpha"),
+    (0.3, 1.0, -1.0, 4.0, "beta"),
+    (0.3, 1.0, math.inf, 4.0, "beta"),
+    (0.3, -1.0, 1.0, 4.0, "intensity"),  # p = 1.56
+    (0.3, 0.0, 1.0, 4.0, "intensity"),
+    (0.3, math.inf, 1.0, 4.0, "intensity"),
+    (0.3, math.nan, 1.0, 4.0, "intensity"),
+    (-0.3, 1.0, 1.0, 4.0, "link length"),
+    (math.inf, 1.0, 1.0, 4.0, "link length"),
+    (math.nan, 1.0, 1.0, 4.0, "link length"),
+])
+def test_exponential_closed_form_refuses_bad_arguments(r, lam, beta, alpha,
+                                                       match):
+    with pytest.raises(ValueError, match=match):
+        aloha_prob_exponential(r, lam, beta, alpha)
+
+
+def test_exponential_closed_form_edges():
+    # The checks still admit a zero-length link and beta = 0.
+    assert aloha_prob_exponential(0.0, 1.0, 1.0, 4.0) == 1.0
+    assert aloha_prob_exponential(0.3, 1.0, 0.0, 4.0) == 1.0
 
 
 def test_mc_validation():
@@ -298,7 +325,7 @@ def test_sample_w_matches_disc_reference(alpha, fading):
 
 
 def test_optimizer_beta10():
-    res = optimize_range(SeriesParams(1.0, 10.0, 4.0))
+    res = optimize_range(1.0, ChannelModel(4.0, 10.0))
     assert isinstance(res, AlohaResult)
     # Independent dense-scan oracle on the Levy closed form.
     rs = np.linspace(1e-3, 1.0, 20000)
@@ -311,15 +338,15 @@ def test_optimizer_beta10():
 
 def test_optimizer_homothety():
     # sqrt(lam) r* must not drift with lam, however far lam is from 1.
-    r1 = [math.sqrt(lam) * optimize_range(SeriesParams(lam, 10.0, 4.0)).r
+    r1 = [math.sqrt(lam) * optimize_range(lam, ChannelModel(4.0, 10.0)).r
           for lam in (0.25, 1.0, 4.0, 1e4, 1e8, 1e10)]
     assert max(r1) - min(r1) <= 1e-9 * r1[0]
     assert r1[0] == pytest.approx(0.19053, abs=1e-4)
 
 
 def test_optimizer_fading_penalty():
-    base = optimize_range(SeriesParams(1.0, 10.0, 4.0))
-    fad = optimize_range(SeriesParams(1.0, 10.0, 4.0), "log_uniform", 1.0)
+    base = optimize_range(1.0, ChannelModel(4.0, 10.0))
+    fad = optimize_range(1.0, log_uniform(4.0, 10.0, 1.0))
     penalty = 1.0 - fad.r / base.r
     assert 0.01 < penalty < 0.05
 
@@ -329,17 +356,17 @@ def test_optimizer_wide_fading():
     # bracket that serves f gamma <= 1; a dense scan in log rho must not
     # beat the optimizer.
     for alpha, spread in ((2.05, 800.0), (4.0, 1e4)):
-        unit = SeriesParams(1.0, 1.0, alpha)
+        unit = log_uniform(alpha, 1.0, spread)
         rho = np.exp(np.linspace(-5.0, 10.0, 3001))
-        f = rho * aloha_prob(rho, unit, "log_uniform", spread)
+        f = rho * aloha_prob(rho, 1.0, unit)
         k = int(np.argmax(f))
-        res = optimize_range(unit, "log_uniform", spread)
+        res = optimize_range(1.0, unit)
         assert res.rp >= f[k] * (1.0 - 1e-9)
         assert res.r == pytest.approx(rho[k], rel=0.02)
 
 
 def test_curve_rows_and_csv(tmp_path):
-    rows = curve(P144, [0.1, 0.5, 3.0])
+    rows = curve(1.0, M44, [0.1, 0.5, 3.0])
     assert len(rows) == 3
     for r, p, rp in rows:
         assert p == pytest.approx(levy_cdf(r ** -4.0), rel=1e-6, abs=0.0)
@@ -355,14 +382,26 @@ def test_curve_rows_and_csv(tmp_path):
     assert all(line.endswith(",none") for line in lines[1:])
 
 
-def test_series_params_validation():
-    with pytest.raises(ValueError):
-        SeriesParams(0.0, 1.0, 4.0)
-    with pytest.raises(ValueError):
-        SeriesParams(1.0, -1.0, 4.0)
-    with pytest.raises(ValueError):
-        SeriesParams(1.0, 1.0, 2.0)
-    assert SeriesParams(1.0, 1.0, 4.0).gamma == pytest.approx(0.5)
-    assert P144.series_constant() == pytest.approx(math.pi ** 1.5)
-    assert P144.series_constant("log_uniform", 1.0) == pytest.approx(
-        math.pi ** 1.5 * math.sinh(0.5) / 0.5)
+def test_aloha_entry_points_validate():
+    # The model checks alpha, beta and spread where it is built; the
+    # entry points check the intensity and refuse beta = 0, which the
+    # stable law has no finite z for.
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="intensity"):
+            aloha_prob(0.3, lam, M44)
+        with pytest.raises(ValueError, match="intensity"):
+            optimize_range(lam, M44)
+        with pytest.raises(ValueError, match="intensity"):
+            prob_w_below(1.0, lam, 4.0)
+    zero = ChannelModel(4.0, 0.0)
+    for call in (lambda: aloha_prob(0.3, 1.0, zero),
+                 lambda: optimize_range(1.0, zero),
+                 lambda: curve(1.0, zero, [0.3])):
+        with pytest.raises(ValueError, match="threshold"):
+            call()
+    for alpha in (2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            prob_w_below(1.0, 1.0, alpha)
+    for spread in (0.0, math.inf):
+        with pytest.raises(ValueError, match="spread"):
+            sample_w(1.0, 4.0, 5, 0, fading="log_uniform", spread=spread)

@@ -38,8 +38,15 @@ def test_parse_fading():
     assert parse_fading("log-uniform") == ("log_uniform", 1.0)
     with pytest.raises(ValueError):
         parse_fading("rician")
-    with pytest.raises(ValueError):
-        parse_fading("log-uniform:-1")
+
+
+@pytest.mark.parametrize("spread", ["0", "-1", "inf", "nan"])
+def test_bad_spread_exits_3(tmp_path, monkeypatch, spread):
+    # The spread is checked where the command builds its channel model.
+    for command in ("optimize", "aloha-curve"):
+        argv = [command, "--fading", f"log-uniform:{spread}"]
+        assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert not list(tmp_path.iterdir())
 
 
 def test_asympt_beta_command(tmp_path, monkeypatch):
@@ -270,6 +277,54 @@ def test_exit_codes(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+# Every command that reads --alpha or --beta, at sizes that finish in a
+# moment had the value been served.
+_SMALL_RUNS = {
+    "grid-range": ["--d", "1", "--extent", "20"],
+    "trace": ["--d", "1", "--extent", "20"],
+    "fading-curve": ["--d", "1", "--extent", "10", "--n", "5"],
+    "compare": ["--d", "1", "--extent", "20"],
+    "simulate": ["--d", "1", "--nu", "100", "--extent", "4", "--slots",
+                 "20", "--packets", "1"],
+    "optimize": [],
+    "aloha-curve": ["--n", "5"],
+    "field": ["--pattern", "poisson", "--extent", "5", "--n", "4"],
+    "asympt-beta": [],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command, flag", [
+    (name, flag) for name, (_, flags) in _COMMANDS.items()
+    for flag in ("alpha", "beta") if flag in flags])
+def test_non_finite_alpha_or_beta_exits_3(tmp_path, monkeypatch, capsys,
+                                          command, flag, value):
+    argv = [command, f"--{flag}", value] + _SMALL_RUNS[command]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert "invalid parameter" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_agrees_with_grid_range_below_beta_one(tmp_path, monkeypatch):
+    # At beta 1e-5 the tracer finds no crossing in the window; compare
+    # falls back to the membership raster as grid-range does.
+    args = ["--beta", "1e-5", "--alpha", "4", "--extent", "100"]
+    assert invoke(["compare"] + args, tmp_path, monkeypatch) == EXIT_OK
+    _, rows = read_csv(tmp_path / "compare.csv")
+    table = {r[0]: r[1] for r in rows}
+    assert table["square"] == f"{5.42565360246:.12g}"
+    for label, kind, k2 in (("triangular", "triangular", "1"),
+                            ("square", "square", "1"),
+                            ("rectangular(1:2)", "rectangular", "2"),
+                            ("hexagonal", "hexagonal", "1")):
+        out = f"{kind}.csv"
+        assert invoke(["grid-range", "--pattern", kind, "--k2", k2] + args,
+                      tmp_path, monkeypatch, out) == EXIT_OK
+        _, grid = read_csv(tmp_path / out)
+        assert grid[0][6] == "membership"
+        assert grid[0][5] == table[label]
 
 
 def test_readme_simulate_without_extent_rejected(tmp_path, monkeypatch, capsys):

@@ -34,11 +34,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(0.5, 10.0, spec, MODEL)  # nu below scheme density
     with pytest.raises(ValueError):
-        SimConfig(100.0, 10.0, spec, MODEL, snap_radius=0.3)  # >= d/4
-    with pytest.raises(ValueError):
         SimConfig(100.0, 10.0, 2.0, ChannelModel(4.0, 1.0, "log_uniform"))
     cfg = SimConfig(100.0, 10.0, spec, MODEL)
-    assert cfg.resolved_snap_radius == pytest.approx(0.1)
     assert cfg.scheme_density == pytest.approx(1.0)
 
 

@@ -380,5 +380,11 @@ def test_channel_model_validation():
         ChannelModel(alpha=4.0, beta=-1.0)
     with pytest.raises(ValueError):
         ChannelModel(alpha=4.0, beta=1.0, fading="rician")
+    for alpha, beta, spread in ((math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                                (4.0, math.inf, 1.0), (4.0, math.nan, 1.0),
+                                (4.0, 1.0, 0.0), (4.0, 1.0, -1.0),
+                                (4.0, 1.0, math.inf), (4.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            ChannelModel(alpha, beta, "log_uniform", spread)
     m = ChannelModel(alpha=4.0, beta=0.0)  # beta = 0 allowed for MC limits
     assert m.gamma == pytest.approx(0.5)
