@@ -20,6 +20,13 @@ Schemes:
   nearest node within d / SNAP_DIVISOR (unmatched points are skipped and
   counted in the run summary).
 
+Lattice slots are holder-first: the transmitter set is built only when
+the anchor is a live holder or a posed lattice point near one could snap
+to it.  Any other slot moves no packet; it ends after its two draws with
+no transmitters, so every hop is that of the full build.  ALOHA slots
+still draw every node: thinning only the holders would change the random
+stream and so every hop.
+
 Each slot poses a lattice index disc built once per run
 (``spatial.window_points``: gen_grid's points, float for float).  For
 beta >= 1 a decoder needs g_i >= beta * sum_j g_j >= g_j for every
@@ -40,7 +47,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .propagation import ChannelModel, decodes, fading_success_prob
-from .spatial import GridSpec, PointSet, grid_density, window_points, with_pose
+from .spatial import (GridSpec, PointSet, grid_density, points_near,
+                      window_points, with_pose)
 # Unused here since slots pose a cached index disc; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
@@ -129,41 +137,65 @@ def progress(tx, rx, dest) -> float:
 
 @dataclass
 class SnapCounts:
-    """Virtual lattice points posed, and those that found no node within
-    the snap radius, accumulated over the slots of a run."""
+    """Slots whose transmitter set was built, and the virtual lattice points
+    posed and left unmatched in them, accumulated over the slots of a run."""
 
+    slots: int = 0
     points: int = 0
     misses: int = 0
 
 
+def _holder_may_snap(nodes: np.ndarray, tree: cKDTree, spec: GridSpec,
+                     holders: np.ndarray, r: float) -> bool:
+    """Whether a posed lattice point within r of a holder could snap to it.
+    The 1e-9 d margin only ever admits extra points and nearest nodes, so
+    rounding can build an extra slot but never skip one."""
+    tol = 1e-9 * spec.d
+    pts, owner = points_near(spec, nodes[holders], r + tol)
+    if len(pts) == 0:
+        return False
+    dist, idx = tree.query(pts, k=2)
+    return bool(np.any((idx == holders[owner, None]) & (dist <= dist[:, :1] + tol)))
+
+
 def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
                         rng: np.random.Generator,
-                        counts: SnapCounts | None = None) -> np.ndarray:
+                        counts: SnapCounts | None = None,
+                        holders: np.ndarray | None = None) -> np.ndarray:
     """Indices of the nodes activated this slot (sorted, unique).
 
     Grid scheme: anchor a freshly rotated copy of the virtual lattice at a
     random node and snap each lattice point to its nearest node within the
-    snap radius; ``counts``, when given, accumulates the points posed and
-    left unmatched.  ALOHA: Bernoulli thinning with probability lam/nu.
+    snap radius.  With ``holders`` (node indices), the set is built only
+    when the anchor is a holder or a holder could be snapped; other slots
+    return an empty array after the same draws.  ALOHA: Bernoulli thinning
+    with probability lam/nu.  ``counts``, when given, accumulates the
+    slots built and the lattice points posed and left unmatched in them.
     """
     n = len(nodes)
     if isinstance(cfg.scheme, GridSpec):
         anchor = int(rng.integers(n))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         spec = with_pose(cfg.scheme, theta, nodes[anchor])
-        virtual = window_points(spec, cfg.extent)
         r = cfg.scheme.d / SNAP_DIVISOR
+        if holders is not None and anchor not in holders and \
+                not _holder_may_snap(nodes, tree, spec, holders, r):
+            return np.empty(0, dtype=int)
+        virtual = window_points(spec, cfg.extent)
         # The tree keeps only neighbors strictly inside the bound; lifting
         # it one ulp above r leaves `dist <= r` to decide every match.
         dist, idx = tree.query(virtual, distance_upper_bound=np.nextafter(r, np.inf))
         matched = dist <= r
         if counts is not None:
+            counts.slots += 1
             counts.points += matched.size
             counts.misses += matched.size - int(np.count_nonzero(matched))
         chosen = np.unique(idx[matched])
         if anchor not in chosen:
             chosen = np.union1d(chosen, [anchor])
         return chosen
+    if counts is not None:
+        counts.slots += 1
     q = cfg.scheme_density / cfg.node_density
     return np.nonzero(rng.random(n) < q)[0]
 
@@ -249,11 +281,14 @@ def run_simulation(cfg: SimConfig, n_packets: int,
 
     Returns (summary dict, list of PacketRecord); with
     ``record_transmitters`` the summary also carries the per-slot
-    transmitter index arrays for post-hoc audits.  The summary counts the
-    virtual lattice points posed over the run (``snap_points``, 0 for
-    ALOHA) and those left unmatched (``snap_misses``); one warning per run
-    flags a miss fraction above 10%.  Fully deterministic for a fixed
-    config and seed.
+    transmitter index arrays for post-hoc audits (empty for a lattice slot
+    that no live holder could use, which is not built).  The summary
+    counts the slots built (``slots_built``: every slot run under ALOHA)
+    and, over them, the virtual lattice points posed (``snap_points``, 0
+    for ALOHA) and those left unmatched (``snap_misses``).  A lattice run
+    warns once, before any draw, when the Poisson void probability of the
+    snap disc, exp(-nu pi (d / SNAP_DIVISOR)^2), exceeds 10%.  Fully
+    deterministic for a fixed config and seed.
     """
     from scipy.spatial import cKDTree
     if n_packets < 1:
@@ -263,6 +298,13 @@ def run_simulation(cfg: SimConfig, n_packets: int,
             0.0 < pair_distance < 2.0 * math.sqrt(2.0) * inner):
         raise ValueError(f"pair distance {pair_distance:g} does not fit in the "
                          f"inner square of half-width {inner:g}")
+    if isinstance(cfg.scheme, GridSpec):
+        void = math.exp(-cfg.node_density * math.pi
+                        * (cfg.scheme.d / SNAP_DIVISOR) ** 2)
+        if void > 0.1:
+            warnings.warn(f"about {void:.0%} of the virtual lattice points will "
+                          "find no node within the snap radius; raise the node "
+                          "density", stacklevel=2)
     root = np.random.SeedSequence(cfg.seed)
     seeds = root.spawn(3)
     rng_nodes = np.random.default_rng(seeds[0])
@@ -304,7 +346,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     slot_log = [] if record_transmitters else None
     snaps = SnapCounts()
     for slot in range(cfg.slots):
-        tx_idx = select_transmitters(nodes, tree, cfg, rng_slots, snaps)
+        live = np.array([h for h, rec in zip(holders, packets) if not rec.delivered])
+        tx_idx = select_transmitters(nodes, tree, cfg, rng_slots, snaps, live)
         if record_transmitters:
             slot_log.append(tx_idx.copy())
         if tx_idx.size == 0:
@@ -339,13 +382,10 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         if delivered else math.nan,
         "slots_to_delivery": [r.delivered_slot for r in delivered],
         "undelivered": n_packets - len(delivered),
+        "slots_built": snaps.slots,
         "snap_misses": snaps.misses,
         "snap_points": snaps.points,
     }
-    if snaps.misses > 0.1 * snaps.points:
-        warnings.warn(f"{snaps.misses} of {snaps.points} virtual lattice points "
-                      "found no node within the snap radius; raise the node "
-                      "density", stacklevel=2)
     if record_transmitters:
         summary["slot_transmitters"] = slot_log
         summary["nodes"] = nodes

@@ -251,6 +251,25 @@ def window_points(spec: GridSpec, extent: float) -> np.ndarray:
     return _pose((disc + q) @ A.T, spec, extent)
 
 
+def points_near(spec: GridSpec, centers: np.ndarray, radius: float):
+    """Posed pattern points within ``radius`` of each center, with no window
+    clip: (points, owner), where owner[j] is the row of ``centers`` that
+    point j lies near.  Each center is put into lattice coordinates under
+    the pose; an index reach of ceil(radius * |row of A^-1|) + 1 around it
+    covers every point within the radius, as in _index_disc."""
+    A, offs = _basis(spec)
+    R = _rotation(spec.rotation)
+    t = np.asarray(spec.translation, dtype=float)
+    inv = np.linalg.inv(A)
+    reach = np.ceil(radius * np.linalg.norm(inv, axis=1)).astype(int) + 1
+    steps = np.mgrid[-reach[0]:reach[0] + 1, -reach[1]:reach[1] + 1].reshape(2, -1).T
+    local = (np.asarray(centers, dtype=float) - t) @ R  # R^T (c - t) per row
+    k = np.rint((local[:, None, :] - offs) @ inv.T)[:, :, None, :] + steps
+    pts = k @ A.T + offs[:, None, :]
+    near = np.hypot(*np.moveaxis(pts - local[:, None, None, :], -1, 0)) <= radius
+    return pts[near] @ R.T + t, np.nonzero(near)[0]
+
+
 def gen_poisson(lam: float, extent: float, seed) -> PointSet:
     """Uniform Poisson scatter of intensity lam over [-extent, extent]^2.
 

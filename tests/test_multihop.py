@@ -105,13 +105,44 @@ def test_grid_snapping_dense_population():
 
 def test_grid_snapping_sparse_warns():
     # At nu = 2 most lattice points find no node within the d/10 snap
-    # radius; the run counts them and warns once.
-    cfg = SimConfig(2.0, 15.0, GridSpec("square", 1.0), MODEL, slots=5, seed=2)
+    # radius; the run warns once and counts them over the slots it built,
+    # each of which poses about 30^2 points.
+    cfg = SimConfig(2.0, 15.0, GridSpec("square", 1.0), MODEL, slots=100, seed=2)
     with pytest.warns(UserWarning, match="snap radius") as record:
-        summary, _ = run_simulation(cfg, 1)
+        summary, _ = run_simulation(cfg, 4)
     assert len(record) == 1
-    assert summary["snap_points"] > 4 * 30 ** 2
+    assert summary["slots_built"] >= 4
+    assert summary["snap_points"] > 0.8 * 30 ** 2 * summary["slots_built"]
     assert summary["snap_misses"] > 0.5 * summary["snap_points"]
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec("square", 1.0), GridSpec("triangular", 1.0),
+    GridSpec("hexagonal", 1.0),
+    # The d/10 snap radius spans several of the 0.05-wide columns.
+    GridSpec("rectangular", 1.0, k1=0.05, k2=1.0),
+])
+def test_holder_skip_is_safe(spec):
+    # A slot that the holder test skips must be one whose full set holds
+    # no live holder; a built slot must be the full set, after the same
+    # draws.  Holder counts vary so that both outcomes occur.
+    rng = np.random.default_rng(7)
+    nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
+    tree = cKDTree(nodes)
+    cfg = SimConfig(100.0, 4.0, spec, MODEL)
+    outcomes = {"built": 0, "skipped": 0}
+    for k in range(600):
+        holders = rng.choice(len(nodes), size=1 + k % 12, replace=False)
+        held = select_transmitters(nodes, tree, cfg, np.random.default_rng(k),
+                                   holders=holders)
+        full = select_transmitters(nodes, tree, cfg, np.random.default_rng(k))
+        if held.size:
+            np.testing.assert_array_equal(held, full)
+            outcomes["built"] += 1
+        else:
+            assert not np.isin(holders, full).any()
+            outcomes["skipped"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_consecutive_slots_use_fresh_poses():
