@@ -8,10 +8,10 @@ from .aloha import (AlohaResult, aloha_prob, aloha_prob_exponential,
                     mc_aloha_prob, optimize_range, prob_w_below, sample_w)
 from .asymptotics import (alpha_inf_range, alpha_inf_table, beta_inf_range,
                           beta_inf_table, voronoi_limit_check)
-from .errors import (DivergentMomentError, DivergentSumError, FloatRangeError,
-                     MacGeoError, NonClosureError, PrecisionLossError,
-                     SingularityError, StationaryPointError,
-                     UnboundedReceptionError, UnsupportedFadingError)
+from .errors import (DivergentMomentError, FloatRangeError, MacGeoError,
+                     NonClosureError, PrecisionLossError, SingularityError,
+                     StationaryPointError, UnboundedReceptionError,
+                     UnsupportedFadingError)
 from .multihop import (PacketRecord, SimConfig, progress, relay_step,
                        run_simulation, select_transmitters)
 from .propagation import (ChannelModel, log_psi, psi, raster_field,

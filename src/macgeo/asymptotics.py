@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from .errors import DivergentSumError
 from .propagation import ChannelModel
 from .reception import TracerConfig, grid_range
 from .spatial import GridSpec, _basis, gen_grid, grid_density
@@ -65,12 +64,10 @@ def beta_inf_range(spec: GridSpec, alpha: float) -> float:
     honeycomb plus its hexagon centres).  Otherwise it runs over gen_grid's
     window of DIRECT_WINDOW nearest spacings; at most 4 (rho + 1/2)^2
     points lie within rho spacings, so the rest add below 5 * 32^(2-alpha)
-    < 1e-20 of the sum.  Raises ValueError for a non-finite alpha and
-    DivergentSumError for alpha <= 2."""
-    if not math.isfinite(alpha):
-        raise ValueError("attenuation exponent alpha must be finite")
-    if alpha <= 2.0:
-        raise DivergentSumError("lattice interference diverges for alpha <= 2")
+    < 1e-20 of the sum.  Raises ValueError unless alpha is finite and
+    above 2 (the sum diverges at alpha <= 2), as :class:`ChannelModel`
+    checks it."""
+    ChannelModel(alpha, 0.0)
     spec = GridSpec(spec.kind, spec.d * math.sqrt(grid_density(spec)),
                     spec.k1, spec.k2)
     s = 0.5 * alpha

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import aloha, asymptotics, multihop, reception, spatial
 from .errors import MacGeoError
-from .propagation import ChannelModel, decodes, raster_field
+from .propagation import (ChannelModel, decodes, fading_success_prob,
+                          raster_field)
 from .spatial import GridSpec
 
 EXIT_OK = 0
@@ -183,7 +184,7 @@ _TABLE_HEADER = ["pattern", "k1_over_k2", "value"]
 
 
 def _cmd_asympt_beta(cfg: RunConfig) -> str:
-    rows = asymptotics.beta_inf_table(cfg.params["alpha"])
+    rows = asymptotics.beta_inf_table(_model(cfg.params).alpha)
     _write_rows_csv(cfg.output_path, _TABLE_HEADER, rows)
     return ("asympt-beta alpha=%g: " % cfg.params["alpha"]
             + ", ".join(f"{k}{'' if r == 1 else f'({r:g})'}={v:.6f}"
@@ -223,9 +224,9 @@ def _cmd_fading_curve(cfg: RunConfig) -> str:
     ts = np.linspace(0.02, 0.98, p["n"])
     rxs = ps.points[i] + ts[:, None] * diag
     hits = decodes(rxs, ps, i, det_model)
-    rows = [[t * math.hypot(*diag), float(hit),
-             reception.grid_success_prob_fading(i, rx, ps, fad_model)]
-            for t, rx, hit in zip(ts, rxs, hits)]
+    probs = fading_success_prob(rxs, ps, i, fad_model)
+    rows = [[t * math.hypot(*diag), float(hit), float(prob)]
+            for t, hit, prob in zip(ts, hits, probs)]
     _write_rows_csv(cfg.output_path, ["r", "p_nofading", "p_fading"], rows)
     return f"fading-curve {spec.kind}: {len(ts)} rows -> {cfg.output_path}"
 

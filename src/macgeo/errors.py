@@ -48,7 +48,3 @@ class DivergentMomentError(MacGeoError):
 class FloatRangeError(MacGeoError):
     """A result passes the float64 range, so it has no value to return;
     a log-domain counterpart (such as ``log_psi``) may still exist."""
-
-
-class DivergentSumError(MacGeoError):
-    """Interference lattice sum diverges (attenuation exponent <= 2)."""

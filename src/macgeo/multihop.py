@@ -27,14 +27,13 @@ no transmitters, so every hop is that of the full build.  ALOHA slots
 still draw every node: thinning only the holders would change the random
 stream and so every hop.
 
-Each slot poses a lattice index disc built once per run
-(``spatial.window_points``: gen_grid's points, float for float).  For
-beta >= 1 a decoder needs g_i >= beta * sum_j g_j >= g_j for every
-interferer j, so it lies in the holder's Voronoi cell among the slot's
-transmitters, and ``propagation.decodes`` refuses candidates past a
-bisector before any interference sum.  Below beta = 1 a receiver nearer
-to an interferer can still decode, so that pass is skipped.  Neither
-shortcut changes a hop.
+Each built slot poses gen_grid's points as a bare array
+(``spatial.window_points``), with no PointSet.  A decoder needs g_i >=
+beta * sum_j g_j >= beta * g_j for every interferer j, so
+``propagation.decodes`` refuses a candidate where one of the holder's
+nearest transmitters alone beats it (for beta >= 1, past a bisector of
+the holder's Voronoi cell) before any interference sum.  Neither shortcut
+changes a hop.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 from .propagation import ChannelModel, decodes, fading_success_prob
 from .spatial import (GridSpec, PointSet, grid_density, points_near,
                       window_points, with_pose)
-# Unused here since slots pose a cached index disc; perfbench's tracer still
+# Unused here since slots pose window_points; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
 

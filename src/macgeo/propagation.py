@@ -220,65 +220,108 @@ def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
     return Field(ps, i, alpha).sir_and_gradient(rx)
 
 
-# Batched reception decision, in three passes.
+# Batched reception decision: one pruning pass, then the full sum.
 #
-# * Voronoi cell (beta >= 1 only).  Decoding needs g_i >= beta * sum_j g_j
-#   >= g_j for every interferer j, so a receiver strictly nearer to another
-#   transmitter than to i fails: every decoder of i lies in i's Voronoi
-#   cell (Baccelli & Blaszczyszyn, Stochastic Geometry and Wireless
-#   Networks, 2009).  Below beta = 1 a receiver past a bisector can still
-#   decode, so the pass is skipped.  The bisectors between i and its
-#   DECODE_CELL_NEIGHBORS nearest transmitters bound a superset of the
-#   cell, so the decision stays exact for any count.  Clamping distances
-#   at the singularity guard keeps their order, and a receiver within the
-#   guard of i is never pruned.
-# * Nearest interferers.  A receiver whose DECODE_NEIGHBORS nearest
-#   interferers alone beat the signal fails whatever the rest of the set
-#   adds.
-# * Full sum, DECODE_BLOCK receivers at a time, for every receiver left.
+# Decoding needs g_i >= beta * sum_j g_j >= beta * g_j for every interferer
+# j, so a receiver where one interferer alone beats the signal fails
+# whatever the rest of the set adds.  With a and b the squared distances
+# from the receiver to x_i and to x_j, clamped at the singularity guard, j
+# alone wins when a > c2 b, c2 = beta^(-2/alpha): past the Apollonius
+# circle of the pair, which at beta = 1 is their bisector, so that for
+# beta >= 1 every decoder lies in i's Voronoi cell (Baccelli &
+# Blaszczyszyn, Stochastic Geometry and Wireless Networks, 2009).  The pass
+# tries i's DECODE_NEIGHBORS nearest transmitters; any subset of the
+# interferers leaves the decision exact.  A receiver within the guard of i
+# has a = G <= b and is never refused, and beta = 0 refuses nothing.
 #
-# A prune must win by the relative DECODE_MARGIN, which covers summation
-# order and the ulp the tree's distances can move the normalization by.
-# Below DECODE_MIN_POINTS transmitters the two pruning passes cost more
-# than the full sum they can save, so every receiver takes the full sum.
-DECODE_CELL_NEIGHBORS = 12
-DECODE_NEIGHBORS = 8
+# A refusal must win by the relative DECODE_MARGIN, a - c2 b > margin
+# (a + c2 b), and every receiver left takes the full sum, so the result is
+# the full sum's decision.  a and b are the full sum's own clamped squared
+# distances, bit for bit (_squared_distances).  The full sum takes them to
+# the power alpha/2, which scales their relative rounding (and that of c2)
+# by alpha/2; the margin, about 2 DECODE_MARGIN on a/b, scales the same way
+# and stays far above it at any alpha.  Where the nearest transmitter is
+# not i, its normalized term 1 in the sum also covers the rounding of
+# subnormal powers.  The comparison is false on a NaN or an inf, which
+# therefore refuse nothing.
+#
+# Every (receivers x transmitters) array is built CHUNK entries or fewer at
+# a time (_chunks), so memory stays bounded for any window; blocks of
+# 512 KiB also keep the arithmetic on them closer to the cache than larger
+# ones.
+DECODE_NEIGHBORS = 12
 DECODE_MARGIN = 1e-12
-DECODE_BLOCK = 384
-DECODE_MIN_POINTS = 256
+CHUNK = 1 << 16
 
 
 @dataclass
 class DecodeCounts:
     """Receivers decided by :func:`decodes`, accumulated over calls:
-    ``pruned`` by the Voronoi cell (``cell`` of them) or the
-    nearest-interferer bound, the rest by the full sum."""
+    ``pruned`` by a single interferer, the rest by the full sum."""
 
     rows: int = 0
     pruned: int = 0
-    cell: int = 0
 
     @property
     def full(self) -> int:
         return self.rows - self.pruned
 
 
-def _outside_cell(rx: np.ndarray, pts: np.ndarray, i: int,
-                  guard2: float) -> np.ndarray:
-    """Receivers of rx provably nearer to one of i's DECODE_CELL_NEIGHBORS
-    nearest transmitters x_j than to x_i: with y = rx - x_i and v = x_j -
-    x_i, past the bisector 2 y.v = |v|^2 by DECODE_MARGIN (|v|^2 + |y|^2),
-    which bounds the rounding of both this test and the full sum's
-    distances, near i or far from it."""
+def _chunks(rows: int, width: int):
+    """Row slices of a (rows, width) array, CHUNK entries or fewer each
+    (one row at least)."""
+    step = max(1, CHUNK // max(width, 1))
+    return (slice(s, s + step) for s in range(0, rows, step))
+
+
+def _squared_distances(rx: np.ndarray, pts: np.ndarray,
+                       guard2: float) -> np.ndarray:
+    """(M, N) squared distances from the receivers rx to pts, clamped at
+    guard2, built in place: fresh temporaries of that size cost more than
+    the arithmetic on them."""
+    d2 = np.subtract.outer(rx[:, 0], pts[:, 0])
+    d2 *= d2
+    dy = np.subtract.outer(rx[:, 1], pts[:, 1])
+    dy *= dy
+    d2 += dy
+    return np.maximum(d2, guard2, out=d2)
+
+
+def _normalized_sums(rx: np.ndarray, pts: np.ndarray, i: int, alpha: float,
+                     guard2: float):
+    """(g, w) at each receiver of rx: the signal of i and the interference
+    of the rest, with squared distances normalized by the receiver's
+    nearest one, so that extreme alpha neither overflows nor underflows."""
+    a = -0.5 * alpha
+    g = np.empty(len(rx))
+    w = np.empty(len(rx))
+    for sl in _chunks(len(rx), len(pts)):
+        d2 = _squared_distances(rx[sl], pts, guard2)
+        s0 = d2.min(axis=1)
+        g[sl] = (d2[:, i] / s0) ** a
+        d2[:, i] = np.inf
+        d2 /= s0[:, None]
+        np.power(d2, a, out=d2)
+        w[sl] = d2.sum(axis=1)
+    return g, w
+
+
+def _beaten(rx: np.ndarray, pts: np.ndarray, i: int, model: ChannelModel,
+            guard2: float) -> np.ndarray:
+    """Receivers of rx where one of i's DECODE_NEIGHBORS nearest
+    transmitters alone provably beats the signal (see above)."""
+    k = min(DECODE_NEIGHBORS, len(pts) - 1)
+    if k < 1:
+        return np.zeros(len(rx), dtype=bool)
     d2 = (pts[:, 0] - pts[i, 0]) ** 2 + (pts[:, 1] - pts[i, 1]) ** 2
     d2[i] = np.inf
-    near = np.argpartition(d2, DECODE_CELL_NEIGHBORS - 1)[:DECODE_CELL_NEIGHBORS]
-    v = pts[near] - pts[i]
-    v2 = v[:, 0] ** 2 + v[:, 1] ** 2
-    y = rx - pts[i]
-    y2 = y[:, 0] ** 2 + y[:, 1] ** 2
-    past = 2.0 * (y @ v.T) - v2 > DECODE_MARGIN * (v2 + y2[:, None])
-    return past.any(axis=1) & (y2 * (1.0 - DECODE_MARGIN) > guard2)
+    near = np.argpartition(d2, k - 1)[:k]
+    d2 = _squared_distances(rx, pts[np.append(i, near)], guard2)
+    a, c2b = d2[:, :1], d2[:, 1:]
+    # c2 is inf at beta = 0 (or past the float range), and refuses nothing.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c2b *= np.float64(model.beta) ** (-2.0 / model.alpha)
+        return (a - c2b > DECODE_MARGIN * (a + c2b)).any(axis=1)
 
 
 def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
@@ -289,60 +332,20 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
     Powers are normalized by the nearest-transmitter distance, so extreme
     alpha neither overflows nor underflows; distances are clamped at the
     singularity guard, so a receiver on an interferer fails; i is left out
-    of the interference.  A receiver is pruned as a failure only when it
-    provably lies outside i's Voronoi cell (beta >= 1) or its nearest
-    interferers (from ``ps.tree``) already beat the signal, so the result
-    equals the full sum's decision everywhere.  ``counts``, when given,
-    accumulates the receivers seen and pruned.
+    of the interference.  A receiver is refused before the full sum only
+    where one of i's nearest transmitters alone provably beats the signal,
+    so the result equals the full sum's decision everywhere.  ``counts``,
+    when given, accumulates the receivers seen and refused.
     """
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
-    pts = ps.points
-    a = -0.5 * model.alpha
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
-    rows = np.arange(len(rx))
-    cell = 0
-    if len(pts) >= DECODE_MIN_POINTS:
-        if model.beta >= 1.0:
-            rows = rows[~_outside_cell(rx, pts, i, guard2)]
-            cell = len(rx) - len(rows)
-        y = rx[rows]
-        idx = ps.tree.query(y, k=DECODE_NEIGHBORS)[1]
-        near = pts[idx]
-        d2 = y[:, None, 0] - near[..., 0]
-        d2 *= d2
-        d2 += (y[:, None, 1] - near[..., 1]) ** 2
-        np.maximum(d2, guard2, out=d2)
-        di = (y[:, 0] - pts[i, 0]) ** 2 + (y[:, 1] - pts[i, 1]) ** 2
-        np.maximum(di, guard2, out=di)
-        s0 = np.minimum(d2.min(axis=1), di)
-        d2[idx == i] = np.inf
-        d2 /= s0[:, None]
-        np.power(d2, a, out=d2)
-        bound = model.beta * d2.sum(axis=1) * (1.0 - DECODE_MARGIN)
-        # Written as "not below" so that only a bound that provably wins
-        # prunes; anything else (NaN included) takes the full sum.
-        rows = rows[~((di / s0) ** a < bound)]
+    rows = np.flatnonzero(~_beaten(rx, ps.points, i, model, guard2))
     out = np.zeros(len(rx), dtype=bool)
-    for start in range(0, len(rows), DECODE_BLOCK):
-        r = rows[start:start + DECODE_BLOCK]
-        # One (b, N) block, updated in place (see raster_field).
-        d2 = np.subtract.outer(rx[r, 0], pts[:, 0])
-        d2 *= d2
-        dy = np.subtract.outer(rx[r, 1], pts[:, 1])
-        dy *= dy
-        d2 += dy
-        del dy
-        np.maximum(d2, guard2, out=d2)
-        s0 = d2.min(axis=1)
-        g = (d2[:, i] / s0) ** a
-        d2[:, i] = np.inf
-        d2 /= s0[:, None]
-        np.power(d2, a, out=d2)
-        out[r] = g >= model.beta * d2.sum(axis=1)
+    g, w = _normalized_sums(rx[rows], ps.points, i, model.alpha, guard2)
+    out[rows] = g >= model.beta * w
     if counts is not None:
         counts.rows += len(rx)
         counts.pruned += len(rx) - len(rows)
-        counts.cell += cell
     return out
 
 
@@ -357,15 +360,17 @@ def fading_success_prob(rx, ps: PointSet, i: int,
         raise UnsupportedFadingError(
             "closed-form product requires exponential fading")
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
-    d2 = np.subtract.outer(rx[:, 0], ps.points[:, 0]) ** 2
-    d2 += np.subtract.outer(rx[:, 1], ps.points[:, 1]) ** 2
-    np.maximum(d2, (SINGULARITY_GUARD * ps.scale) ** 2, out=d2)
-    d2 /= d2[:, i, None]
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     log_beta = math.log(model.beta) if model.beta > 0 else -math.inf
-    x = log_beta - 0.5 * model.alpha * np.log(d2)
-    x[:, i] = -np.inf
-    lp = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return np.exp(-lp.sum(axis=1))
+    out = np.empty(len(rx))
+    for sl in _chunks(len(rx), len(ps.points)):
+        d2 = _squared_distances(rx[sl], ps.points, guard2)
+        d2 /= d2[:, i, None]
+        x = log_beta - 0.5 * model.alpha * np.log(d2)
+        x[:, i] = -np.inf
+        lp = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        out[sl] = np.exp(-lp.sum(axis=1))
+    return out
 
 
 def psi(fading: str, s: float, spread: float = 1.0) -> float:
@@ -440,9 +445,11 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     [-extent, extent]^2.
 
     Sample points are offset half a cell so they never coincide with
-    on-lattice transmitters.  The SIR leaves transmitter i out of the
-    interference sum.  Returns (xs, ys, values) with values indexed
-    [iy, ix].
+    on-lattice transmitters.  W is the plain sum of the powers.  The SIR
+    leaves transmitter i out of the interference sum and normalizes each
+    sample's distances by its nearest one, as :func:`decodes` does, so it
+    is scale-free at any alpha.  Returns (xs, ys, values) with values
+    indexed [iy, ix].
     """
     if quantity not in ("w", "sir"):
         raise ValueError("quantity must be 'w' or 'sir'")
@@ -450,23 +457,23 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     xs = -extent + (np.arange(n) + 0.5) * step
     ys = xs.copy()
     pts = ps.points
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     vals = np.empty((n, n))
     for iy, y in enumerate(ys):
-        # One (n, N) block per row, updated in place: fresh temporaries
-        # of that size cost more than the arithmetic on them.
-        d2 = xs[:, None] - pts[None, :, 0]
-        d2 *= d2
-        d2 += (y - pts[:, 1]) ** 2
-        np.maximum(d2, (SINGULARITY_GUARD * ps.scale) ** 2, out=d2)
         if quantity == "sir":
-            g = d2[:, i] ** (-0.5 * alpha)
-            d2[:, i] = np.inf
-        np.power(d2, -0.5 * alpha, out=d2)
-        w = d2.sum(axis=1)
-        if quantity == "w":
-            vals[iy] = w
-        else:
+            rx = np.column_stack((xs, np.full(n, y)))
+            g, w = _normalized_sums(rx, pts, i, alpha, guard2)
             with np.errstate(divide="ignore"):
                 vals[iy] = np.where(w > 0, g / w, np.inf)
+            continue
+        # The cells of a row share y, so its squares are taken once per
+        # transmitter, not once per cell.
+        dy2 = (y - pts[:, 1]) ** 2
+        for sl in _chunks(n, len(pts)):
+            d2 = xs[sl, None] - pts[:, 0]
+            d2 *= d2
+            d2 += dy2
+            np.maximum(d2, guard2, out=d2)
+            np.power(d2, -0.5 * alpha, out=d2)
+            vals[iy, sl] = d2.sum(axis=1)
     return xs, ys, vals
-

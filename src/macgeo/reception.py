@@ -31,9 +31,9 @@ from .errors import (MacGeoError, NonClosureError, StationaryPointError,
                      UnboundedReceptionError)
 # sir and sir_and_gradient stay importable here: profilers wrap the
 # kernel at this module's names.
-from .propagation import (DECODE_MARGIN, DECODE_NEIGHBORS,
-                          SINGULARITY_GUARD, ChannelModel, Field, decodes,
-                          fading_success_prob, sir, sir_and_gradient)
+from .propagation import (DECODE_MARGIN, SINGULARITY_GUARD, ChannelModel,
+                          Field, _chunks, decodes, fading_success_prob, sir,
+                          sir_and_gradient)
 from .spatial import GridSpec, PointSet, gen_grid, grid_density
 
 _log = logging.getLogger(__name__)
@@ -302,7 +302,7 @@ def grid_success_prob_fading(i: int, rx, ps: PointSet, model: ChannelModel) -> f
 # |c - x| for every transmitter x.
 #
 # * Block test.  A block fails whole when the signal at its nearest possible
-#   distance |c - x_i| - delta loses to the DECODE_NEIGHBORS + 1 nearest
+#   distance |c - x_i| - delta loses to the RASTER_NEIGHBORS + 1 nearest
 #   transmitters of c (i left out) at their farthest, |c - x_j| + delta.
 # * Near/far interval.  In a surviving block, the block test's neighbors,
 #   summed exactly per cell, fail most cells.  Where cells are still open,
@@ -323,10 +323,10 @@ def grid_success_prob_fading(i: int, rx, ps: PointSet, model: ChannelModel) -> f
 # between logs of sums normalized by their largest term, over distances in
 # units of the set's scale, so extreme alpha and beta neither overflow nor
 # underflow, and a NaN settles nothing.  Temporary (blocks x points) arrays
-# hold at most RASTER_CHUNK entries, well under the full sum's own blocks.
+# are built in propagation's row chunks, as every full sum is.
 RASTER_BLOCK = 8
+RASTER_NEIGHBORS = 8
 RASTER_NEAR = 3.0
-RASTER_CHUNK = 1 << 18
 # Cell states: left open for the full sum, member, failed by a cell's own
 # bounds, failed with its whole block.
 _OPEN, _MEMBER, _FAILED, _BLOCK_FAILED = -1, 1, 0, 2
@@ -356,13 +356,6 @@ def _log_power_sum(t: np.ndarray, p: float) -> np.ndarray:
     u = t / norm[..., None]
     np.power(u, -p, out=u)
     return np.where(t0 <= 0, np.inf, np.log(u.sum(axis=-1)) - p * np.log(norm))
-
-
-def _chunks(rows: int, width: int):
-    """Row slices of a (rows, width) array, RASTER_CHUNK entries or fewer
-    each (one row at least)."""
-    step = max(1, RASTER_CHUNK // max(width, 1))
-    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def membership_grid(i: int, ps: PointSet, model: ChannelModel,
@@ -432,7 +425,7 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
                           bys[blocks // nb], nidx)
 
     # Block test.
-    k = min(DECODE_NEIGHBORS + 1, len(pts))
+    k = min(RASTER_NEIGHBORS + 1, len(pts))
     dist, idx = ps.tree.query(centers, k=k)
     dist = dist.reshape(len(centers), k)
     idx = idx.reshape(len(centers), k)
@@ -454,7 +447,7 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
         return
     radius = RASTER_NEAR * ps.scale + delta
     k = min(len(pts), math.ceil(1.5 * math.pi * (radius * inv_s) ** 2)
-            + DECODE_NEIGHBORS)
+            + RASTER_NEIGHBORS)
     dist, near = ps.tree.query(centers[live], k=k, distance_upper_bound=radius)
     # Sorted by distance, so the columns past the fullest row are empty;
     # an empty slot (index N) points at i, which no sum takes.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -181,6 +181,12 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     with one lattice point at the origin before the pose is applied.  Points
     exactly on the window boundary are included.
     """
+    return PointSet(window_points(spec, extent), grid_density(spec), extent)
+
+
+def window_points(spec: GridSpec, extent: float) -> np.ndarray:
+    """The points of ``gen_grid(spec, extent)`` as a bare (N, 2) array, with
+    no PointSet built (and so no distinctness check)."""
     if not (extent > 0):
         raise ValueError("extent must be positive")
     A, _ = _basis(spec)
@@ -214,41 +220,7 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     n = np.arange(count.sum()) - np.repeat(start, count) + np.repeat(
         n_lo, count).astype(int)
     k = np.stack([np.repeat(m, count), n], axis=1)
-    return PointSet(_pose(k @ A.T, spec, extent), grid_density(spec), extent)
-
-
-@lru_cache(maxsize=8)
-def _index_disc(spec: GridSpec, extent: float) -> np.ndarray:
-    """Integer indices k of the unposed lattice with |A k| <= sqrt(2) extent
-    + pad: shifted to the cell nearest the window's center, they cover every
-    pose of the window (a window point lies within sqrt(2) extent of the
-    center, and the shift and the in-cell offsets stay inside the pad)."""
-    A, _ = _basis(spec)
-    radius = math.sqrt(2.0) * extent + _pad(A, spec.d)
-    reach = np.ceil(radius * np.linalg.norm(np.linalg.inv(A), axis=1)).astype(int)
-    m, n = np.meshgrid(np.arange(-reach[0], reach[0] + 1),
-                       np.arange(-reach[1], reach[1] + 1), indexing="ij")
-    idx = np.stack([m.ravel(), n.ravel()], axis=1)
-    idx = idx[np.hypot(*(idx @ A.T).T) <= radius]
-    idx.setflags(write=False)
-    return idx
-
-
-def window_points(spec: GridSpec, extent: float) -> np.ndarray:
-    """The points of ``gen_grid(spec, extent)`` as a bare (N, 2) array, in
-    another order.  A disc of lattice indices, built once per unposed
-    pattern and extent, is shifted to the window's center and posed with
-    gen_grid's own arithmetic, so the points are the same floats; no
-    PointSet is built, and the disc holds fewer points than the window's
-    index hull for a sheared basis."""
-    if not (extent > 0):
-        raise ValueError("extent must be positive")
-    A, _ = _basis(spec)
-    R = _rotation(spec.rotation)
-    t = np.asarray(spec.translation, dtype=float)
-    q = np.rint(np.linalg.solve(A, R.T @ -t)).astype(int)
-    disc = _index_disc(replace(spec, rotation=0.0, translation=(0.0, 0.0)), extent)
-    return _pose((disc + q) @ A.T, spec, extent)
+    return _pose(k @ A.T, spec, extent)
 
 
 def points_near(spec: GridSpec, centers: np.ndarray, radius: float):
@@ -256,7 +228,7 @@ def points_near(spec: GridSpec, centers: np.ndarray, radius: float):
     clip: (points, owner), where owner[j] is the row of ``centers`` that
     point j lies near.  Each center is put into lattice coordinates under
     the pose; an index reach of ceil(radius * |row of A^-1|) + 1 around it
-    covers every point within the radius, as in _index_disc."""
+    covers every point within the radius."""
     A, offs = _basis(spec)
     R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)

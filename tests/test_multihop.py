@@ -221,10 +221,10 @@ def test_deterministic_logs(tmp_path):
 def test_hop_log_pinned(tmp_path, scheme, digest, beta, extent):
     # Logs of the full-sum simulator that posed a fresh gen_grid lattice
     # every slot, before the pruned reception kernel, the boolean
-    # transmitter mask, the posed index disc and the Voronoi-cell pass;
-    # none of them may change a hop.  At extent 8 the square and hexagonal
-    # lattices stay below DECODE_MIN_POINTS transmitters; at extent 12
-    # every slot takes the pruned path.
+    # transmitter mask, window_points and the single-interferer pass;
+    # none of them may change a hop.  The extent-12 cases date from when
+    # slots below a size threshold skipped the pruning; every slot now
+    # takes the same path.
     cfg = SimConfig(100.0, extent, scheme, ChannelModel(4.0, beta), slots=600,
                     seed=21)
     _, packets = run_simulation(cfg, 4, pair_distance=2.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 import zlib
 
@@ -9,12 +10,10 @@ from helpers import (direct_decisions, full_sir_and_gradient, interference,
 
 from macgeo.aloha import mc_aloha_prob
 from macgeo.errors import DivergentMomentError, MacGeoError, SingularityError
-from macgeo.propagation import (DECODE_CELL_NEIGHBORS, DECODE_MIN_POINTS,
-                                DECODE_NEIGHBORS, SINGULARITY_GUARD,
+from macgeo.propagation import (DECODE_NEIGHBORS, SINGULARITY_GUARD,
                                 VALID_RADIUS, ChannelModel, DecodeCounts,
-                                Field, _outside_cell, decodes, log_psi, psi,
-                                raster_field, sample_fading, sir,
-                                sir_and_gradient)
+                                Field, decodes, log_psi, psi, raster_field,
+                                sample_fading, sir, sir_and_gradient)
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
                             grid_density)
 
@@ -183,8 +182,7 @@ KERNEL_BETAS = (1e-5, 0.05, 1.0, 10.0, 100.0)
 @pytest.fixture(scope="module")
 def decision_sets():
     """Three unit lattices and a Poisson set of unit density at extent 20,
-    and a two-point pair, too small for the bound: every receiver of it
-    takes the full sum."""
+    and a two-point pair, whose one interferer is all the pass can try."""
     sets = {kind: gen_grid(GridSpec(kind, 1.0), 20.0)
             for kind in ("square", "triangular", "hexagonal")}
     sets["poisson"] = gen_poisson(1.0, 20.0, 3)
@@ -211,28 +209,24 @@ def test_decodes_matches_direct_decision(kind, decision_sets):
                 assert np.array_equal(got, w), (window, alpha, beta)
     assert counts.rows == 2 * 5 * 5 * 1600
     assert counts.pruned + counts.full == counts.rows
-    if kind == "pair":
-        assert counts.pruned == 0
-    else:
-        assert counts.pruned > counts.rows // 2
-        assert 0 < counts.cell < counts.pruned
+    assert counts.pruned > counts.rows // 4
 
 
 def test_decodes_near_tie_reaches_full_sum():
-    # Pick beta so that beta times the K-nearest bound sits 5e-14 above g:
-    # inside the pruning margin, so the row takes the full sum.
+    # Pick beta so that beta times the nearest interferer's power sits a
+    # relative 5e-14 above the signal: inside the pruning margin, so the row
+    # takes the full sum.  At 1e-9 the interferer alone refuses it.
     ps = gen_grid(GridSpec("square", 1.0), 20.0)
     i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
     rx = np.array([[0.37, 0.21]])
     alpha = 4.0
     d2 = ((ps.points - rx) ** 2).sum(axis=1)
     u = d2 / d2.min()
-    near = [j for j in np.argsort(d2)[:DECODE_NEIGHBORS] if j != i]
-    g = u[i] ** (-0.5 * alpha)
-    lower = np.sum(u[near] ** (-0.5 * alpha))
+    j = np.argsort(d2)[1]  # (1, 0), one of i's four nearest neighbours
+    ratio = (u[i] / u[j]) ** (-0.5 * alpha)
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     for rel, pruned in ((5e-14, 0), (1e-9, 1)):
-        beta = g / lower * (1.0 + rel)
+        beta = ratio * (1.0 + rel)
         counts = DecodeCounts()
         got = decodes(rx, ps, i, ChannelModel(alpha, beta), counts)
         want = direct_decisions(rx, ps.points, i, alpha, (beta,), guard2)[0]
@@ -243,41 +237,37 @@ def test_decodes_near_tie_reaches_full_sum():
 
 @pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal"])
 def test_decodes_on_voronoi_bisectors(kind, decision_sets):
-    # Receivers on the bisector between i and each of its nearest
-    # transmitters, and 1e-12 and 1e-9 relative to either side of it.
+    # Receivers on the Apollonius circle |y| = c |y - v|, c = beta^(-1/alpha),
+    # between i and each of its nearest transmitters x_j = x_i + v (the
+    # bisector at beta = 1), and 1e-12 and 1e-9 relative to either side of
+    # it: y = c (1 + r) v / (c (1 + r) - e^(-i phi)).
     ps = decision_sets[kind]
     pts = ps.points
-    assert len(pts) >= DECODE_MIN_POINTS
     i = int(np.argmin(np.hypot(pts[:, 0], pts[:, 1])))
     d2 = ((pts - pts[i]) ** 2).sum(axis=1)
     d2[i] = np.inf
-    rx, rel = [], []
-    for j in np.argsort(d2)[:DECODE_CELL_NEIGHBORS]:
-        v = pts[j] - pts[i]
-        along = np.array([-v[1], v[0]])
-        for t in np.linspace(-1.0, 1.0, 9):
-            for r in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9):
-                rx.append(pts[i] + 0.5 * (1.0 + r) * v + t * along)
-                rel.append(r)
-    rx, rel = np.array(rx), np.array(rel)
+    nearest = np.argsort(d2)[:DECODE_NEIGHBORS]
+    rel = np.repeat([-1e-9, -1e-12, 0.0, 1e-12, 1e-9], 9)
+    turn = np.exp(-1j * np.tile(np.linspace(0.5, 1.5, 9) * np.pi, 5))
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
-    betas = (0.5, 1.0, 10.0)
     for alpha in (3.0, 4.0, 100.0):
-        want = direct_decisions(rx, pts, i, alpha, betas, guard2)
-        for beta, w in zip(betas, want):
+        for beta in (0.05, 0.5, 1.0, 10.0):
+            c = beta ** (-1.0 / alpha) * (1.0 + rel)
+            rx = []
+            for j in nearest:
+                v = complex(*(pts[j] - pts[i]))
+                y = c * v / (c - turn)
+                rx.append(pts[i] + np.column_stack((y.real, y.imag)))
+            rx = np.concatenate(rx)
+            past = np.tile(rel == 1e-9, len(nearest))
+            model = ChannelModel(alpha, beta)
+            want = direct_decisions(rx, pts, i, alpha, (beta,), guard2)[0]
+            assert np.array_equal(decodes(rx, ps, i, model), want), \
+                (alpha, beta)
+            # Every receiver 1e-9 past a circle is refused without the sum.
             counts = DecodeCounts()
-            got = decodes(rx, ps, i, ChannelModel(alpha, beta), counts)
-            assert np.array_equal(got, w), (alpha, beta)
-            # The cell pass runs for beta >= 1 only.
-            assert (counts.cell > 0) == (beta >= 1.0)
-    # A pruned receiver is strictly nearer to another transmitter than to
-    # i; every receiver 1e-9 past a bisector is pruned.
-    out = _outside_cell(rx, pts, i, guard2)
-    d2 = ((rx[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    di = d2[:, i].copy()
-    d2[:, i] = np.inf
-    assert np.all(d2[out].min(axis=1) < di[out])
-    assert np.all(out[rel == 1e-9])
+            assert not decodes(rx[past], ps, i, model, counts).any()
+            assert counts.pruned == counts.rows == np.count_nonzero(past)
 
 
 def test_decodes_cell_pass_spares_the_guard():
@@ -293,6 +283,25 @@ def test_decodes_cell_pass_spares_the_guard():
     want = direct_decisions(rx, pts, i, 4.0, (1.0,), guard2)[0]
     assert want.tolist() == [True, False]
     assert np.array_equal(decodes(rx, ps, i, ChannelModel(4.0, 1.0)), want)
+
+
+def test_decodes_memory_is_bounded():
+    # 900 receivers inside i's Voronoi cell survive the pass; their full
+    # sum over 40 401 transmitters is built in bounded row chunks.
+    ps = gen_grid(GridSpec("square", 1.0), 100.0)
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    t = np.linspace(-0.45, 0.45, 30)
+    gx, gy = np.meshgrid(t, t)
+    rx = ps.points[i] + np.column_stack([gx.ravel(), gy.ravel()])
+    counts = DecodeCounts()
+    tracemalloc.start()
+    try:
+        decodes(rx, ps, i, ChannelModel(4.0, 1.0), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.full == 900
+    assert peak < 32 * 2 ** 20
 
 
 def test_singularity_guard():
@@ -371,6 +380,14 @@ def test_raster_field(tmp_path):
     # SIR is largest nearest the probe transmitter.
     iy, ix = np.unravel_index(np.argmax(s), s.shape)
     assert math.hypot(xs[ix], ys[iy]) < 0.5
+    # The SIR is scale-free: at alpha 100 raw powers underflow at d = 2000.
+    sirs = []
+    for d in (1.0, 2000.0):
+        ps = gen_grid(GridSpec("square", d), 10.0 * d)
+        i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+        sirs.append(raster_field(ps, 100.0, 10.0 * d, 4, "sir", i)[2])
+    assert np.all(sirs[0] > 0)
+    np.testing.assert_allclose(sirs[1], sirs[0], rtol=1e-12, atol=0.0)
 
 
 def test_channel_model_validation():

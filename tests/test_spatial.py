@@ -167,9 +167,8 @@ def test_with_pose():
     GridSpec("hexagonal", 0.8), GridSpec("rectangular", 1.0, 0.5, 2.0),
     GridSpec("linear", 0.7, 1.0, 3.0)])
 def test_window_points_equal_gen_grid(spec):
-    # The posed index disc gives gen_grid's points, float for float, for
-    # any pose; anchors near the window's corners and edges need the
-    # disc's full reach.
+    # window_points gives gen_grid's points, float for float, for any
+    # pose, anchors near the window's corners and edges included.
     rng = np.random.default_rng(7)
     extent = 6.3
     for k in range(60):
