@@ -10,7 +10,8 @@ direct sum whose remainder lies below double precision.
 
 As alpha grows the reception region tends to the Voronoi cell of the
 transmitter regardless of beta, giving closed forms for the normalized
-range of each pattern (corner distance of the cell times sqrt(density)).
+range of each pattern (the cell's corner distance, or covering radius,
+times sqrt(density)).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 import numpy as np
 
 from .propagation import ChannelModel
-from .reception import TracerConfig, grid_range
-from .spatial import GridSpec, _basis, gen_grid, grid_density
+from .reception import grid_range
+from .spatial import (GridSpec, _basis, covering_radius, gen_grid,
+                      grid_density)
 
 # From this alpha on the lattice sum is taken directly: above it the
 # formula's dual series cancels (7e-11 relative on the triangular form at
@@ -87,28 +89,22 @@ def beta_inf_range(spec: GridSpec, alpha: float) -> float:
 
 
 def alpha_inf_range(kind: str, k1: float = 1.0, k2: float = 1.0) -> float:
-    """Normalized maximum range in the large-alpha (Voronoi) limit.
+    """Normalized maximum range in the large-alpha (Voronoi) limit: the
+    covering radius of the unit pattern times sqrt(density).
 
     square       1/sqrt(2)
     hexagonal    2/sqrt(3 sqrt(3))
     triangular   sqrt(2/(3 sqrt(3)))
     rectangular  (1/2) sqrt(((k1/k2)^2 + 1)/(k1/k2)), also for 'linear'
+
+    :class:`GridSpec` refuses an unknown kind or k1 > k2 (ValueError).
     """
-    if kind == "square":
-        return 1.0 / math.sqrt(2.0)
-    if kind == "hexagonal":
-        return 2.0 / math.sqrt(3.0 * math.sqrt(3.0))
-    if kind == "triangular":
-        return math.sqrt(2.0 / (3.0 * math.sqrt(3.0)))
-    if kind in ("rectangular", "linear"):
-        rho = k1 / k2
-        return 0.5 * math.sqrt((rho * rho + 1.0) / rho)
-    raise ValueError(f"unknown grid kind {kind!r}")
+    spec = GridSpec(kind, 1.0, k1, k2)
+    return covering_radius(spec) * math.sqrt(grid_density(spec))
 
 
 def voronoi_limit_check(spec: GridSpec, alpha_large: float,
-                        extent: float | None = None,
-                        cfg: TracerConfig | None = None) -> dict:
+                        extent: float | None = None) -> dict:
     """Trace the boundary at (beta = 1, alpha_large) and report the
     relative deviation of r1 from the Voronoi-cell closed form.
 
@@ -120,7 +116,7 @@ def voronoi_limit_check(spec: GridSpec, alpha_large: float,
     if extent is None:
         extent = 60.0 * spec.d * max(1.0, spec.k2)
     model = ChannelModel(alpha=alpha_large, beta=1.0)
-    res = grid_range(spec, model, extent=extent, cfg=cfg)
+    res = grid_range(spec, model, extent=extent)
     limit = alpha_inf_range(spec.kind, spec.k1, spec.k2)
     return {
         "pattern": spec.kind,

@@ -201,10 +201,9 @@ def _cmd_trace(cfg: RunConfig) -> str:
     p = cfg.params
     model = _model(p)
     spec = _grid_spec(p)
-    ps = spatial.gen_grid(spec, p["extent"])
-    i = reception.origin_index(ps)
-    tcfg = reception.TracerConfig(dt=p["dt"], start_direction=p["direction"])
-    trace = reception.trace_contour(i, ps, model, tcfg)
+    ps, i = reception.lattice_probe(spec, p["extent"])
+    trace = reception.trace_contour(i, ps, model, dt=p["dt"],
+                                    direction=p["direction"])
     _write_rows_csv(cfg.output_path, ["x", "y"], trace.vertices.tolist())
     summary = reception.trace_summary(trace, spec, model, ps.density)
     _write_json(cfg.output_path + ".summary.json", summary)
@@ -217,8 +216,7 @@ def _cmd_fading_curve(cfg: RunConfig) -> str:
     det_model = _model(p)
     fad_model = _model(p, fading="exponential")
     spec = _grid_spec(p)
-    ps = spatial.gen_grid(spec, p["extent"])
-    i = reception.origin_index(ps)
+    ps, i = reception.lattice_probe(spec, p["extent"])
     # Stop short of the diagonal lattice neighbor where the SIR is singular.
     diag = np.array([spec.d, spec.d])
     ts = np.linspace(0.02, 0.98, p["n"])
@@ -288,12 +286,12 @@ def _cmd_field(cfg: RunConfig) -> str:
     model = _model(p)
     if p["pattern"] == "poisson":
         ps = spatial.gen_poisson(p["lam"], p["extent"], cfg.seed)
+        i = reception.origin_index(ps)
     else:
-        ps = spatial.gen_grid(_grid_spec(p), p["extent"])
+        ps, i = reception.lattice_probe(_grid_spec(p), p["extent"])
     window = p["window"] or p["extent"]
     xs, ys, vals = raster_field(ps, model.alpha, window, p["n"],
-                                quantity=p["quantity"],
-                                i=reception.origin_index(ps))
+                                quantity=p["quantity"], i=i)
     xl = xs.tolist()
     rows = ([x, y, v] for y, line in zip(ys.tolist(), vals.tolist())
             for x, v in zip(xl, line))  # vals is indexed [iy, ix]

@@ -14,8 +14,9 @@ class SingularityError(MacGeoError):
 
 
 class UnboundedReceptionError(MacGeoError):
-    """No SIR-threshold crossing found along the search ray; the reception
-    region is unbounded (or extends past the network edge)."""
+    """No closed boundary around the transmitter: the search ray finds no
+    SIR-threshold crossing (the region is unbounded or passes the network
+    edge), or the curve it finds bounds an interferer's exclusion hole."""
 
 
 class NonClosureError(MacGeoError):

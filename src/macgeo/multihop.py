@@ -46,8 +46,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .propagation import ChannelModel, decodes, fading_success_prob
-from .spatial import (GridSpec, PointSet, grid_density, points_near,
-                      window_points, with_pose)
+from .spatial import (GridSpec, PointSet, check_budget, grid_density,
+                      points_near, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
@@ -55,8 +55,6 @@ from .spatial import gen_grid  # noqa: F401
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
-# Largest expected node population nu * (2 * extent)^2 a run may draw.
-MAX_NODES = 2_000_000
 # Source/destination draws per tracked packet before giving up.
 PAIR_DRAWS = 10_000
 # A virtual lattice point snaps to the nearest node within d / SNAP_DIVISOR.
@@ -76,7 +74,7 @@ class SimConfig:
     seed          root seed; everything downstream derives from it
 
     The expected population nu * (2 * extent)^2 must stay within
-    MAX_NODES; the check runs before anything is drawn.
+    spatial.MAX_POINTS; the check runs before anything is drawn.
     """
 
     node_density: float
@@ -91,10 +89,8 @@ class SimConfig:
             raise ValueError("node density and extent must be positive")
         if self.slots < 1:
             raise ValueError("slot budget must be positive")
-        expected = self.node_density * (2.0 * self.extent) ** 2
-        if expected > MAX_NODES:
-            raise ValueError(f"expected node population {expected:.3g} exceeds "
-                             f"the budget of {MAX_NODES}; lower nu or extent")
+        check_budget(self.node_density * (2.0 * self.extent) ** 2,
+                     "expected nodes of the population (lower nu or extent)")
         lam = self.scheme_density
         if self.node_density < lam:
             raise ValueError("node density below the scheme's transmitter density")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DivergentMomentError, FloatRangeError,
                      SingularityError, UnsupportedFadingError)
-from .spatial import PointSet
+from .spatial import PointSet, check_budget
 
 FADING_KINDS = ("none", "log_uniform", "exponential")
 
@@ -453,6 +453,7 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     """
     if quantity not in ("w", "sir"):
         raise ValueError("quantity must be 'w' or 'sir'")
+    check_budget(n * n, "raster cells")
     step = 2.0 * extent / n
     xs = -extent + (np.arange(n) + 0.5) * step
     ys = xs.copy()

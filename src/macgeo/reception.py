@@ -15,8 +15,9 @@ the SIR gradient are parallel, i.e. where their 2D cross product changes
 sign along the curve.
 
 For beta < 1 the reception region can be unbounded or split into several
-components; the tracer then reports an error, and grid_range falls back to
-the membership-grid routines below.
+components, or the start ray can meet an interferer's exclusion hole; the
+tracer then raises (its closed curve must enclose the transmitter), and
+grid_range falls back to the membership-grid routines below.
 """
 
 from __future__ import annotations
@@ -34,38 +35,16 @@ from .errors import (MacGeoError, NonClosureError, StationaryPointError,
 from .propagation import (DECODE_MARGIN, SINGULARITY_GUARD, ChannelModel,
                           Field, _chunks, decodes, fading_success_prob, sir,
                           sir_and_gradient)
-from .spatial import GridSpec, PointSet, gen_grid, grid_density
+from .spatial import (GridSpec, PointSet, check_budget, covering_radius,
+                      gen_grid, grid_density)
 
 _log = logging.getLogger(__name__)
 _GRAD_FLOOR = 1e-15
 _J = np.array([(0.0, 1.0), (-1.0, 0.0)])
-
-
-@dataclass(frozen=True)
-class TracerConfig:
-    """Numerical knobs of the contour tracer.
-
-    dt               step length in meters; None resolves to scale/200
-    contour_tol      relative SIR tolerance kept on every vertex, in (0, 0.1]
-    max_steps        step budget before the non-closure signal (>= 1000)
-    start_direction  ray direction (radians) used to find the first vertex
-    """
-
-    dt: float | None = None
-    contour_tol: float = 1e-6
-    max_steps: int = 1_000_000
-    start_direction: float = 0.0
-
-    def __post_init__(self):
-        if self.dt is not None and not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if not (0 < self.contour_tol <= 0.1):
-            raise ValueError("contour_tol must lie in (0, 0.1]")
-        if self.max_steps < 1000:
-            raise ValueError("max_steps must be at least 1000")
-
-    def resolve_dt(self, ps: PointSet) -> float:
-        return self.dt if self.dt is not None else ps.scale / 200.0
+# Relative SIR tolerance kept on every traced vertex.
+CONTOUR_TOL = 1e-6
+# Step budget of one trace before the non-closure signal.
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -108,7 +87,7 @@ def _project(field, beta, z, tol, max_iter=8):
 
 
 def find_contour_start(i: int, ps: PointSet, model: ChannelModel,
-                       direction: float, cfg: TracerConfig | None = None):
+                       direction: float):
     """First boundary point: bisection along the ray from the transmitter.
 
     Marches outward (doubling) until the SIR drops below beta, then
@@ -116,11 +95,10 @@ def find_contour_start(i: int, ps: PointSet, model: ChannelModel,
     Raises :class:`UnboundedReceptionError` when no crossing exists within
     twice the window extent (possible for beta < 1).
     """
-    return _contour_start(Field(ps, i, model.alpha), model.beta, direction,
-                          cfg or TracerConfig())
+    return _contour_start(Field(ps, i, model.alpha), model.beta, direction)
 
 
-def _contour_start(field, beta, direction, cfg):
+def _contour_start(field, beta, direction):
     if beta <= 0:
         raise ValueError("contour search requires beta > 0")
     u = np.array([math.cos(direction), math.sin(direction)])
@@ -142,34 +120,40 @@ def _contour_start(field, beta, direction, cfg):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = field.sir(zi + mid * u)
-        if abs(val - beta) <= cfg.contour_tol * beta:
+        if abs(val - beta) <= CONTOUR_TOL * beta:
             return zi + mid * u
         if val >= beta:
             lo = mid
         else:
             hi = mid
     # Interval collapsed to rounding; polish with Newton.
-    z, _, _ = _project(field, beta, zi + 0.5 * (lo + hi) * u, cfg.contour_tol)
+    z, _, _ = _project(field, beta, zi + 0.5 * (lo + hi) * u, CONTOUR_TOL)
     return z
 
 
 def trace_contour(i: int, ps: PointSet, model: ChannelModel,
-                  cfg: TracerConfig | None = None) -> ContourTrace:
-    """Follow the closed SIR level curve of transmitter i.
+                  dt: float | None = None, direction: float = 0.0) -> ContourTrace:
+    """Follow the closed SIR level curve of transmitter i, from the ray at
+    angle ``direction`` (radians), in steps of ``dt`` meters (scale/200 by
+    default).
 
     Each Euler predictor step is re-projected onto the level set, so every
-    returned vertex obeys |S - beta| <= contour_tol * beta.  The trace
+    returned vertex obeys |S - beta| <= CONTOUR_TOL * beta.  The trace
     terminates once it returns within dt of the start (after at least 10
-    steps, with a matching heading); exhausting the step budget raises
-    :class:`NonClosureError` with the partial trace attached.  One
-    :class:`Field` serves every SIR evaluation of the trace.
+    steps, with a matching heading); exhausting MAX_STEPS raises
+    :class:`NonClosureError` with the partial trace attached, and a curve
+    that misses the transmitter (an exclusion hole) raises
+    :class:`UnboundedReceptionError`.  One :class:`Field` serves every SIR
+    evaluation of the trace.
     """
-    cfg = cfg or TracerConfig()
+    if dt is None:
+        dt = ps.scale / 200.0
+    elif not (dt > 0):
+        raise ValueError("dt must be positive")
     beta = model.beta
-    dt = cfg.resolve_dt(ps)
     field = Field(ps, i, model.alpha)
-    z0 = _contour_start(field, beta, cfg.start_direction, cfg)
-    z0, _, g0 = _project(field, beta, z0, cfg.contour_tol)
+    z0 = _contour_start(field, beta, direction)
+    z0, _, g0 = _project(field, beta, z0, CONTOUR_TOL)
     t0 = _J @ (g0 / np.linalg.norm(g0))
 
     verts = [z0]
@@ -177,12 +161,12 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     z, g = z0, g0
     closed = False
     steps = 0
-    while steps < cfg.max_steps:
+    while steps < MAX_STEPS:
         n = math.hypot(g[0], g[1])
         if n < _GRAD_FLOOR:
             raise StationaryPointError("vanishing SIR gradient on the contour")
         z_pred = z + dt * (_J @ g) / n
-        z, s, g = _project(field, beta, z_pred, cfg.contour_tol)
+        z, s, g = _project(field, beta, z_pred, CONTOUR_TOL)
         verts.append(z)
         grads.append(g)
         steps += 1
@@ -193,14 +177,17 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
                 break
     vertices = np.array(verts)
     if not closed:
-        partial = ContourTrace(vertices, vertices[int(np.argmax(
-            np.hypot(vertices[:, 0] - ps.points[i][0],
-                     vertices[:, 1] - ps.points[i][1])))],
-            float("nan"), False, steps)
+        far = int(np.argmax(np.hypot(*(vertices - field.center).T)))
+        partial = ContourTrace(vertices, vertices[far], float("nan"), False,
+                               steps)
         raise NonClosureError(
-            f"contour did not close within {cfg.max_steps} steps", trace=partial)
+            f"contour did not close within {MAX_STEPS} steps", trace=partial)
+    if not point_in_polygon(field.center, vertices):
+        raise UnboundedReceptionError(
+            f"the curve traced at beta={beta:g} does not enclose transmitter "
+            f"{i}: the start ray met an interferer's exclusion hole")
 
-    r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta, cfg)
+    r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta)
     _log.debug("trace of transmitter %d: %d steps, %d near points, expansion "
                "order %d, %d exact-path queries", i, steps, field.near_points,
                field.order, field.exact_queries)
@@ -214,7 +201,7 @@ def _cross_of(zi, z, g):
     return (dz[0] * g[1] - dz[1] * g[0]) / r
 
 
-def _max_range_refined(vertices, grads, field, beta, cfg):
+def _max_range_refined(vertices, grads, field, beta):
     """Distance maximizer over the traced curve.
 
     Locates sign changes of cross(grad D, grad S) between consecutive
@@ -244,7 +231,7 @@ def _max_range_refined(vertices, grads, field, beta, cfg):
         zm, gm = va, grads[a]
         for _ in range(48):
             zm = 0.5 * (va + vb)
-            zm, _, gm = _project(field, beta, zm, cfg.contour_tol)
+            zm, _, gm = _project(field, beta, zm, CONTOUR_TOL)
             cm = _cross_of(zi, zm, gm)
             if cm == 0.0 or math.hypot(*(va - vb)) < 1e-10 * field.ps.scale:
                 break
@@ -263,10 +250,10 @@ def _max_range_refined(vertices, grads, field, beta, cfg):
     d = np.hypot(cand[:, 0] - zi[0], cand[:, 1] - zi[1])
     r_max = float(d.max())
     # Candidates on the level set are only located to within the
-    # projection band contour_tol * beta / |grad S|; tie detection has to
+    # projection band CONTOUR_TOL * beta / |grad S|; tie detection has to
     # be at least that wide or exact lattice symmetries break by rounding.
     k_best = int(np.argmax(d))
-    slop = 3.0 * cfg.contour_tol * beta / max(cand_gnorm[k_best], _GRAD_FLOOR)
+    slop = 3.0 * CONTOUR_TOL * beta / max(cand_gnorm[k_best], _GRAD_FLOOR)
     near = d >= r_max - max(slop, 1e-9 * r_max)
     tied = cand[near]
     ang = np.mod(np.arctan2(tied[:, 1] - zi[1], tied[:, 0] - zi[0]), 2.0 * math.pi)
@@ -373,6 +360,7 @@ def membership_grid(i: int, ps: PointSet, model: ChannelModel,
     """
     if n < 1:
         raise ValueError("the raster needs at least one cell per side")
+    check_budget(n * n, "raster cells")
     zi = ps.points[i]
     step = 2.0 * extent / n
     b = min(RASTER_BLOCK, n)
@@ -577,12 +565,20 @@ def max_range_membership(i: int, ps: PointSet, model: ChannelModel,
 def origin_index(ps: PointSet, at=(0.0, 0.0)) -> int:
     """Index of the transmitter closest to ``at`` (the probe)."""
     pts = ps.points
-    k = int(np.argmin((pts[:, 0] - at[0]) ** 2 + (pts[:, 1] - at[1]) ** 2))
-    return k
+    return int(np.argmin((pts[:, 0] - at[0]) ** 2 + (pts[:, 1] - at[1]) ** 2))
+
+
+def lattice_probe(spec: GridSpec, extent: float) -> tuple[PointSet, int]:
+    """The pattern's points in [-extent, extent]^2 and the index of its
+    probe, the lattice point at the spec's translation."""
+    ps = gen_grid(spec, extent)
+    i = origin_index(ps, spec.translation)
+    if math.hypot(*(ps.points[i] - spec.translation)) > 1e-6 * spec.d:
+        raise MacGeoError("probe transmitter missing from the window center")
+    return ps, i
 
 
 def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
-               cfg: TracerConfig | None = None,
                verify_truncation: bool = False) -> RangeResult:
     """Maximum range (r_lambda, r1) of the probe transmitter of a grid
     scheme.
@@ -599,17 +595,9 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
     lam = grid_density(spec)
 
     def _run(ext):
-        ps = gen_grid(spec, ext)
-        i = origin_index(ps, spec.translation)
-        ref = np.asarray(spec.translation, dtype=float)
-        if math.hypot(*(ps.points[i] - ref)) > 1e-6 * spec.d:
-            raise MacGeoError("probe transmitter missing from the window center")
+        ps, i = lattice_probe(spec, ext)
         try:
-            trace = trace_contour(i, ps, model, cfg)
-            if point_in_polygon(ps.points[i], trace.vertices):
-                return trace.r_lambda, "trace"
-            # Otherwise the start ray hit an interferer's exclusion-hole
-            # boundary (possible for beta < 1), not the probe's outer one.
+            return trace_contour(i, ps, model).r_lambda, "trace"
         except (UnboundedReceptionError, NonClosureError):
             pass
         return _raster_range(spec, model, ext), "membership"
@@ -624,22 +612,18 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
 
 
 def _raster_range(spec: GridSpec, model: ChannelModel, extent: float) -> float:
-    """r_lambda from membership rasters of 384 cells a side, on a window
-    that starts at 4 lattice scales (more where beta < 1 widens the
-    region) and doubles until the region ends well inside it or the
-    window reaches ``extent``."""
+    """r_lambda from a membership raster of 384 cells a side.  A decoder z
+    needs g_i(z) >= beta g_j(z) for its nearest pattern point j, so it lies
+    within reach = max(1, beta^(-1/alpha)) covering radii of the probe; the
+    window is reach times 1.25 covering radii (at least 4 lattice scales),
+    up to ``extent``."""
     scale = 1.0 / math.sqrt(grid_density(spec))
-    window = 4.0 * scale * max(1.0, model.beta ** (-1.0 / model.alpha))
-    while True:
-        window = min(window, extent)
-        # Interferers beyond ~3 windows shift the frontier by well under
-        # the raster cell; keep the set small.
-        ps = gen_grid(spec, min(extent, 3.0 * window + 5.0 * scale))
-        i = origin_index(ps, spec.translation)
-        r_lam = max_range_membership(i, ps, model, window, n=384)
-        if r_lam < 0.8 * window or window >= extent:
-            return r_lam
-        window *= 2.0
+    reach = max(1.0, model.beta ** (-1.0 / model.alpha))
+    window = min(extent, reach * max(4.0 * scale, 1.25 * covering_radius(spec)))
+    # Interferers beyond ~3 windows shift the frontier by well under the
+    # raster cell; keep the set small.
+    ps, i = lattice_probe(spec, min(extent, 3.0 * window + 5.0 * scale))
+    return max_range_membership(i, ps, model, window, n=384)
 
 
 def point_in_polygon(z, vertices: np.ndarray) -> bool:

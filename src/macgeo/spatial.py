@@ -23,6 +23,8 @@ if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 GRID_KINDS = ("square", "rectangular", "hexagonal", "triangular", "linear")
+# Largest point set, raster or node population a call may build.
+MAX_POINTS = 2_000_000
 
 # Boundary test tolerance, relative to the lattice parameter: points that
 # land on the window edge up to rotation round-off are kept.
@@ -127,6 +129,25 @@ def grid_density(spec: GridSpec) -> float:
     raise ValueError(f"unknown grid kind {spec.kind!r}")
 
 
+def covering_radius(spec: GridSpec) -> float:
+    """Largest distance from any point of the plane to its nearest pattern
+    point, in meters: the corner distance of the Voronoi cell."""
+    if spec.kind == "square":
+        return spec.d / math.sqrt(2.0)
+    if spec.kind in ("rectangular", "linear"):
+        return 0.5 * spec.d * math.hypot(spec.k1, spec.k2)
+    if spec.kind == "triangular":
+        return spec.d / math.sqrt(3.0)
+    return spec.d  # hexagonal: the centre of a honeycomb hexagon
+
+
+def check_budget(count: float, what: str) -> None:
+    """Refuse, before anything is allocated, ``count`` points or cells
+    (``what`` names them) above MAX_POINTS."""
+    if not (count <= MAX_POINTS):
+        raise ValueError(f"{count:.3g} {what} exceed the budget of {MAX_POINTS}")
+
+
 def _basis(spec: GridSpec):
     """Primitive vectors and in-cell offsets of the pattern, pre-pose."""
     d = spec.d
@@ -189,6 +210,7 @@ def window_points(spec: GridSpec, extent: float) -> np.ndarray:
     no PointSet built (and so no distinctness check)."""
     if not (extent > 0):
         raise ValueError("extent must be positive")
+    check_budget(grid_density(spec) * (2.0 * extent) ** 2, "lattice points")
     A, _ = _basis(spec)
     R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)
@@ -252,8 +274,9 @@ def gen_poisson(lam: float, extent: float, seed) -> PointSet:
         raise ValueError("intensity must be positive")
     if not (extent > 0):
         raise ValueError("extent must be positive")
-    rng = np.random.default_rng(seed)
     area = (2.0 * extent) ** 2
+    check_budget(lam * area, "expected Poisson points")
+    rng = np.random.default_rng(seed)
     n = rng.poisson(lam * area)
     return PointSet(rng.uniform(-extent, extent, size=(n, 2)), lam, extent)
 

@@ -142,6 +142,10 @@ def test_alpha_closed_forms():
         0.5 * math.sqrt((0.0625 + 1) / 0.25))
     rows = dict((k, v) for k, _, v in alpha_inf_table() if k == "square")
     assert rows["square"] == pytest.approx(0.707, abs=5e-4)
+    for kind, k1, k2 in (("rectangular", 2.0, 1.0), ("square", 1.0, 2.0),
+                         ("dodecagonal", 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            alpha_inf_range(kind, k1, k2)
 
 
 def test_voronoi_limit_square():

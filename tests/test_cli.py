@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import macgeo
-from macgeo.cli import (_COMMANDS, EXIT_BAD_PARAM, EXIT_IO, EXIT_OK,
-                        RunConfig, _build_parser, main, parse_fading, run,
-                        sweep)
+from macgeo.cli import (_COMMANDS, EXIT_BAD_PARAM, EXIT_IO, EXIT_NUMERIC,
+                        EXIT_OK, RunConfig, _build_parser, main, parse_fading,
+                        run, sweep)
+from macgeo.propagation import raster_field
+from macgeo.reception import origin_index
+from macgeo.spatial import GridSpec, gen_grid
 
 
 def invoke(args, tmp_path, monkeypatch, out_name=None):
@@ -226,6 +229,53 @@ def test_field_command(tmp_path, monkeypatch):
     header, rows = read_csv(tmp_path / "field.csv")
     assert header == ["x", "y", "value"]
     assert len(rows) == 256
+
+
+def test_field_command_on_a_lattice(tmp_path, monkeypatch):
+    rc = invoke(["field", "--pattern", "square", "--d", "1", "--extent", "5",
+                 "--n", "16", "--quantity", "sir"], tmp_path, monkeypatch)
+    assert rc == EXIT_OK
+    _, rows = read_csv(tmp_path / "field.csv")
+    ps = gen_grid(GridSpec("square", 1.0), 5.0)
+    xs, ys, vals = raster_field(ps, 4.0, 5.0, 16, quantity="sir",
+                                i=origin_index(ps))
+    want = [[f"{v:.12g}" for v in (x, y, vals[iy, ix])]
+            for iy, y in enumerate(ys) for ix, x in enumerate(xs)]
+    assert rows == want
+
+
+def test_trace_on_an_exclusion_hole_exits_5(tmp_path, monkeypatch, capsys):
+    # The start ray's first crossing bounds the hole around the interferer
+    # at (1, 0); that curve is not the probe's range.
+    rc = invoke(["trace", "--pattern", "square", "--d", "1", "--extent", "20",
+                 "--beta", "1e-5"], tmp_path, monkeypatch)
+    assert rc == EXIT_NUMERIC
+    assert "UnboundedReceptionError" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid-range", "--extent", "1e6"],
+    ["field", "--pattern", "square", "--n", "50000"]])
+def test_point_budget_exits_3_before_allocating(tmp_path, argv):
+    # Under a 1 GiB address-space limit an allocation of the requested
+    # size (tens of GiB) fails at once, so a missing budget check shows as
+    # a MemoryError traceback (exit 1), not as a long run.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(macgeo.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "MACGEO_OUTDIR"}
+    out = subprocess.run([sys.executable, "-m", "macgeo.cli", *argv],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         preexec_fn=limit, timeout=60,
+                         env={**env, "PYTHONPATH": src,
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == EXIT_BAD_PARAM, out.stderr
+    assert "exceed the budget" in out.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_command(tmp_path, monkeypatch):

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 from helpers import full_sir_and_gradient, rowwise_membership
 
-from macgeo.errors import (NonClosureError, UnboundedReceptionError,
-                           UnsupportedFadingError)
+from macgeo import reception
+from macgeo.errors import (MacGeoError, NonClosureError,
+                           UnboundedReceptionError, UnsupportedFadingError)
 from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
                                 fading_success_prob, raster_field, sir)
-from macgeo.reception import (ContourTrace, RasterCounts, TracerConfig,
-                              find_contour_start, grid_range,
+from macgeo.reception import (ContourTrace, RasterCounts, find_contour_start,
+                              grid_range,
                               grid_success_prob_fading,
-                              grid_success_prob_nofading,
+                              grid_success_prob_nofading, lattice_probe,
                               max_range_membership, membership_grid,
                               normalized_range, origin_index,
                               point_in_polygon, trace_contour, trace_summary)
-from macgeo.spatial import GridSpec, PointSet, gen_grid, gen_poisson
+from macgeo.spatial import (GridSpec, PointSet, covering_radius, gen_grid,
+                            gen_poisson)
 
 APOLLO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 10.0)
 
@@ -72,7 +74,7 @@ def test_max_range_apollonius(c, alpha):
     assert trace.r_lambda == pytest.approx(1.0 / (c - 1.0), rel=1e-3)
 
 
-def test_first_order_convergence_without_corrector():
+def test_first_order_convergence_without_corrector(monkeypatch):
     # With a loose tolerance the Newton corrector stays quiet, so the raw
     # Euler recurrence is exposed: halving dt halves the drift.  Every
     # level set of the two-transmitter field is an Apollonius circle, so
@@ -81,11 +83,12 @@ def test_first_order_convergence_without_corrector():
     model = apollo_model(2.0)
     arc = 0.25 * 2.0 * math.pi * (2.0 / 3.0)
 
+    monkeypatch.setattr(reception, "CONTOUR_TOL", 0.1)
+
     def max_dev(dt):
-        cfg = TracerConfig(dt=dt, contour_tol=0.1,
-                           max_steps=max(1000, round(arc / dt)))
+        monkeypatch.setattr(reception, "MAX_STEPS", max(1000, round(arc / dt)))
         try:
-            trace_contour(0, APOLLO, model, cfg)
+            trace_contour(0, APOLLO, model, dt=dt)
             raise AssertionError("expected the fixed-arc budget to stop the trace")
         except NonClosureError as err:
             verts = err.trace.vertices
@@ -100,11 +103,11 @@ def test_first_order_convergence_without_corrector():
 
 
 def test_all_vertices_on_level_set():
-    cfg = TracerConfig(contour_tol=1e-6)
+    assert reception.CONTOUR_TOL == 1e-6
     model = ChannelModel(4.0, 10.0)
     ps = gen_grid(GridSpec("square", 1.0), 40.0)
     i = origin_index(ps)
-    trace = trace_contour(i, ps, model, cfg)
+    trace = trace_contour(i, ps, model)
     for v in trace.vertices[:: max(1, len(trace.vertices) // 50)]:
         assert abs(sir(i, v, ps, 4.0) - 10.0) <= 1e-6 * 10.0
 
@@ -126,8 +129,8 @@ def test_square_grid_fourfold_symmetry():
     model = ChannelModel(4.0, 10.0)
     rs = []
     for k in range(4):
-        cfg = TracerConfig(start_direction=k * math.pi / 2.0)
-        rs.append(trace_contour(i, ps, model, cfg).r_lambda)
+        rs.append(trace_contour(i, ps, model,
+                                direction=k * math.pi / 2.0).r_lambda)
     spread = (max(rs) - min(rs)) / max(rs)
     assert spread < 1e-6
 
@@ -145,6 +148,41 @@ def test_grid_range_homothety():
     b = grid_range(GridSpec("square", 50.0), model, extent=2000.0)
     assert abs(a.r1 - b.r1) / a.r1 < 0.005
     assert b.r_lambda == pytest.approx(2.0 * a.r_lambda, rel=0.005)
+
+
+def test_trace_refuses_an_exclusion_hole():
+    # At beta 1e-5 the SIR stays above beta along the start ray up to the
+    # interferer at (1, 0), and the first crossing bounds that
+    # interferer's exclusion hole, a closed curve that misses the probe.
+    ps = gen_grid(GridSpec("square", 1.0), 20.0)
+    with pytest.raises(UnboundedReceptionError, match="exclusion hole"):
+        trace_contour(origin_index(ps), ps, ChannelModel(4.0, 1e-5))
+
+
+@pytest.mark.parametrize("spec", [GridSpec("square", 1.0),
+                                  GridSpec("linear", 1.0, 1.0, 64.0),
+                                  GridSpec("hexagonal", 1.0)])
+def test_raster_range_within_the_covering_bound(spec):
+    # A decoder lies within max(1, beta^(-1/alpha)) covering radii of the
+    # probe, so the raster's window (1.25 times that) holds the region.
+    for alpha, beta in ((3.0, 1e-3), (4.0, 0.3), (8.0, 2.0)):
+        reach = max(1.0, beta ** (-1.0 / alpha))
+        r = reception._raster_range(spec, ChannelModel(alpha, beta), 1e3)
+        assert 0 < r <= reach * covering_radius(spec)
+
+
+def test_lattice_probe():
+    spec = GridSpec("triangular", 2.0, translation=(0.3, -0.4))
+    ps, i = lattice_probe(spec, 10.0)
+    assert np.array_equal(ps.points, gen_grid(spec, 10.0).points)
+    assert np.allclose(ps.points[i], spec.translation, rtol=0, atol=1e-12)
+    with pytest.raises(MacGeoError, match="probe"):
+        lattice_probe(GridSpec("square", 1.0, translation=(12.5, 0.0)), 10.0)
+
+
+def test_membership_grid_budget():
+    with pytest.raises(ValueError, match="budget"):
+        membership_grid(0, APOLLO, ChannelModel(4.0, 1.0), 1.0, 50_000)
 
 
 def test_grid_range_truncation_guard():
@@ -190,10 +228,10 @@ def test_trace_logs_field_counters(caplog):
     assert exact and int(exact.group(1)) > 0
 
 
-def test_nonclosure_carries_partial_trace():
-    cfg = TracerConfig(max_steps=1000)
+def test_nonclosure_carries_partial_trace(monkeypatch):
+    monkeypatch.setattr(reception, "MAX_STEPS", 1000)
     with pytest.raises(NonClosureError) as err:
-        trace_contour(0, APOLLO, apollo_model(1.2), cfg)
+        trace_contour(0, APOLLO, apollo_model(1.2))
     partial = err.value.trace
     assert isinstance(partial, ContourTrace)
     assert not partial.closed and len(partial.vertices) == 1001
@@ -450,9 +488,6 @@ def test_trace_export():
 
 
 def test_tracer_config_validation():
-    with pytest.raises(ValueError):
-        TracerConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        TracerConfig(contour_tol=0.5)
-    with pytest.raises(ValueError):
-        TracerConfig(max_steps=10)
+    for dt in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            trace_contour(0, APOLLO, apollo_model(2.0), dt=dt)

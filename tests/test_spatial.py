@@ -5,8 +5,9 @@ import pytest
 from helpers import hull_grid, rescale
 from scipy import stats
 
-from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
-                            grid_density, window_points, with_pose)
+from macgeo.spatial import (MAX_POINTS, GridSpec, PointSet, covering_radius,
+                            gen_grid, gen_poisson, grid_density,
+                            window_points, with_pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -14,6 +15,32 @@ SQRT3 = math.sqrt(3.0)
 def sorted_pts(ps):
     pts = np.asarray(ps.points)
     return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec("square", 2.0), GridSpec("rectangular", 1.0, 1.0, 2.0),
+    GridSpec("linear", 1.0, 1.0, 16.0), GridSpec("hexagonal", 1.5),
+    GridSpec("triangular", 1.0, rotation=0.3, translation=(0.2, -0.1))])
+def test_covering_radius_is_the_farthest_nearest_distance(spec):
+    # Over a sample of a region a few cells wide, at steps of r/200, the
+    # largest distance to the nearest pattern point comes within 1% of the
+    # covering radius and never exceeds it.
+    r = covering_radius(spec)
+    ps = gen_grid(spec, 8.0 * r)
+    g = np.linspace(-2.0 * r, 2.0 * r, 801)
+    z = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    far = ps.tree.query(z)[0].max()
+    assert r * (1 - 1e-2) < far <= r * (1 + 1e-12)
+
+
+def test_point_budget_is_checked_before_allocation():
+    # The expected size is refused before any array is built.
+    spec = GridSpec("square", 1.0)
+    for extent in (0.51 * math.sqrt(MAX_POINTS), 1e12, math.inf):
+        with pytest.raises(ValueError, match="budget"):
+            window_points(spec, extent)
+        with pytest.raises(ValueError, match="budget"):
+            gen_poisson(1.0, extent, 0)
 
 
 def test_square_count_11x11():
