@@ -48,7 +48,6 @@ from .propagation import (ChannelModel, decodes, fading_success_prob,
 from .spatial import GridSpec
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_BAD_PARAM = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
@@ -368,7 +367,7 @@ _FLAGS = {
 }
 
 # Flags that shape the run rather than the command's parameters.
-_RUN_FLAGS = ("command", "config", "out", "format", "seed", "sweep", "values")
+_RUN_FLAGS = ("config", "out", "format", "seed", "sweep", "values")
 
 
 def run(cfg: RunConfig) -> str:
@@ -405,18 +404,11 @@ def sweep(cfg: RunConfig, axis: str, values) -> str:
     return f"sweep {axis} over {len(values)} values -> {cfg.output_path}"
 
 
-def _build_parser(command=None, defaults=None) -> argparse.ArgumentParser:
-    """The ``macgeo`` parser.  ``defaults`` (a config file's values, in flag
-    syntax) become the defaults of ``command``'s flags."""
-    ap = argparse.ArgumentParser(prog="macgeo", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
-        sp = sub.add_parser(name)
-        for flag in flags + ("out", "config"):
-            sp.add_argument(f"--{flag}", **_FLAGS[flag])
-        if name == command:
-            sp.set_defaults(**defaults)
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The parser of one command: the flags it reads, --out and --config."""
+    ap = argparse.ArgumentParser(prog=f"macgeo {command}")
+    for flag in _COMMANDS[command][1] + ("out", "config"):
+        ap.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
 
 
@@ -447,14 +439,14 @@ def _config_defaults(path, command) -> dict:
     return values
 
 
-def _run_config(args) -> tuple[RunConfig, str | None, list]:
+def _run_config(command, args) -> tuple[RunConfig, str | None, list]:
     opts = vars(args)
     params = {k: v for k, v in opts.items() if k not in _RUN_FLAGS}
     if "fading" in params:
         params["fading"], params["spread"] = parse_fading(params["fading"])
     fmt = opts.get("format", "csv")
-    out = args.out or f"{args.command.replace('-', '_')}.{fmt}"
-    cfg = RunConfig(args.command, params, opts.get("seed", 0), out, fmt)
+    out = args.out or f"{command.replace('-', '_')}.{fmt}"
+    cfg = RunConfig(command, params, opts.get("seed", 0), out, fmt)
     values = [float(v) for v in opts.get("values", "").split(",") if v.strip()]
     return cfg, opts.get("sweep"), values
 
@@ -462,16 +454,24 @@ def _run_config(args) -> tuple[RunConfig, str | None, list]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        # The command list: exits 0 on -h/--help, 2 on anything else.
+        top = argparse.ArgumentParser(prog="macgeo", description=__doc__,
+                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+        top.add_argument("command", choices=_COMMANDS)
+        top.parse_args(argv[:1])
+    command = argv[0]
+    ap = _build_parser(command)
+    args = ap.parse_args(argv[1:])
     try:
         if args.config:
             try:
-                defaults = _config_defaults(args.config, args.command)
+                ap.set_defaults(**_config_defaults(args.config, command))
             except OSError as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_BAD_PARAM
-            args = _build_parser(args.command, defaults).parse_args(argv)
-        cfg, axis, values = _run_config(args)
+            args = ap.parse_args(argv[1:])
+        cfg, axis, values = _run_config(command, args)
         if axis is not None:
             line = sweep(cfg, axis, values)
         else:

@@ -196,13 +196,12 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
 
 
 def _success_mask(holder_idx: int, cand_idx: np.ndarray, tx_idx: np.ndarray,
-                  nodes: np.ndarray, cfg: SimConfig,
+                  tx: PointSet, nodes: np.ndarray, model: ChannelModel,
                   rng: np.random.Generator) -> np.ndarray:
-    """Reception outcome of the holder's transmission at each candidate."""
-    model = cfg.model
-    col = int(np.nonzero(tx_idx == holder_idx)[0][0])
+    """Reception outcome of the holder's transmission at each candidate;
+    ``tx`` holds the slot's transmitters at the sorted indices ``tx_idx``."""
+    col = int(np.searchsorted(tx_idx, holder_idx))
     cand = nodes[cand_idx]
-    tx = PointSet(nodes[tx_idx], cfg.scheme_density, cfg.extent)
     if model.fading == "none":
         return decodes(cand, tx, col, model)
     # Exponential fading: one Bernoulli draw per candidate.
@@ -210,29 +209,31 @@ def _success_mask(holder_idx: int, cand_idx: np.ndarray, tx_idx: np.ndarray,
 
 
 def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
-               nodes: np.ndarray, tree: cKDTree, dest_idx: int,
-               cfg: SimConfig, rng: np.random.Generator, slot: int,
+               tx: PointSet, active: np.ndarray, nodes: np.ndarray,
+               tree: cKDTree, dest_idx: int, cfg: SimConfig,
+               rng: np.random.Generator, slot: int,
                candidate_radius: float) -> int:
     """Advance the packet by at most one hop; returns the new holder index.
 
-    Candidate receivers are the non-transmitting nodes within
-    ``candidate_radius`` of the holder, plus the destination (so the
-    immediate-delivery relaxation is never missed).  Among successful
-    receivers the largest forward progress wins; exact ties go to the
-    candidate closer to the destination.  With no successful receiver at
-    positive progress the packet stays put.
+    ``tx_idx`` (sorted), ``tx`` and the node mask ``active`` are the
+    slot's transmitters.  Candidate receivers are the non-transmitting
+    nodes within ``candidate_radius`` of the holder, plus the destination
+    (so the immediate-delivery relaxation is never missed).  Among
+    successful receivers the largest forward progress wins; exact ties go
+    to the candidate closer to the destination.  With no successful
+    receiver at positive progress the packet stays put.
     """
     holder = nodes[holder_idx]
     dest = nodes[dest_idx]
     cand = np.array(tree.query_ball_point(holder, candidate_radius), dtype=int)
-    cand = np.setdiff1d(cand, tx_idx, assume_unique=False)
-    cand = cand[cand != holder_idx]
-    if dest_idx not in cand and dest_idx not in tx_idx and dest_idx != holder_idx:
+    # Sorted, as the exponential-fading draws follow the candidate order.
+    cand = np.sort(cand[~active[cand]])
+    if dest_idx not in cand and not active[dest_idx]:
         cand = np.append(cand, dest_idx)
     if cand.size == 0:
         return holder_idx
 
-    ok = _success_mask(holder_idx, cand, tx_idx, nodes, cfg, rng)
+    ok = _success_mask(holder_idx, cand, tx_idx, tx, nodes, cfg.model, rng)
     winners = cand[ok]
     if winners.size == 0:
         return holder_idx
@@ -349,13 +350,16 @@ def run_simulation(cfg: SimConfig, n_packets: int,
             continue
         active = np.zeros(n, dtype=bool)
         active[tx_idx] = True
+        tx = None  # built on the first holder that transmits
         for k, rec in enumerate(packets):
             if rec.delivered or not active[holders[k]]:
                 continue
             rec.scheduled_slots += 1
-            holders[k] = relay_step(rec, holders[k], tx_idx, nodes, tree,
-                                    dest_idx[k], cfg, rng_slots, slot,
-                                    candidate_radius)
+            if tx is None:
+                tx = PointSet(nodes[tx_idx], lam, cfg.extent)
+            holders[k] = relay_step(rec, holders[k], tx_idx, tx, active,
+                                    nodes, tree, dest_idx[k], cfg, rng_slots,
+                                    slot, candidate_radius)
         if all(r.delivered for r in packets):
             break
 

@@ -453,6 +453,10 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     """
     if quantity not in ("w", "sir"):
         raise ValueError("quantity must be 'w' or 'sir'")
+    if n < 1:
+        raise ValueError("the raster needs at least one cell per side")
+    if not (0.0 < extent < math.inf):
+        raise ValueError("the raster's half-width must be finite and positive")
     check_budget(n * n, "raster cells")
     step = 2.0 * extent / n
     xs = -extent + (np.arange(n) + 0.5) * step

@@ -534,7 +534,7 @@ def _far_interval(i, ps, alpha, centers, near, radius, delta):
 
 
 def max_range_membership(i: int, ps: PointSet, model: ChannelModel,
-                         extent: float, n: int = 512) -> float:
+                         extent: float, n: int) -> float:
     """Maximum range from a membership raster: the farthest member cell
     4-connected to the transmitter's own cell.  Fallback for beta < 1
     where the boundary tracer does not apply."""

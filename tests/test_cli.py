@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -244,6 +245,16 @@ def test_field_command_on_a_lattice(tmp_path, monkeypatch):
     assert rows == want
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "0"), ("--window", "nan"), ("--window", "-2")])
+def test_field_refuses_a_raster_it_cannot_build(tmp_path, monkeypatch, capsys,
+                                                flag, value):
+    argv = ["field", "--pattern", "poisson", "--extent", "3", flag, value]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert "invalid parameter" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_trace_on_an_exclusion_hole_exits_5(tmp_path, monkeypatch, capsys):
     # The start ray's first crossing bounds the hole around the interferer
     # at (1, 0); that curve is not the probe's range.
@@ -322,9 +333,46 @@ def test_exit_codes(tmp_path, monkeypatch):
     for alpha in ("2", "nan", "inf"):
         assert invoke(["asympt-beta", "--alpha", alpha], tmp_path,
                       monkeypatch) == EXIT_BAD_PARAM
+    for argv in (["no-such-command"], []):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+def test_help_lists_the_commands(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
+        main(["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in _COMMANDS)
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_one_parser_per_call(tmp_path, monkeypatch, with_config):
+    # A call builds the parser of its own command only, and --config
+    # loads into that same parser.
+    built, options = [], []
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counted_add(self, *args, **kwargs):
+        options.extend(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
+    argv = ["optimize", "--beta", "10"]
+    if with_config:
+        argv += ["--config", write_config(tmp_path, {"params": {"alpha": 5.0}})]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_OK
+    assert built == ["macgeo optimize"]
+    flags = _COMMANDS["optimize"][1] + ("out", "config")
+    assert sorted(options) == sorted([f"--{f}" for f in flags] + ["-h", "--help"])
+    _, rows = read_csv(tmp_path / "optimize.csv")
+    assert float(rows[0][1]) == (5.0 if with_config else 4.0)
 
 
 # Every command that reads --alpha or --beta, at sizes that finish in a
@@ -450,10 +498,14 @@ def test_flag_of_another_command_rejected(tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as err:
             invoke(argv, tmp_path, monkeypatch)
         assert err.value.code == 2
+        assert "macgeo asympt-alpha: error" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
     with pytest.raises(SystemExit):
         main(["asympt-alpha", "--help"])
-    assert "--beta" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("usage: macgeo asympt-alpha [-h] [--out OUT] "
+                          "[--config CONFIG]\n")
+    assert "--beta" not in out
 
 
 def test_sweep_refuses_json(tmp_path, monkeypatch):
@@ -483,8 +535,9 @@ def test_readme_examples_parse():
     commands = [shlex.split(line)[1:] for line in lines
                 if line.startswith("macgeo ")]
     assert len(commands) >= 12
-    for argv in commands:
-        _build_parser().parse_args(argv)  # exits 2 on a flag the command lacks
+    for command, *args in commands:
+        # Exits 2 on a flag the command lacks.
+        _build_parser(command).parse_args(args)
 
 
 def test_readme_flag_table_matches_commands():

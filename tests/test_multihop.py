@@ -243,8 +243,9 @@ def test_success_mask_extreme_alpha(interferer, candidate, want):
     nodes = np.array([(0.0, 0.0), interferer, candidate])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ok = _success_mask(0, np.array([2]), np.array([0, 1]), nodes, cfg,
-                           np.random.default_rng(0))
+        tx = PointSet(nodes[:2], cfg.scheme_density, cfg.extent)
+        ok = _success_mask(0, np.array([2]), np.array([0, 1]), tx, nodes,
+                           model, np.random.default_rng(0))
     assert ok.tolist() == [want]
 
 
@@ -256,8 +257,9 @@ def test_success_mask_fading_extreme_alpha():
     nodes = np.array([(0.0, 0.0), (10.0, 0.0), (9.999, 0.0), (1e-3, 0.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ok = _success_mask(0, np.array([2, 3]), np.array([0, 1]), nodes, cfg,
-                           np.random.default_rng(0))
+        tx = PointSet(nodes[:2], cfg.scheme_density, cfg.extent)
+        ok = _success_mask(0, np.array([2, 3]), np.array([0, 1]), tx, nodes,
+                           model, np.random.default_rng(0))
     assert ok.tolist() == [False, True]
 
 
