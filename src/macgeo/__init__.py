@@ -16,8 +16,8 @@ from .multihop import (PacketRecord, SimConfig, progress, relay_step,
                        run_simulation, select_transmitters)
 from .propagation import (ChannelModel, log_psi, psi, raster_field,
                           sample_fading, sir)
-from .reception import (ContourTrace, RangeResult, find_contour_start,
-                        grid_range, grid_success_prob_fading,
+from .reception import (ContourTrace, RangeResult, grid_range,
+                        grid_success_prob_fading,
                         grid_success_prob_nofading, lattice_probe,
                         max_range_membership, membership_grid,
                         normalized_range, trace_contour)

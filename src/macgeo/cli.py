@@ -288,7 +288,7 @@ def _cmd_field(cfg: RunConfig) -> str:
         i = reception.origin_index(ps)
     else:
         ps, i = reception.lattice_probe(_grid_spec(p), p["extent"])
-    window = p["window"] or p["extent"]
+    window = p["extent"] if p["window"] is None else p["window"]
     xs, ys, vals = raster_field(ps, model.alpha, window, p["n"],
                                 quantity=p["quantity"], i=i)
     xl = xs.tolist()

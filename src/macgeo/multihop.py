@@ -114,7 +114,6 @@ class PacketRecord:
     progress_per_hop: list = field(default_factory=list)
     delivered: bool = False
     delivered_slot: int | None = None
-    scheduled_slots: int = 0  # slots in which the current holder transmitted
 
 
 def progress(tx, rx, dest) -> float:
@@ -354,7 +353,6 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         for k, rec in enumerate(packets):
             if rec.delivered or not active[holders[k]]:
                 continue
-            rec.scheduled_slots += 1
             if tx is None:
                 tx = PointSet(nodes[tx_idx], lam, cfg.extent)
             holders[k] = relay_step(rec, holders[k], tx_idx, tx, active,

@@ -65,8 +65,6 @@ class RangeResult:
 
     r_lambda: float
     r1: float
-    lam: float
-    pattern: GridSpec | str
     method: str
 
 
@@ -84,18 +82,6 @@ def _project(field, beta, z, tol, max_iter=8):
     if abs(s - beta) <= tol * beta:
         return z, s, g
     raise StationaryPointError("Newton projection failed to reach the level set")
-
-
-def find_contour_start(i: int, ps: PointSet, model: ChannelModel,
-                       direction: float):
-    """First boundary point: bisection along the ray from the transmitter.
-
-    Marches outward (doubling) until the SIR drops below beta, then
-    bisects; the returned point satisfies the tracer's relative tolerance.
-    Raises :class:`UnboundedReceptionError` when no crossing exists within
-    twice the window extent (possible for beta < 1).
-    """
-    return _contour_start(Field(ps, i, model.alpha), model.beta, direction)
 
 
 def _contour_start(field, beta, direction):
@@ -584,10 +570,10 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
     scheme.
 
     The probe is the lattice point at the spec's translation (the window
-    center by default).  Its boundary is traced first.  Where the tracer
-    finds no closed curve around the probe (the beta < 1 regimes where
-    the region is unbounded or split), the farthest cell of a membership
-    raster takes over, and ``method`` says which one answered.  With
+    center by default).  The tracer and, where it finds no closed curve
+    around the probe (the beta < 1 regimes where the region is unbounded
+    or split), the farthest cell of a membership raster read the same
+    lattice window; ``method`` says which one answered.  With
     ``verify_truncation`` the computation is repeated at twice the extent
     and a relative r1 change above 0.1% raises, guarding against a
     too-small window standing in for the infinite pattern.
@@ -600,7 +586,7 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
             return trace_contour(i, ps, model).r_lambda, "trace"
         except (UnboundedReceptionError, NonClosureError):
             pass
-        return _raster_range(spec, model, ext), "membership"
+        return _raster_range(i, ps, spec, model), "membership"
 
     r_lam, method = _run(extent)
     if verify_truncation:
@@ -608,21 +594,20 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
         if abs(r_lam2 - r_lam) > 1e-3 * r_lam:
             raise MacGeoError(
                 f"window truncation error above 0.1%: r={r_lam:.6g} vs {r_lam2:.6g}")
-    return RangeResult(r_lam, normalized_range(r_lam, lam), lam, spec, method)
+    return RangeResult(r_lam, normalized_range(r_lam, lam), method)
 
 
-def _raster_range(spec: GridSpec, model: ChannelModel, extent: float) -> float:
-    """r_lambda from a membership raster of 384 cells a side.  A decoder z
-    needs g_i(z) >= beta g_j(z) for its nearest pattern point j, so it lies
-    within reach = max(1, beta^(-1/alpha)) covering radii of the probe; the
-    window is reach times 1.25 covering radii (at least 4 lattice scales),
-    up to ``extent``."""
-    scale = 1.0 / math.sqrt(grid_density(spec))
+def _raster_range(i: int, ps: PointSet, spec: GridSpec,
+                  model: ChannelModel) -> float:
+    """r_lambda of probe i from a membership raster of 384 cells a side,
+    summing every interferer of the lattice window ps, the window the
+    tracer reads.  A decoder z needs g_i(z) >= beta g_j(z) for its nearest
+    pattern point j, so it lies within reach = max(1, beta^(-1/alpha))
+    covering radii of the probe; the raster's half-width is reach times
+    1.25 covering radii (at least 4 lattice scales), up to the window's."""
     reach = max(1.0, model.beta ** (-1.0 / model.alpha))
-    window = min(extent, reach * max(4.0 * scale, 1.25 * covering_radius(spec)))
-    # Interferers beyond ~3 windows shift the frontier by well under the
-    # raster cell; keep the set small.
-    ps, i = lattice_probe(spec, min(extent, 3.0 * window + 5.0 * scale))
+    window = min(ps.extent,
+                 reach * max(4.0 * ps.scale, 1.25 * covering_radius(spec)))
     return max_range_membership(i, ps, model, window, n=384)
 
 
@@ -638,13 +623,12 @@ def point_in_polygon(z, vertices: np.ndarray) -> bool:
     return bool(np.count_nonzero(hits) % 2)
 
 
-def trace_summary(trace: ContourTrace, spec, model: ChannelModel, lam: float) -> dict:
+def trace_summary(trace: ContourTrace, spec: GridSpec, model: ChannelModel,
+                  lam: float) -> dict:
     """JSON-ready summary of one traced configuration."""
-    pattern = spec.kind if isinstance(spec, GridSpec) else str(spec)
-    d = spec.d if isinstance(spec, GridSpec) else None
     return {
-        "pattern": pattern,
-        "d": d,
+        "pattern": spec.kind,
+        "d": spec.d,
         "beta": model.beta,
         "alpha": model.alpha,
         "r_lambda": trace.r_lambda,

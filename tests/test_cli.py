@@ -246,7 +246,8 @@ def test_field_command_on_a_lattice(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--n", "0"), ("--window", "nan"), ("--window", "-2")])
+    ("--n", "0"), ("--window", "nan"), ("--window", "-2"),
+    ("--window", "0")])
 def test_field_refuses_a_raster_it_cannot_build(tmp_path, monkeypatch, capsys,
                                                 flag, value):
     argv = ["field", "--pattern", "poisson", "--extent", "3", flag, value]

@@ -12,8 +12,7 @@ from macgeo.errors import (MacGeoError, NonClosureError,
                            UnboundedReceptionError, UnsupportedFadingError)
 from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
                                 fading_success_prob, raster_field, sir)
-from macgeo.reception import (ContourTrace, RasterCounts, find_contour_start,
-                              grid_range,
+from macgeo.reception import (ContourTrace, RasterCounts, grid_range,
                               grid_success_prob_fading,
                               grid_success_prob_nofading, lattice_probe,
                               max_range_membership, membership_grid,
@@ -30,21 +29,27 @@ def apollo_model(c, alpha=4.0):
     return ChannelModel(alpha=alpha, beta=c ** alpha)
 
 
+def start_point(model, direction=0.0):
+    """First vertex of the trace: the start ray's crossing of the level
+    set, already within the tracer's tolerance."""
+    return trace_contour(0, APOLLO, model, direction=direction).vertices[0]
+
+
 def test_start_point_on_apollonius_circle():
-    z = find_contour_start(0, APOLLO, apollo_model(2.0), 0.0)
+    z = start_point(apollo_model(2.0))
     assert z[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert z[1] == 0.0
 
 
 def test_start_point_monotone_in_beta():
-    xs = [find_contour_start(0, APOLLO, ChannelModel(4.0, b), 0.0)[0]
+    xs = [start_point(ChannelModel(4.0, b))[0]
           for b in (4.0, 16.0, 81.0, 625.0)]
     assert all(b < a for a, b in zip(xs, xs[1:]))
 
 
 def test_start_point_symmetry():
-    up = find_contour_start(0, APOLLO, apollo_model(2.0), math.pi / 2)
-    dn = find_contour_start(0, APOLLO, apollo_model(2.0), -math.pi / 2)
+    up = start_point(apollo_model(2.0), math.pi / 2)
+    dn = start_point(apollo_model(2.0), -math.pi / 2)
     assert up[1] == pytest.approx(-dn[1], rel=1e-9)
     assert up[0] == pytest.approx(dn[0], abs=1e-12)
 
@@ -53,7 +58,7 @@ def test_unbounded_reception_below_beta_one():
     # With two transmitters the SIR tends to 1 far away, so beta = 0.5
     # never crosses along the outward ray.
     with pytest.raises(UnboundedReceptionError):
-        find_contour_start(0, APOLLO, ChannelModel(4.0, 0.5), math.pi)
+        trace_contour(0, APOLLO, ChannelModel(4.0, 0.5), direction=math.pi)
 
 
 def test_trace_matches_apollonius_circle():
@@ -165,10 +170,57 @@ def test_trace_refuses_an_exclusion_hole():
 def test_raster_range_within_the_covering_bound(spec):
     # A decoder lies within max(1, beta^(-1/alpha)) covering radii of the
     # probe, so the raster's window (1.25 times that) holds the region.
+    ps, i = lattice_probe(spec, 200.0)
     for alpha, beta in ((3.0, 1e-3), (4.0, 0.3), (8.0, 2.0)):
         reach = max(1.0, beta ** (-1.0 / alpha))
-        r = reception._raster_range(spec, ChannelModel(alpha, beta), 1e3)
+        r = reception._raster_range(i, ps, spec, ChannelModel(alpha, beta))
         assert 0 < r <= reach * covering_radius(spec)
+
+
+def test_raster_fallback_builds_one_lattice_window(monkeypatch):
+    # The tracer and the raster read the same window: one lattice build.
+    builds = []
+    real = reception.gen_grid
+
+    def counted(spec, extent):
+        builds.append(extent)
+        return real(spec, extent)
+
+    monkeypatch.setattr(reception, "gen_grid", counted)
+    res = grid_range(GridSpec("square", 1.0), ChannelModel(4.0, 1e-5),
+                     extent=40.0)
+    assert res.method == "membership"
+    assert builds == [40.0]
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+def test_raster_fallback_sums_every_interferer_the_tracer_sums(monkeypatch,
+                                                               kind):
+    # At alpha 2.2 far interferers matter: on a wider window both methods
+    # read a smaller range, and on every window the raster lies within
+    # one of its cells of the traced range.
+    spec, model = GridSpec(kind, 1.0), ChannelModel(2.2, 0.3)
+    traced = {ext: grid_range(spec, model, extent=ext) for ext in (40.0, 200.0)}
+    windows = []
+    real_raster = reception.max_range_membership
+
+    def spied(i, ps, channel, extent, n):
+        windows.append(extent)
+        return real_raster(i, ps, channel, extent, n)
+
+    def refuse(*args, **kwargs):
+        raise UnboundedReceptionError("tracer refused for the test")
+
+    monkeypatch.setattr(reception, "max_range_membership", spied)
+    monkeypatch.setattr(reception, "trace_contour", refuse)
+    rastered = {}
+    for ext, want in traced.items():
+        got = grid_range(spec, model, extent=ext)
+        assert (want.method, got.method) == ("trace", "membership")
+        cell = 2.0 * windows[-1] / 384
+        assert abs(got.r_lambda - want.r_lambda) <= cell, (ext, got, want)
+        rastered[ext] = got.r1
+    assert rastered[200.0] < rastered[40.0]
 
 
 def test_lattice_probe():
@@ -190,6 +242,11 @@ def test_grid_range_truncation_guard():
     res = grid_range(GridSpec("square", 1.0), model, extent=60.0,
                      verify_truncation=True)
     assert res.r1 > 0
+    # At alpha 2.2 the far lattice still moves the range: doubling the
+    # window shifts r by 3.6% (0.0888 to 0.0856).
+    with pytest.raises(MacGeoError, match="truncation"):
+        grid_range(GridSpec("square", 1.0), ChannelModel(2.2, 10.0),
+                   extent=60.0, verify_truncation=True)
 
 
 @pytest.mark.parametrize("kind,want", [("square", 0.3335720878210912),
