@@ -113,14 +113,18 @@ def _grid_range_value(params) -> dict:
             "r_lambda": res.r_lambda, "r1": res.r1, "method": res.method}
 
 
-def _write_rows_csv(path, header, rows) -> None:
-    """The one CSV writer: a header line, then one line per row, floats
-    as %.12g."""
+def _write_csv(path, header, lines) -> None:
+    """The one CSV writer: a header line, then one line per string."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_rows_csv(path, header, rows) -> None:
+    """One CSV line per row, floats as %.12g."""
+    _write_csv(path, header, (
+        ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+        for row in rows))
 
 
 def _write_json(path, obj) -> None:
@@ -291,10 +295,13 @@ def _cmd_field(cfg: RunConfig) -> str:
     window = p["extent"] if p["window"] is None else p["window"]
     xs, ys, vals = raster_field(ps, model.alpha, window, p["n"],
                                 quantity=p["quantity"], i=i)
-    xl = xs.tolist()
-    rows = ([x, y, v] for y, line in zip(ys.tolist(), vals.tolist())
-            for x, v in zip(xl, line))  # vals is indexed [iy, ix]
-    _write_rows_csv(cfg.output_path, ["x", "y", "value"], rows)
+    # Each coordinate is formatted once, not once per cell, and one row
+    # of vals (indexed [iy, ix]) is boxed at a time.
+    xf = [f"{x:.12g}," for x in xs.tolist()]
+    yf = [f"{y:.12g}," for y in ys.tolist()]
+    lines = (f"{x}{y}{v:.12g}" for y, line in zip(yf, vals)
+             for x, v in zip(xf, line.tolist()))
+    _write_csv(cfg.output_path, ["x", "y", "value"], lines)
     return f"field: {p['n']}x{p['n']} raster -> {cfg.output_path}"
 
 

@@ -20,12 +20,16 @@ Schemes:
   nearest node within d / SNAP_DIVISOR (unmatched points are skipped and
   counted in the run summary).
 
-Lattice slots are holder-first: the transmitter set is built only when
-the anchor is a live holder or a posed lattice point near one could snap
-to it.  Any other slot moves no packet; it ends after its two draws with
-no transmitters, so every hop is that of the full build.  ALOHA slots
-still draw every node: thinning only the holders would change the random
-stream and so every hop.
+Slots are holder-first: the transmitter set is built only when a live
+holder can be in it, and any other slot moves no packet.  A lattice slot
+is built when the anchor is a live holder or a posed lattice point near
+one could snap to it; otherwise it ends after its two draws with no
+transmitters, so every hop is that of the full build.  An ALOHA slot
+first draws one mark per distinct live holder and draws the other nodes'
+marks only when a holder transmits.  The marks are independent, so a
+built slot's set has the law of a full Bernoulli thinning given that a
+holder transmits.  The random stream is not that of a full draw, so the
+hops differ from it run by run but not in law.
 
 Each built slot poses gen_grid's points as a bare array
 (``spatial.window_points``), with no PointSet.  A decoder needs g_i >=
@@ -163,8 +167,11 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
     snap radius.  With ``holders`` (node indices), the set is built only
     when the anchor is a holder or a holder could be snapped; other slots
     return an empty array after the same draws.  ALOHA: Bernoulli thinning
-    with probability lam/nu.  ``counts``, when given, accumulates the
-    slots built and the lattice points posed and left unmatched in them.
+    with probability lam/nu.  With ``holders``, each distinct holder's mark
+    is drawn first; the slot returns an empty array when none transmits
+    and otherwise draws every other node's mark.  ``counts``, when given,
+    accumulates the slots built and the lattice points posed and left
+    unmatched in them.
     """
     n = len(nodes)
     if isinstance(cfg.scheme, GridSpec):
@@ -188,10 +195,18 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
         if anchor not in chosen:
             chosen = np.union1d(chosen, [anchor])
         return chosen
+    q = cfg.scheme_density / cfg.node_density
+    if holders is not None:
+        holders = np.unique(holders)
+        fires = rng.random(holders.size) < q
+        if not fires.any():
+            return np.empty(0, dtype=int)
     if counts is not None:
         counts.slots += 1
-    q = cfg.scheme_density / cfg.node_density
-    return np.nonzero(rng.random(n) < q)[0]
+    marks = rng.random(n) < q
+    if holders is not None:
+        marks[holders] = fires
+    return np.nonzero(marks)[0]
 
 
 def _success_mask(holder_idx: int, cand_idx: np.ndarray, tx_idx: np.ndarray,
@@ -276,14 +291,15 @@ def run_simulation(cfg: SimConfig, n_packets: int,
 
     Returns (summary dict, list of PacketRecord); with
     ``record_transmitters`` the summary also carries the per-slot
-    transmitter index arrays for post-hoc audits (empty for a lattice slot
-    that no live holder could use, which is not built).  The summary
-    counts the slots built (``slots_built``: every slot run under ALOHA)
-    and, over them, the virtual lattice points posed (``snap_points``, 0
-    for ALOHA) and those left unmatched (``snap_misses``).  A lattice run
-    warns once, before any draw, when the Poisson void probability of the
-    snap disc, exp(-nu pi (d / SNAP_DIVISOR)^2), exceeds 10%.  Fully
-    deterministic for a fixed config and seed.
+    transmitter index arrays for post-hoc audits (empty for a slot that
+    no live holder could use, which is not built).  The summary counts
+    the slots built (``slots_built``; under ALOHA, the slots in which a
+    live holder transmits) and, over them, the virtual lattice points
+    posed (``snap_points``, 0 for ALOHA) and those left unmatched
+    (``snap_misses``).  A lattice run warns once, before any draw, when
+    the Poisson void probability of the snap disc,
+    exp(-nu pi (d / SNAP_DIVISOR)^2), exceeds 10%.  Fully deterministic
+    for a fixed config and seed.
     """
     from scipy.spatial import cKDTree
     if n_packets < 1:

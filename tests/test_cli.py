@@ -245,6 +245,25 @@ def test_field_command_on_a_lattice(tmp_path, monkeypatch):
     assert rows == want
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--pattern", "poisson", "--lam", "1", "--alpha", "2.5", "--n", "3",
+      "--extent", "3", "--seed", "1"],
+     "x,y,value\n"
+     "-2,-2,11.3667655686\n0,-2,28.1010000341\n2,-2,6.96696906657\n"
+     "-2,0,138.182424559\n0,0,6.27192934006\n2,0,828.850933227\n"
+     "-2,2,181.322255885\n0,2,16.651196988\n2,2,55.4247654722\n"),
+    (["--pattern", "square", "--d", "1", "--n", "2", "--extent", "4",
+      "--window", "1.5", "--quantity", "sir"],
+     "x,y,value\n"
+     "-0.75,-0.75,0.0110670217573\n0.75,-0.75,0.0110670217573\n"
+     "-0.75,0.75,0.0110670217573\n0.75,0.75,0.0110670217573\n"),
+], ids=["poisson-w", "square-sir"])
+def test_field_csv_bytes_pinned(tmp_path, monkeypatch, argv, want):
+    # Rows run x fastest, then y; every number is %.12g.
+    assert invoke(["field", *argv], tmp_path, monkeypatch) == EXIT_OK
+    assert (tmp_path / "field.csv").read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n", "0"), ("--window", "nan"), ("--window", "-2"),
     ("--window", "0")])

@@ -86,6 +86,42 @@ def test_aloha_thinning_fraction():
     assert abs(mean - q * len(nodes)) < 4 * se
 
 
+def test_aloha_holder_first_law():
+    # Holder-first thinning: a slot is built when one of the h distinct
+    # holders transmits, which happens with probability 1 - (1 - q)^h;
+    # each holder transmits with probability q; the other nodes of a
+    # built slot are still thinned with probability q.  A repeated holder
+    # draws one mark.  All bounds are 4 standard errors.
+    nodes = np.random.default_rng(0).uniform(-5, 5, size=(1000, 2))
+    tree = cKDTree(nodes)
+    cfg = SimConfig(node_density=10.0, extent=5.0, scheme=1.0, model=MODEL)
+    q = cfg.scheme_density / cfg.node_density
+    n, trials = len(nodes), 10000
+    holders = np.array([5, 17, 400, 711, 950, 17, 5])
+    uniq = np.unique(holders)
+    h = uniq.size
+    picks = [[], []]
+    for k, given in enumerate((holders, uniq)):
+        rng = np.random.default_rng(11)
+        picks[k] = [select_transmitters(nodes, tree, cfg, rng, holders=given)
+                    for _ in range(trials)]
+    # The repeats change nothing: the unique set draws the same slots.
+    for a, b in zip(*picks):
+        np.testing.assert_array_equal(a, b)
+    built = [tx for tx in picks[0] if tx.size]
+    # A slot is built only for a transmitting holder.
+    assert all(np.isin(uniq, tx).any() for tx in built)
+    p_skip = (1 - q) ** h
+    skip = 1 - len(built) / trials
+    assert abs(skip - p_skip) < 4 * math.sqrt(p_skip * (1 - p_skip) / trials)
+    fires = np.array([np.isin(uniq, tx) for tx in picks[0]])
+    se = math.sqrt(q * (1 - q) / trials)
+    assert np.all(np.abs(fires.mean(axis=0) - q) < 4 * se)
+    others = np.array([np.count_nonzero(~np.isin(tx, uniq)) for tx in built])
+    se = math.sqrt((n - h) * q * (1 - q) / len(built))
+    assert abs(others.mean() - q * (n - h)) < 4 * se
+
+
 def test_grid_snapping_dense_population():
     rng = np.random.default_rng(1)
     nu, extent = 500.0, 12.0
@@ -206,7 +242,7 @@ def test_deterministic_logs(tmp_path):
     (GridSpec("square", 1.0),
      "2101748054ca762cb86a772a6e1cd747f8b769509cdda11ebb643182938b35a3", 1.0, 8.0),
     (1.0,
-     "41fab419a815b524407ebd8faa8edbbeccfd5816dde2435b47a5e211479d38e0", 1.0, 8.0),
+     "669c98dffa8e024ef6599147123d86afaf6b0f4b3d63659632e96ac99f2378c3", 1.0, 8.0),
     (GridSpec("square", 1.0),
      "40930fd7f65c25b4c21ca8f6f751e3e4e5f9131666945358f4cc2ea9d4fe491b", 10.0, 8.0),
     (GridSpec("triangular", 1.0),
@@ -219,12 +255,15 @@ def test_deterministic_logs(tmp_path):
      "ba494e1aecd593043e7f27af317db7a17efc630abbc96ba26982e1f2b6a5a383", 1.0, 12.0),
 ])
 def test_hop_log_pinned(tmp_path, scheme, digest, beta, extent):
-    # Logs of the full-sum simulator that posed a fresh gen_grid lattice
-    # every slot, before the pruned reception kernel, the boolean
-    # transmitter mask, window_points and the single-interferer pass;
-    # none of them may change a hop.  The extent-12 cases date from when
-    # slots below a size threshold skipped the pruning; every slot now
-    # takes the same path.
+    # The lattice logs are those of the full-sum simulator that posed a
+    # fresh gen_grid lattice every slot, before the pruned reception
+    # kernel, the boolean transmitter mask, window_points and the
+    # single-interferer pass; none of them may change a hop.  The
+    # extent-12 cases date from when slots below a size threshold skipped
+    # the pruning; every slot now takes the same path.  The ALOHA log is
+    # that of the holder-first draw, which takes the live holders' marks
+    # before the other nodes' and so reorders the random stream; its law
+    # is checked by test_aloha_holder_first_law.
     cfg = SimConfig(100.0, extent, scheme, ChannelModel(4.0, beta), slots=600,
                     seed=21)
     _, packets = run_simulation(cfg, 4, pair_distance=2.0)
@@ -303,9 +342,12 @@ def test_beta_monotone_delivery_paired_seed():
     assert s_lo["delivery_fraction"] >= s_hi["delivery_fraction"]
 
 
-def test_post_hoc_sir_audit():
-    spec = GridSpec("square", 1.0)
-    cfg = SimConfig(100.0, 8.0, spec, MODEL, slots=1500, seed=51)
+@pytest.mark.parametrize("scheme", [GridSpec("square", 1.0), 1.0],
+                         ids=["square", "aloha"])
+def test_post_hoc_sir_audit(scheme):
+    # Every hop happens in a built slot and clears beta against that
+    # slot's recorded transmitters.
+    cfg = SimConfig(100.0, 8.0, scheme, MODEL, slots=1500, seed=51)
     summary, packets = run_simulation(cfg, 4, pair_distance=2.5,
                                       record_transmitters=True)
     nodes = summary["nodes"]
@@ -314,6 +356,7 @@ def test_post_hoc_sir_audit():
     for rec in packets:
         for h, slot in enumerate(rec.hop_slots):
             tx_idx = slot_tx[slot]
+            assert tx_idx.size > 0
             pts = nodes[tx_idx]
             frm, to = rec.hops[h], rec.hops[h + 1]
             col = int(np.argmin(np.hypot(pts[:, 0] - frm[0], pts[:, 1] - frm[1])))
