@@ -65,14 +65,13 @@ class RunConfig:
 
 
 def parse_fading(text: str) -> tuple[str, float]:
-    """'none' | 'log-uniform:f' | 'exponential' -> (kind, spread)."""
-    if text == "none":
-        return "none", 1.0
-    if text == "exponential":
-        return "exponential", 1.0
-    if text.startswith("log-uniform"):
-        parts = text.split(":")
-        return "log_uniform", float(parts[1]) if len(parts) > 1 else 1.0
+    """'none' | 'exponential' | 'log-uniform' | 'log-uniform:f' -> (kind,
+    spread); anything else is a ValueError."""
+    kind, colon, spread = text.partition(":")
+    if kind in ("none", "exponential") and not colon:
+        return kind, 1.0
+    if kind == "log-uniform":
+        return "log_uniform", float(spread) if colon else 1.0
     raise ValueError(f"unknown fading spec {text!r}")
 
 
@@ -349,7 +348,7 @@ _FLAGS = {
     "d": dict(type=float, default=25.0),
     "extent": dict(type=float, default=5000.0,
                    help="window half-width in meters (default 5000: 10 km side)"),
-    "fading": dict(default="none", help="none | log-uniform:f | exponential"),
+    "fading": dict(default="none", help="none | exponential | log-uniform[:f]"),
     "lam": dict(type=float, default=1.0),
     "seed": dict(type=int, default=0),
     "out": dict(default=None, help="output file (default <command>.<format>)"),

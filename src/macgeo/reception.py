@@ -134,8 +134,8 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     """
     if dt is None:
         dt = ps.scale / 200.0
-    elif not (dt > 0):
-        raise ValueError("dt must be positive")
+    if not (0.0 < dt < math.inf and math.isfinite(direction)):
+        raise ValueError("dt must be finite and positive, direction finite")
     beta = model.beta
     field = Field(ps, i, model.alpha)
     z0 = _contour_start(field, beta, direction)
@@ -180,71 +180,49 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     return ContourTrace(vertices, z_max, r_lam, True, steps)
 
 
-def _cross_of(zi, z, g):
-    """Cross product of the distance gradient with the SIR gradient."""
-    dz = z - zi
-    r = math.hypot(dz[0], dz[1])
-    return (dz[0] * g[1] - dz[1] * g[0]) / r
-
-
 def _max_range_refined(vertices, grads, field, beta):
     """Distance maximizer over the traced curve.
 
-    Locates sign changes of cross(grad D, grad S) between consecutive
-    vertices, sharpens each by bisection (with re-projection onto the
-    level set), and returns the farthest critical point.  Falls back to
-    the farthest raw vertex when no sign change exists.  Among equal
-    maxima the point with the smallest polar angle wins.
+    The trace steps along J grad S / |grad S|, so along the curve the
+    distance D = |z - z_i| changes at the rate cross(grad D, grad S) /
+    |grad S|: D peaks between consecutive vertices k, k+1 (cyclically)
+    where cross[k] >= 0 > cross[k+1].  The root of the chord through those
+    two cross values is O(dt^2) from the peak, and D is stationary there,
+    so that point, projected once onto the level set, reads the peak
+    distance to O(dt^4).  Minima are never refined: they cannot win.
+    Falls back to the farthest raw vertex when no peak is bracketed.
+    Among equal maxima the point with the smallest polar angle wins.
     """
     zi = field.center
     dz = vertices - zi
     dists = np.hypot(dz[:, 0], dz[:, 1])
-
-    cross = np.array([_cross_of(zi, v, g) for v, g in zip(vertices, grads)])
-    candidates = []
-    cand_gnorm = []
-    m = len(vertices)
-    for k in range(m):
-        a, b = k, (k + 1) % m
-        ca, cb = cross[a], cross[b]
-        if ca == 0.0:
-            candidates.append(vertices[a])
-            cand_gnorm.append(float(np.hypot(*grads[a])))
-            continue
-        if ca * cb >= 0.0:
-            continue
-        va, vb = vertices[a], vertices[b]
-        zm, gm = va, grads[a]
-        for _ in range(48):
-            zm = 0.5 * (va + vb)
-            zm, _, gm = _project(field, beta, zm, CONTOUR_TOL)
-            cm = _cross_of(zi, zm, gm)
-            if cm == 0.0 or math.hypot(*(va - vb)) < 1e-10 * field.ps.scale:
-                break
-            if ca * cm > 0.0:
-                va, ca = zm, cm
-            else:
-                vb = zm
-        candidates.append(zm)
-        cand_gnorm.append(float(np.hypot(*gm)))
-
-    if not candidates:
+    cross = (dz[:, 0] * grads[:, 1] - dz[:, 1] * grads[:, 0]) / dists
+    nxt = np.roll(cross, -1)
+    peaks = np.flatnonzero((cross >= 0.0) & (nxt < 0.0))
+    if not len(peaks):
         k = int(np.argmax(dists))
         return float(dists[k]), vertices[k]
 
+    candidates, gnorms = [], []
+    for a in peaks:
+        va, vb = vertices[a], vertices[(a + 1) % len(vertices)]
+        zm = va + cross[a] / (cross[a] - nxt[a]) * (vb - va)
+        zm, _, gm = _project(field, beta, zm, CONTOUR_TOL)
+        candidates.append(zm)
+        gnorms.append(math.hypot(gm[0], gm[1]))
+
     cand = np.array(candidates)
     d = np.hypot(cand[:, 0] - zi[0], cand[:, 1] - zi[1])
-    r_max = float(d.max())
+    k = int(np.argmax(d))
     # Candidates on the level set are only located to within the
     # projection band CONTOUR_TOL * beta / |grad S|; tie detection has to
     # be at least that wide or exact lattice symmetries break by rounding.
-    k_best = int(np.argmax(d))
-    slop = 3.0 * CONTOUR_TOL * beta / max(cand_gnorm[k_best], _GRAD_FLOOR)
-    near = d >= r_max - max(slop, 1e-9 * r_max)
-    tied = cand[near]
-    ang = np.mod(np.arctan2(tied[:, 1] - zi[1], tied[:, 0] - zi[0]), 2.0 * math.pi)
+    slop = 3.0 * CONTOUR_TOL * beta / max(gnorms[k], _GRAD_FLOOR)
+    tied = np.flatnonzero(d >= d[k] - max(slop, 1e-9 * d[k]))
+    ang = np.mod(np.arctan2(cand[tied, 1] - zi[1], cand[tied, 0] - zi[0]),
+                 2.0 * math.pi)
     best = tied[int(np.argmin(ang))]
-    return float(math.hypot(best[0] - zi[0], best[1] - zi[1])), best
+    return float(d[best]), cand[best]
 
 
 def normalized_range(r_lambda: float, lam: float) -> float:

@@ -53,6 +53,15 @@ def test_bad_spread_exits_3(tmp_path, monkeypatch, spread):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec", ["log-uniformX", "log-uniform:1:7"])
+def test_fading_typo_exits_3(tmp_path, monkeypatch, capsys, spec):
+    # Read loosely, both would run as log-uniform:1 under that label.
+    argv = ["aloha-curve", "--fading", spec, "--n", "5"]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert "invalid parameter" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_asympt_beta_command(tmp_path, monkeypatch):
     rc = invoke(["asympt-beta", "--alpha", "4"], tmp_path, monkeypatch)
     assert rc == EXIT_OK
@@ -282,6 +291,19 @@ def test_trace_on_an_exclusion_hole_exits_5(tmp_path, monkeypatch, capsys):
                  "--beta", "1e-5"], tmp_path, monkeypatch)
     assert rc == EXIT_NUMERIC
     assert "UnboundedReceptionError" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--direction", "nan"),
+                                         ("--dt", "inf")])
+def test_trace_refuses_a_non_finite_step_or_direction(tmp_path, monkeypatch,
+                                                       capsys, flag, value):
+    # Unrefused, a NaN direction reads as an unbounded region (exit 5) and
+    # an infinite step walks into NaN vertices.
+    argv = ["trace", "--pattern", "square", "--d", "1", "--extent", "20",
+            "--beta", "10", flag, value]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert "invalid parameter" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -140,6 +140,26 @@ def test_square_grid_fourfold_symmetry():
     assert spread < 1e-6
 
 
+@pytest.mark.parametrize("kind, alpha, beta, maxima", [
+    ("square", 4.0, 10.0, 4), ("triangular", 4.0, 10.0, 6),
+    ("hexagonal", 3.0, 1.0, 3)])
+def test_range_refinement_projects_once_per_maximum(monkeypatch, kind, alpha,
+                                                    beta, maxima):
+    # One projection for the start, one per step, and one per distance
+    # maximum of the curve; minima are never refined.
+    project = reception._project
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(reception, "_project", counted)
+    ps = gen_grid(GridSpec(kind, 1.0), 40.0)
+    trace = trace_contour(origin_index(ps), ps, ChannelModel(alpha, beta))
+    assert len(calls) == trace.steps + 1 + maxima
+
+
 def test_normalized_range():
     assert normalized_range(0.7, 1.0) == pytest.approx(0.7)
     assert normalized_range(0.35, 4.0) == pytest.approx(0.7)
@@ -545,6 +565,9 @@ def test_trace_export():
 
 
 def test_tracer_config_validation():
-    for dt in (-1.0, 0.0, math.nan):
+    for dt in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             trace_contour(0, APOLLO, apollo_model(2.0), dt=dt)
+    for direction in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            trace_contour(0, APOLLO, apollo_model(2.0), direction=direction)
