@@ -151,9 +151,20 @@ def _cmd_grid_range(cfg: RunConfig) -> str:
             f"alpha={row['alpha']:g}: r1={row['r1']:.6g} ({row['method']})")
 
 
+def _check_curve_size(n: int) -> None:
+    """Refuse a curve of no rows or of more rows than the point budget,
+    before anything is allocated."""
+    if n < 1:
+        raise ValueError("a curve needs at least one row")
+    spatial.check_budget(n, "curve rows")
+
+
 def _cmd_aloha_curve(cfg: RunConfig) -> str:
     p = cfg.params
     model = _model(p)
+    _check_curve_size(p["n"])
+    if not all(0.0 < p[k] < math.inf for k in ("rmin", "rmax")):
+        raise ValueError("rmin and rmax must be finite and positive")
     rs = np.linspace(p["rmin"], p["rmax"], p["n"])
     models = [_model(p, fading="none", spread=1.0)]
     if model.fading != "none":
@@ -217,6 +228,7 @@ def _cmd_fading_curve(cfg: RunConfig) -> str:
     p = cfg.params
     det_model = _model(p)
     fad_model = _model(p, fading="exponential")
+    _check_curve_size(p["n"])
     spec = _grid_spec(p)
     ps, i = reception.lattice_probe(spec, p["extent"])
     # Stop short of the diagonal lattice neighbor where the SIR is singular.

@@ -8,9 +8,10 @@ from scipy.stats import ks_2samp
 
 from helpers import (disc_sample_w, float_series, laplace_transform_w,
                      mp_fading_quadrature, mp_oracle)
-from macgeo.aloha import (MAX_TRIALS, AlohaResult, _e1_laguerre, _e1_series,
-                          aloha_prob, aloha_prob_exponential, curve,
-                          mc_aloha_prob, optimize_range, prob_w_below,
+from macgeo import aloha
+from macgeo.aloha import (_MC_CHUNK, MAX_TRIALS, AlohaResult, _e1_laguerre,
+                          _e1_series, aloha_prob, aloha_prob_exponential,
+                          curve, mc_aloha_prob, optimize_range, prob_w_below,
                           sample_w)
 from macgeo.cli import RunConfig, run
 from macgeo.errors import FloatRangeError, UnsupportedFadingError
@@ -322,6 +323,40 @@ def test_sample_w_matches_disc_reference(alpha, fading):
     b = disc_sample_w(1.0, alpha, n, 12, fading=fading)
     d = ks_2samp(a, b).statistic
     assert d < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("fading", ["none", "log_uniform"])
+def test_sample_w_chunk_edges(fading):
+    # One full chunk and a partial one: the full chunk reads the same
+    # stream as a run of exactly _MC_CHUNK trials, and the 5 trials of the
+    # partial chunk are valid samples.
+    w = sample_w(1.0, 4.0, _MC_CHUNK + 5, 17, fading=fading)
+    assert np.array_equal(w[:_MC_CHUNK],
+                          sample_w(1.0, 4.0, _MC_CHUNK, 17, fading=fading))
+    assert np.all(np.isfinite(w[_MC_CHUNK:]) & (w[_MC_CHUNK:] > 0))
+
+
+@pytest.mark.parametrize("alpha, fading, spread", [
+    *((a, f, 1.0) for a in (2.05, 3.0, 4.0, 8.0, 100.0)
+      for f in ("none", "log_uniform")),
+    (2.05, "log_uniform", 800.0)])
+def test_optimizer_evaluation_budget(monkeypatch, alpha, fading, spread):
+    # Brent's method reaches the 1e-5 bracket in log rho in at most 20
+    # evaluations of p, where golden section took 30, and no dense scan in
+    # log rho beats the optimum it finds.
+    unit = ChannelModel(alpha, 1.0, fading, spread)
+    rho = np.exp(np.linspace(-5.0, 10.0, 3001))
+    scan = np.max(rho * aloha_prob(rho, 1.0, unit))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return aloha_prob(*args)
+
+    monkeypatch.setattr(aloha, "aloha_prob", counted)
+    res = optimize_range(1.0, unit)
+    assert len(calls) <= 20
+    assert res.rp >= scan * (1.0 - 1e-9)
 
 
 def test_optimizer_beta10():

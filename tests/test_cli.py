@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -309,7 +310,9 @@ def test_trace_refuses_a_non_finite_step_or_direction(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("argv", [
     ["grid-range", "--extent", "1e6"],
-    ["field", "--pattern", "square", "--n", "50000"]])
+    ["field", "--pattern", "square", "--n", "50000"],
+    ["aloha-curve", "--n", "10000000000000"],
+    ["fading-curve", "--d", "1", "--extent", "5", "--n", "10000000000000"]])
 def test_point_budget_exits_3_before_allocating(tmp_path, argv):
     # Under a 1 GiB address-space limit an allocation of the requested
     # size (tens of GiB) fails at once, so a missing budget check shows as
@@ -328,6 +331,25 @@ def test_point_budget_exits_3_before_allocating(tmp_path, argv):
                               "OPENBLAS_NUM_THREADS": "1"})
     assert out.returncode == EXIT_BAD_PARAM, out.stderr
     assert "exceed the budget" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["aloha-curve", "--n", "0"],
+    ["fading-curve", "--d", "1", "--extent", "5", "--n", "0"],
+    ["aloha-curve", "--rmax", "inf"],
+    ["aloha-curve", "--rmin", "nan"],
+    ["aloha-curve", "--rmin", "0"],
+    ["aloha-curve", "--rmax", "-1"]])
+def test_curve_refuses_an_empty_or_unbounded_range(tmp_path, monkeypatch,
+                                                   capsys, argv):
+    # Unrefused, --n 0 wrote a header-only file and --rmax inf printed a
+    # numpy RuntimeWarning from np.linspace before the library refused it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameter") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 
