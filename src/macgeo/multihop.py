@@ -34,10 +34,16 @@ hops differ from it run by run but not in law.
 Each built slot poses gen_grid's points as a bare array
 (``spatial.window_points``), with no PointSet.  A decoder needs g_i >=
 beta * sum_j g_j >= beta * g_j for every interferer j, so
-``propagation.decodes`` refuses a candidate where one of the holder's
-nearest transmitters alone beats it (for beta >= 1, past a bisector of
-the holder's Voronoi cell) before any interference sum.  Neither shortcut
-changes a hop.
+``propagation.first_decoder`` refuses a candidate where one of the
+holder's nearest transmitters alone beats it (for beta >= 1, past a
+bisector of the holder's Voronoi cell) before any interference sum.
+
+A relay step decides its candidates in winner order: the destination
+first, then the forward candidates by decreasing progress, and it stops
+at the first that receives.  Each candidate's outcome depends on its own
+row alone (its full interference sum, or under fading its own uniform,
+drawn for every candidate whether or not it is decided), so the
+candidates after the first success cannot change the hop.  None of these shortcuts changes a hop.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .propagation import ChannelModel, decodes, fading_success_prob
+from .propagation import (ChannelModel, doubling_blocks, fading_success_prob,
+                          first_decoder)
 from .spatial import (GridSpec, PointSet, check_budget, grid_density,
                       points_near, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
@@ -96,6 +103,9 @@ class SimConfig:
         check_budget(self.node_density * (2.0 * self.extent) ** 2,
                      "expected nodes of the population (lower nu or extent)")
         lam = self.scheme_density
+        if not (0 < lam < math.inf):
+            raise ValueError("ALOHA transmitter intensity must be finite "
+                             "and positive")
         if self.node_density < lam:
             raise ValueError("node density below the scheme's transmitter density")
         if self.model.fading not in ("none", "exponential"):
@@ -209,17 +219,19 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
     return np.nonzero(marks)[0]
 
 
-def _success_mask(holder_idx: int, cand_idx: np.ndarray, tx_idx: np.ndarray,
-                  tx: PointSet, nodes: np.ndarray, model: ChannelModel,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Reception outcome of the holder's transmission at each candidate;
-    ``tx`` holds the slot's transmitters at the sorted indices ``tx_idx``."""
-    col = int(np.searchsorted(tx_idx, holder_idx))
-    cand = nodes[cand_idx]
+def _first_success(rx: np.ndarray, u: np.ndarray | None, tx: PointSet,
+                   col: int, model: ChannelModel) -> int:
+    """Index of the first row of rx that receives transmitter ``col`` of
+    ``tx``, or -1.  Without fading that is the first decoder; under
+    exponential fading, the first row whose uniform in ``u`` falls below
+    its reception probability, evaluated one doubling block at a time."""
     if model.fading == "none":
-        return decodes(cand, tx, col, model)
-    # Exponential fading: one Bernoulli draw per candidate.
-    return rng.random(len(cand_idx)) < fading_success_prob(cand, tx, col, model)
+        return first_decoder(rx, tx, col, model)
+    for sl in doubling_blocks(len(rx)):
+        hit = np.flatnonzero(u[sl] < fading_success_prob(rx[sl], tx, col, model))
+        if hit.size:
+            return sl.start + int(hit[0])
+    return -1
 
 
 def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
@@ -232,10 +244,18 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
     ``tx_idx`` (sorted), ``tx`` and the node mask ``active`` are the
     slot's transmitters.  Candidate receivers are the non-transmitting
     nodes within ``candidate_radius`` of the holder, plus the destination
-    (so the immediate-delivery relaxation is never missed).  Among
-    successful receivers the largest forward progress wins; exact ties go
-    to the candidate closer to the destination.  With no successful
-    receiver at positive progress the packet stays put.
+    (so the immediate-delivery relaxation is never missed).  The
+    destination wins whenever it receives; otherwise the receiver with
+    the largest forward progress wins, and exact ties go to the candidate
+    closer to the destination.  With no successful receiver at positive
+    progress the packet stays put.
+
+    Candidates are decided in that winner order, the destination first,
+    and the walk stops at the first that receives; candidates at progress
+    <= 0 are never decided.  A candidate's outcome depends on its own row
+    alone (its full interference sum, or under fading its own uniform,
+    drawn for every candidate in sorted node order), so the candidates
+    left undecided cannot change the hop.
     """
     holder = nodes[holder_idx]
     dest = nodes[dest_idx]
@@ -246,26 +266,23 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
         cand = np.append(cand, dest_idx)
     if cand.size == 0:
         return holder_idx
+    u = rng.random(len(cand)) if cfg.model.fading != "none" else None
 
-    ok = _success_mask(holder_idx, cand, tx_idx, tx, nodes, cfg.model, rng)
-    winners = cand[ok]
-    if winners.size == 0:
+    pos = nodes[cand]
+    e = dest - holder
+    e = e / math.hypot(e[0], e[1])
+    prog = (pos - holder) @ e
+    d_dest = np.hypot(pos[:, 0] - dest[0], pos[:, 1] - dest[1])
+    is_dest = cand == dest_idx
+    order = np.flatnonzero((prog > 0.0) & ~is_dest)
+    order = order[np.lexsort((d_dest[order], -prog[order]))]
+    order = np.concatenate((np.flatnonzero(is_dest), order))
+    col = int(np.searchsorted(tx_idx, holder_idx))
+    k = _first_success(pos[order], None if u is None else u[order], tx, col,
+                       cfg.model)
+    if k < 0:
         return holder_idx
-
-    if dest_idx in winners:
-        hop_to = dest_idx
-    else:
-        pos = nodes[winners]
-        u = dest - holder
-        u = u / math.hypot(u[0], u[1])
-        prog = (pos - holder) @ u
-        fwd = prog > 0.0
-        if not np.any(fwd):
-            return holder_idx
-        winners, prog, pos = winners[fwd], prog[fwd], pos[fwd]
-        d_dest = np.hypot(pos[:, 0] - dest[0], pos[:, 1] - dest[1])
-        best = np.lexsort((d_dest, -prog))[0]
-        hop_to = int(winners[best])
+    hop_to = int(cand[order[k]])
 
     rx = nodes[hop_to]
     packet.hops.append(rx.copy())

@@ -252,6 +252,9 @@ def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
 DECODE_NEIGHBORS = 12
 DECODE_MARGIN = 1e-12
 CHUNK = 1 << 16
+# First block of rows that a walk for the first success decides; each
+# later block doubles (doubling_blocks).
+FIRST_BLOCK = 8
 
 
 @dataclass
@@ -272,6 +275,17 @@ def _chunks(rows: int, width: int):
     (one row at least)."""
     step = max(1, CHUNK // max(width, 1))
     return (slice(s, s + step) for s in range(0, rows, step))
+
+
+def doubling_blocks(rows: int):
+    """Row slices covering range(rows) in order, FIRST_BLOCK rows first and
+    twice as many in each next one: a walk that stops at its first success
+    decides at most twice the rows it needs, plus FIRST_BLOCK."""
+    start, size = 0, FIRST_BLOCK
+    while start < rows:
+        yield slice(start, start + size)
+        start += size
+        size *= 2
 
 
 def _squared_distances(rx: np.ndarray, pts: np.ndarray,
@@ -347,6 +361,25 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
         counts.rows += len(rx)
         counts.pruned += len(rx) - len(rows)
     return out
+
+
+def first_decoder(rx, ps: PointSet, i: int, model: ChannelModel) -> int:
+    """Index of the first receiver row of the (M, 2) array rx where
+    transmitter i clears beta times the interference, or -1: the first
+    True of :func:`decodes`, bit for bit.  The single-interferer pass runs
+    over every row; the full sums then run over the rows it leaves, in
+    order, one doubling block at a time, and stop at the first block that
+    holds a decoder."""
+    rx = np.asarray(rx, dtype=float).reshape(-1, 2)
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+    rows = np.flatnonzero(~_beaten(rx, ps.points, i, model, guard2))
+    for sl in doubling_blocks(len(rows)):
+        g, w = _normalized_sums(rx[rows[sl]], ps.points, i, model.alpha,
+                                guard2)
+        hit = np.flatnonzero(g >= model.beta * w)
+        if hit.size:
+            return int(rows[sl][hit[0]])
+    return -1
 
 
 def fading_success_prob(rx, ps: PointSet, i: int,

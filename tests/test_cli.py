@@ -353,6 +353,19 @@ def test_curve_refuses_an_empty_or_unbounded_range(tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("lam", ["nan", "0", "-1", "inf"])
+def test_simulate_refuses_a_bad_aloha_intensity(tmp_path, monkeypatch, capsys,
+                                                lam):
+    # Unrefused, nan thinned every slot to nothing and reported "delivered
+    # 0.00%", and 0 raised a ZeroDivisionError from the candidate radius.
+    argv = ["simulate", "--scheme", "aloha", "--lam", lam, "--nu", "100",
+            "--extent", "4", "--slots", "20", "--packets", "1"]
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameter") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_command(tmp_path, monkeypatch):
     rc = invoke(["simulate", "--pattern", "square", "--d", "1", "--nu",
                  "100", "--extent", "6", "--beta", "1", "--alpha", "4",

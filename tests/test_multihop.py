@@ -6,13 +6,13 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import write_hop_log
+from helpers import direct_decisions, write_hop_log
 from scipy.spatial import cKDTree
 
 from macgeo.cli import _write_json
-from macgeo.multihop import (SimConfig, _success_mask, progress,
+from macgeo.multihop import (SimConfig, _first_success, progress,
                              run_simulation, select_transmitters)
-from macgeo.propagation import ChannelModel, sir
+from macgeo.propagation import SINGULARITY_GUARD, ChannelModel, sir
 from macgeo.reception import grid_range
 from macgeo.spatial import GridSpec, PointSet
 
@@ -37,6 +37,9 @@ def test_config_validation():
         SimConfig(100.0, 10.0, 2.0, ChannelModel(4.0, 1.0, "log_uniform"))
     cfg = SimConfig(100.0, 10.0, spec, MODEL)
     assert cfg.scheme_density == pytest.approx(1.0)
+    for lam in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="intensity"):
+            SimConfig(100.0, 10.0, lam, MODEL)
 
 
 def test_population_budget_checked_before_allocation():
@@ -272,34 +275,54 @@ def test_hop_log_pinned(tmp_path, scheme, digest, beta, extent):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("scheme,digest", [
+    (GridSpec("square", 1.0),
+     "e0b3e61d1bf525d6352d2a59efe6958f0d3d4889175ba0a403a541fbd36a31d5"),
+    (1.0,
+     "356c3ce59914257bf021d30e5d807f09d23db84803c27110cb1cb6d3cf0836da"),
+], ids=["square", "aloha"])
+def test_fading_hop_log_pinned(tmp_path, scheme, digest):
+    # Exponential fading draws one uniform per candidate of a relay step,
+    # in sorted node order, whether or not the step decides it; these logs
+    # are those of the step that decided every candidate, so they pin
+    # where each draw falls in the stream and which candidate it serves.
+    cfg = SimConfig(100.0, 8.0, scheme,
+                    ChannelModel(4.0, 1.0, fading="exponential"), slots=600,
+                    seed=21)
+    _, packets = run_simulation(cfg, 4, pair_distance=2.0)
+    path = tmp_path / "log.csv"
+    write_hop_log(packets, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("interferer,candidate,want", [
     ((1.0, 0.0), (5e-4, 0.0), True),        # SIR ~ 1e330: raw powers overflow
     ((4500.0, 0.0), (2500.0, 0.0), False),  # SIR ~ 2e-10: both underflow to 0
 ])
-def test_success_mask_extreme_alpha(interferer, candidate, want):
+def test_first_success_extreme_alpha(interferer, candidate, want):
     model = ChannelModel(alpha=100.0, beta=1.0)
     cfg = SimConfig(1e-2, 5000.0, 1e-2, model)
     nodes = np.array([(0.0, 0.0), interferer, candidate])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tx = PointSet(nodes[:2], cfg.scheme_density, cfg.extent)
-        ok = _success_mask(0, np.array([2]), np.array([0, 1]), tx, nodes,
-                           model, np.random.default_rng(0))
-    assert ok.tolist() == [want]
+        k = _first_success(nodes[[2]], None, tx, 0, model)
+    assert k == (0 if want else -1)
 
 
-def test_success_mask_fading_extreme_alpha():
+def test_first_success_fading_extreme_alpha():
     # The fading product at alpha 100: the candidate 1e-3 from the
-    # interferer would overflow a raw distance-ratio power.
+    # interferer would overflow a raw distance-ratio power.  Its uniform
+    # is not below its probability; the next candidate's is.
     model = ChannelModel(alpha=100.0, beta=1.0, fading="exponential")
     cfg = SimConfig(1e-2, 50.0, 1e-2, model)
     nodes = np.array([(0.0, 0.0), (10.0, 0.0), (9.999, 0.0), (1e-3, 0.0)])
+    u = np.random.default_rng(0).random(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tx = PointSet(nodes[:2], cfg.scheme_density, cfg.extent)
-        ok = _success_mask(0, np.array([2, 3]), np.array([0, 1]), tx, nodes,
-                           model, np.random.default_rng(0))
-    assert ok.tolist() == [False, True]
+        k = _first_success(nodes[[2, 3]], u, tx, 0, model)
+    assert k == 1
 
 
 def test_fading_randomizes_hop_lengths_paired_seed():
@@ -346,14 +369,20 @@ def test_beta_monotone_delivery_paired_seed():
                          ids=["square", "aloha"])
 def test_post_hoc_sir_audit(scheme):
     # Every hop happens in a built slot and clears beta against that
-    # slot's recorded transmitters.
+    # slot's recorded transmitters.  A relay hop goes to the decoder of
+    # largest forward progress: no other non-transmitting node within the
+    # candidate radius whose (progress, -distance to destination) key beats
+    # the receiver's decodes, and neither does the destination, which
+    # would have taken the packet.  The decisions come from the direct sum.
     cfg = SimConfig(100.0, 8.0, scheme, MODEL, slots=1500, seed=51)
     summary, packets = run_simulation(cfg, 4, pair_distance=2.5,
                                       record_transmitters=True)
     nodes = summary["nodes"]
     slot_tx = summary["slot_transmitters"]
-    checked = 0
+    radius = 2.0 / math.sqrt(cfg.scheme_density)
+    checked = beaten = 0
     for rec in packets:
+        dest = rec.destination
         for h, slot in enumerate(rec.hop_slots):
             tx_idx = slot_tx[slot]
             assert tx_idx.size > 0
@@ -363,7 +392,26 @@ def test_post_hoc_sir_audit(scheme):
             ps = PointSet(pts, cfg.scheme_density, cfg.extent * 1.01)
             assert sir(col, to, ps, cfg.model.alpha) >= cfg.model.beta * (1 - 1e-9)
             checked += 1
-    assert checked >= 4
+            if np.array_equal(to, dest):
+                continue
+            quiet = np.ones(len(nodes), dtype=bool)
+            quiet[tx_idx] = False
+            near = np.hypot(*(nodes - frm).T) <= radius
+            u = (dest - frm) / math.hypot(*(dest - frm))
+            prog = (nodes - frm) @ u
+            d_dest = np.hypot(*(nodes - dest).T)
+            k = int(np.flatnonzero((nodes == to).all(axis=1))[0])
+            p_to, d_to = prog[k], d_dest[k]
+            better = quiet & near & ((prog > p_to) | ((prog == p_to)
+                                                      & (d_dest < d_to)))
+            better |= quiet & (d_dest == 0.0)
+            rx = nodes[better]
+            guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+            ok = direct_decisions(rx, pts, col, cfg.model.alpha,
+                                  (cfg.model.beta,), guard2)[0]
+            assert not ok.any(), (slot, rx[ok])
+            beaten += len(rx)
+    assert checked >= 4 and beaten > 100 * checked
 
 
 def test_progress_sum_bound():

@@ -12,8 +12,9 @@ from macgeo.aloha import mc_aloha_prob
 from macgeo.errors import DivergentMomentError, MacGeoError, SingularityError
 from macgeo.propagation import (DECODE_NEIGHBORS, SINGULARITY_GUARD,
                                 VALID_RADIUS, ChannelModel, DecodeCounts,
-                                Field, decodes, log_psi, psi, raster_field,
-                                sample_fading, sir, sir_and_gradient)
+                                Field, decodes, first_decoder, log_psi, psi,
+                                raster_field, sample_fading, sir,
+                                sir_and_gradient)
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
                             grid_density)
 
@@ -283,6 +284,30 @@ def test_decodes_cell_pass_spares_the_guard():
     want = direct_decisions(rx, pts, i, 4.0, (1.0,), guard2)[0]
     assert want.tolist() == [True, False]
     assert np.array_equal(decodes(rx, ps, i, ChannelModel(4.0, 1.0)), want)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_first_decoder_is_the_first_of_decodes(seed):
+    # Receivers around the transmitter nearest the origin of a Poisson set,
+    # in a shuffled order and in one with every decoder last (so that the
+    # walk crosses several doubling blocks before it finds one).
+    ps = gen_poisson(1.0, 12.0, seed)
+    rng = np.random.default_rng(seed)
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    rx = ps.points[i] + rng.uniform(-3.0, 3.0, size=(600, 2))
+    for alpha in (2.5, 4.0, 100.0):
+        for beta in (0.0, 0.1, 1.0, 10.0):
+            model = ChannelModel(alpha, beta)
+            order = rng.permutation(len(rx))
+            late = np.argsort(decodes(rx, ps, i, model), kind="stable")
+            for rows in (rx[order], rx[late], rx[late[:40]], rx[:0]):
+                hits = np.flatnonzero(decodes(rows, ps, i, model))
+                want = int(hits[0]) if hits.size else -1
+                assert first_decoder(rows, ps, i, model) == want, \
+                    (alpha, beta)
+    # Receivers on other transmitters: no row decodes.
+    far = np.delete(ps.points, i, axis=0)[:50]
+    assert first_decoder(far, ps, i, ChannelModel(4.0, 1.0)) == -1
 
 
 def test_decodes_memory_is_bounded():
