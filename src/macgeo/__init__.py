@@ -7,7 +7,7 @@ Monte Carlo."""
 from .aloha import (AlohaResult, aloha_prob, aloha_prob_exponential,
                     mc_aloha_prob, optimize_range, prob_w_below, sample_w)
 from .asymptotics import (alpha_inf_range, alpha_inf_table, beta_inf_range,
-                          beta_inf_table, voronoi_limit_check)
+                          beta_inf_table)
 from .errors import (DivergentMomentError, FloatRangeError, MacGeoError,
                      NonClosureError, PrecisionLossError, SingularityError,
                      StationaryPointError, UnboundedReceptionError,

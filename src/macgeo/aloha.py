@@ -38,7 +38,8 @@ Exponential (unit-mean) fading has the exact closed form
 
     p = exp(-lam pi Gamma(1-gamma) Gamma(1+gamma) beta^gamma r^2),
 
-used here as an independent cross-check of the Monte Carlo path.
+which aloha_prob returns for it; it is also an independent cross-check
+of the Monte Carlo path.
 
 The Monte Carlo oracle stays geometric, so it is independent of the
 stable law it checks: each trial places the K = 128 nearest interferers
@@ -61,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FloatRangeError, UnsupportedFadingError
+from .errors import FloatRangeError
 from .propagation import ChannelModel, psi, sample_fading
 
 # Tanh-sinh rule on [0, 1] with step 1/16: node s_k, its distance 1 - s_k
@@ -134,6 +135,13 @@ MAX_TRIALS = 10 ** 8
 def _stable_constant(g):
     """C = pi Gamma(1 - gamma) of the no-fading field."""
     return math.pi * math.gamma(1.0 - g)
+
+
+def _exponential_rate(lam, beta, g):
+    """K of the exponential-fading success probability p = exp(-K r^2):
+    lam pi Gamma(1 - g) Gamma(1 + g) beta^g."""
+    return (lam * math.pi * math.gamma(1.0 - g) * math.gamma(1.0 + g)
+            * beta ** g)
 
 
 def _check_intensity(lam: float) -> None:
@@ -265,19 +273,17 @@ def aloha_prob(r, lam: float, model: ChannelModel):
 
     ``r`` may be a scalar or an array.  Without fading this is
     Pr(W < r^(-alpha)/beta); ``log_uniform`` fading uses the fading
-    constant and averages over the signal fade.  Exponential fading has
-    its own exact form: use :func:`aloha_prob_exponential` or the Monte
-    Carlo path.
+    constant and averages over the signal fade, and ``exponential``
+    fading has the closed form of :func:`aloha_prob_exponential`.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((r > 0) & (r < math.inf)):
         raise ValueError("link length must be positive and finite")
     _check_link(lam, model)
-    if model.fading == "exponential":
-        raise UnsupportedFadingError(
-            "exponential fading has a closed form; use "
-            "aloha_prob_exponential or mc_aloha_prob")
     g = model.gamma
+    if model.fading == "exponential":
+        return _scalar_or_array(np.exp(-_exponential_rate(lam, model.beta, g)
+                                       * r * r))
     log_z = (math.log(_stable_constant(g) * lam)
              + 2.0 * np.log(r) + g * math.log(model.beta)) / (1.0 - g)
     w = 0.0
@@ -308,8 +314,7 @@ def aloha_prob_exponential(r: float, lam: float, beta: float, alpha: float) -> f
     _check_intensity(lam)
     if not (0 <= r < math.inf):
         raise ValueError("link length must be finite and non-negative")
-    return math.exp(-lam * math.pi * math.gamma(1.0 - g) * math.gamma(1.0 + g)
-                    * beta ** g * r * r)
+    return math.exp(-_exponential_rate(lam, beta, g) * r * r)
 
 
 def _check_trials(lam: float, trials: int) -> None:

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .propagation import ChannelModel
-from .reception import grid_range
 from .spatial import (GridSpec, _basis, covering_radius, gen_grid,
                       grid_density)
 
@@ -101,31 +100,6 @@ def alpha_inf_range(kind: str, k1: float = 1.0, k2: float = 1.0) -> float:
     """
     spec = GridSpec(kind, 1.0, k1, k2)
     return covering_radius(spec) * math.sqrt(grid_density(spec))
-
-
-def voronoi_limit_check(spec: GridSpec, alpha_large: float,
-                        extent: float | None = None) -> dict:
-    """Trace the boundary at (beta = 1, alpha_large) and report the
-    relative deviation of r1 from the Voronoi-cell closed form.
-
-    At alpha >= 50 transmitters a few cells away are already beneath
-    double-precision relevance, so the default window keeps 60 cell
-    diameters around the probe."""
-    if alpha_large < 50:
-        raise ValueError("the Voronoi limit check expects alpha >= 50")
-    if extent is None:
-        extent = 60.0 * spec.d * max(1.0, spec.k2)
-    model = ChannelModel(alpha=alpha_large, beta=1.0)
-    res = grid_range(spec, model, extent=extent)
-    limit = alpha_inf_range(spec.kind, spec.k1, spec.k2)
-    return {
-        "pattern": spec.kind,
-        "k1_over_k2": spec.k1 / spec.k2,
-        "alpha": alpha_large,
-        "r1_traced": res.r1,
-        "r1_limit": limit,
-        "rel_deviation": abs(res.r1 - limit) / limit,
-    }
 
 
 # Rows of the two standard comparison tables: pattern with aspect ratio.

@@ -84,37 +84,29 @@ def _project(field, beta, z, tol, max_iter=8):
     raise StationaryPointError("Newton projection failed to reach the level set")
 
 
-def _contour_start(field, beta, direction):
+def _contour_start(field, beta, direction, dt):
+    """A point of the start ray within dt/2 of its first crossing of
+    S = beta: the distance from the probe doubles until the first sample
+    with S < beta, then that bracket halves while it is wider than dt.
+    The tracer's own projection puts the point on the level set."""
     if beta <= 0:
         raise ValueError("contour search requires beta > 0")
     u = np.array([math.cos(direction), math.sin(direction)])
     zi = field.center
-
-    r_in = 1e-3 * field.ps.scale
-    r = r_in
+    lo = hi = 1e-3 * field.ps.scale
     limit = 2.0 * field.ps.extent
-    while True:
-        val = field.sir(zi + r * u)
-        if val < beta:
-            break
-        r_in = r
-        r *= 2.0
-        if r > limit:
+    while field.sir(zi + hi * u) >= beta:
+        lo, hi = hi, 2.0 * hi
+        if hi > limit:
             raise UnboundedReceptionError(
                 f"SIR never drops below beta={beta:g} within the window")
-    lo, hi = r_in, r
-    for _ in range(200):
+    while hi - lo > dt:
         mid = 0.5 * (lo + hi)
-        val = field.sir(zi + mid * u)
-        if abs(val - beta) <= CONTOUR_TOL * beta:
-            return zi + mid * u
-        if val >= beta:
+        if field.sir(zi + mid * u) >= beta:
             lo = mid
         else:
             hi = mid
-    # Interval collapsed to rounding; polish with Newton.
-    z, _, _ = _project(field, beta, zi + 0.5 * (lo + hi) * u, CONTOUR_TOL)
-    return z
+    return zi + 0.5 * (lo + hi) * u
 
 
 def trace_contour(i: int, ps: PointSet, model: ChannelModel,
@@ -123,10 +115,11 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     angle ``direction`` (radians), in steps of ``dt`` meters (scale/200 by
     default).
 
-    Each Euler predictor step is re-projected onto the level set, so every
-    returned vertex obeys |S - beta| <= CONTOUR_TOL * beta.  The trace
-    terminates once it returns within dt of the start (after at least 10
-    steps, with a matching heading); exhausting MAX_STEPS raises
+    The start ray's crossing is bracketed to within dt and its midpoint is
+    projected, like each Euler predictor step after it, onto the level
+    set, so every returned vertex obeys |S - beta| <= CONTOUR_TOL * beta.
+    The trace terminates once it returns within dt of the start (after at
+    least 10 steps, with a matching heading); exhausting MAX_STEPS raises
     :class:`NonClosureError` with the partial trace attached, and a curve
     that misses the transmitter (an exclusion hole) raises
     :class:`UnboundedReceptionError`.  One :class:`Field` serves every SIR
@@ -138,7 +131,7 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
         raise ValueError("dt must be finite and positive, direction finite")
     beta = model.beta
     field = Field(ps, i, model.alpha)
-    z0 = _contour_start(field, beta, direction)
+    z0 = _contour_start(field, beta, direction, dt)
     z0, _, g0 = _project(field, beta, z0, CONTOUR_TOL)
     t0 = _J @ (g0 / np.linalg.norm(g0))
 

@@ -14,7 +14,7 @@ from macgeo.aloha import (_MC_CHUNK, MAX_TRIALS, AlohaResult, _e1_laguerre,
                           curve, mc_aloha_prob, optimize_range, prob_w_below,
                           sample_w)
 from macgeo.cli import RunConfig, run
-from macgeo.errors import FloatRangeError, UnsupportedFadingError
+from macgeo.errors import FloatRangeError
 from macgeo.propagation import ChannelModel
 
 M44 = ChannelModel(4.0, 1.0)
@@ -113,9 +113,16 @@ def test_fading_series_crosses_once_above_at_large_r():
     assert signs[0] < 0 and signs[-1] > 0  # fading above at large r
 
 
-def test_exponential_fading_rejected_by_series():
-    with pytest.raises(UnsupportedFadingError):
-        aloha_prob(0.3, 1.0, ChannelModel(4.0, 1.0, "exponential"))
+def test_exponential_fading_closed_form():
+    # aloha_prob answers exponential fading with its closed form, for a
+    # scalar and for an array of link lengths.
+    model = ChannelModel(4.0, 3.0, "exponential")
+    rs = np.linspace(0.05, 1.5, 7)
+    want = [aloha_prob_exponential(r, 0.7, 3.0, 4.0) for r in rs]
+    assert aloha_prob(rs, 0.7, model) == pytest.approx(want, rel=1e-14)
+    assert aloha_prob(0.3, 0.7, model) == \
+        pytest.approx(aloha_prob_exponential(0.3, 0.7, 3.0, 4.0), rel=1e-14)
+    assert isinstance(aloha_prob(0.3, 0.7, model), float)
 
 
 def test_log_uniform_small_spreads_match_mpmath():

@@ -8,8 +8,10 @@ from helpers import brute_lattice_sum
 from macgeo import asymptotics
 from macgeo.asymptotics import (TABLE_PATTERNS, alpha_inf_range,
                                 alpha_inf_table, beta_inf_range,
-                                beta_inf_table, voronoi_limit_check)
+                                beta_inf_table)
 from macgeo.cli import RunConfig, run
+from macgeo.propagation import ChannelModel
+from macgeo.reception import grid_range
 from macgeo.spatial import GridSpec
 
 # Large-beta normalized ranges at alpha = 4, unit density.
@@ -149,10 +151,10 @@ def test_alpha_closed_forms():
 
 
 def test_voronoi_limit_square():
-    rep = voronoi_limit_check(GridSpec("square", 1.0), 100.0)
-    assert rep["rel_deviation"] < 0.02
-    with pytest.raises(ValueError):
-        voronoi_limit_check(GridSpec("square", 1.0), 10.0)
+    r1 = grid_range(GridSpec("square", 1.0), ChannelModel(100.0, 1.0),
+                    extent=60.0).r1
+    limit = alpha_inf_range("square")
+    assert abs(r1 - limit) / limit < 0.02
 
 
 def test_table_csv(tmp_path):

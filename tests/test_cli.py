@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import macgeo
+from macgeo.aloha import aloha_prob_exponential
 from macgeo.cli import (_COMMANDS, EXIT_BAD_PARAM, EXIT_IO, EXIT_NUMERIC,
                         EXIT_OK, RunConfig, _build_parser, main, parse_fading,
                         run, sweep)
@@ -192,6 +193,36 @@ def test_compare_normalization(tmp_path, monkeypatch):
     assert table["aloha"][2] > 2.0  # several times the triangular cost
     assert set(table) == {"triangular", "square", "rectangular(1:2)",
                           "hexagonal", "aloha"}
+
+
+def test_optimize_exponential_fading_closed_form(tmp_path, monkeypatch):
+    # Under exponential fading p = exp(-K r^2), so r p peaks at
+    # r = (2 K)^(-1/2), where p = e^(-1/2).
+    args = ["optimize", "--beta", "10", "--alpha", "4", "--fading",
+            "exponential", "--format", "json"]
+    assert invoke(args, tmp_path, monkeypatch) == EXIT_OK
+    rep = json.loads((tmp_path / "optimize.json").read_text())
+    g = 0.5
+    want = ((2.0 * math.pi * math.gamma(1.0 - g) * math.gamma(1.0 + g))
+            ** -0.5 * 10.0 ** -0.25)
+    assert want == pytest.approx(0.1789988, abs=1e-7)
+    assert rep["fading"] == "exponential"
+    assert abs(rep["p_at_opt"] - math.exp(-0.5)) <= 1e-6
+    assert rep["r1"] == pytest.approx(want, rel=1e-5)
+
+
+def test_aloha_curve_exponential_rows(tmp_path, monkeypatch):
+    rc = invoke(["aloha-curve", "--lam", "1", "--beta", "3", "--alpha", "4",
+                 "--fading", "exponential", "--rmin", "0.05", "--rmax", "0.8",
+                 "--n", "9"], tmp_path, monkeypatch)
+    assert rc == EXIT_OK
+    _, rows = read_csv(tmp_path / "aloha_curve.csv")
+    exp_rows = [r for r in rows if r[3] == "exponential"]
+    assert len(exp_rows) == 9 and len(rows) == 18
+    for r, p, rp, _ in exp_rows:
+        want = aloha_prob_exponential(float(r), 1.0, 3.0, 4.0)
+        assert float(p) == pytest.approx(want, rel=1e-11)
+        assert float(rp) == pytest.approx(float(r) * want, rel=1e-11)
 
 
 def test_aloha_curve(tmp_path, monkeypatch):

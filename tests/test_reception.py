@@ -54,6 +54,39 @@ def test_start_point_symmetry():
     assert up[0] == pytest.approx(dn[0], abs=1e-12)
 
 
+def test_start_search_brackets_to_one_step(monkeypatch):
+    # The start search doubles out to the first sample below beta, then
+    # halves that bracket until it is one step dt wide; the tracer's own
+    # projection puts the point on the level set.
+    ps = gen_grid(GridSpec("square", 1.0), 40.0)
+    i = origin_index(ps)
+    u = np.array([math.cos(0.7), math.sin(0.7)])
+    r, march = 1e-3 * ps.scale, 1
+    while sir(i, ps.points[i] + r * u, ps, 4.0) >= 10.0:
+        r, march = 2.0 * r, march + 1
+    bound = march + math.ceil(math.log2(0.5 * r / (ps.scale / 200.0)))
+
+    inside, calls = [False], [0]
+    query, start = reception.Field.sir_and_gradient, reception._contour_start
+
+    def counted_query(self, rx):
+        if inside[0]:
+            calls[0] += 1
+        return query(self, rx)
+
+    def counted_start(*args):
+        inside[0] = True
+        try:
+            return start(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(reception.Field, "sir_and_gradient", counted_query)
+    monkeypatch.setattr(reception, "_contour_start", counted_start)
+    assert trace_contour(i, ps, ChannelModel(4.0, 10.0), direction=0.7).closed
+    assert march < calls[0] <= bound
+
+
 def test_unbounded_reception_below_beta_one():
     # With two transmitters the SIR tends to 1 far away, so beta = 0.5
     # never crosses along the outward ray.
