@@ -43,15 +43,18 @@ of the Monte Carlo path.
 
 The Monte Carlo oracle stays geometric, so it is independent of the
 stable law it checks: each trial places the K = 128 nearest interferers
-exactly from cumulative Exp(1) arrivals (the ordered-arrival or LePage
-series; LePage, Woodroofe & Zinn 1981; Samorodnitsky & Taqqu 1994, 1.4)
-and adds the exact conditional mean of the field beyond the K-th.  The
-fluctuation it leaves out has variance E[F^2] pi lam r_K^(2-2 alpha) /
+exactly and adds the exact conditional mean of the field beyond the K-th.
+Their squared distances times pi lam are the first K arrivals of a
+unit-rate Poisson process (the ordered-arrival or LePage series; LePage,
+Woodroofe & Zinn 1981; Samorodnitsky & Taqqu 1994, 1.4).  The K-th
+arrival is one Gamma(K) draw, and given it the first K - 1 are the order
+statistics of K - 1 uniforms below it (Kingman 1993; Devroye 1986, ch.
+V); the interference sum ignores their order, so they are never sorted.
+The fluctuation left out has variance E[F^2] pi lam r_K^(2-2 alpha) /
 (alpha-1), about 9e-4 at alpha = 3 against a W scale of about 24.  The
-draws are laid out trial-minor, a (K, trials) block per chunk whose row k
-holds the k-th arrival of every trial, so the running sum of arrivals is
-K - 1 vector adds.  The same generator state and the same number of
-trials give the same samples.
+draws are laid out trial-minor, a (K - 1, m) block of uniforms for each
+chunk of m trials, so each step is one pass over the block.  The same
+generator state and the same number of trials give the same samples.
 """
 
 from __future__ import annotations
@@ -330,11 +333,16 @@ def sample_w(lam: float, alpha: float, trials: int, rng,
     """Draw ``trials`` samples of the aggregate interference W.
 
     Each trial places the MC_NEAREST nearest interferers of the Poisson
-    field exactly: with cumulative Exp(1) arrivals G_1 < ... < G_K, the
-    k-th nearest sits at squared distance r_k^2 = G_k / (pi lam).  Fading
-    draws one factor F_k per interferer.  The field beyond r_K is again
-    Poisson, so its conditional mean E[F] 2 pi lam r_K^(2-alpha)/(alpha-2)
-    is added exactly:
+    field exactly.  The squared distances r_k^2 = G_k / (pi lam) are the
+    arrivals G_1 < ... < G_K of a unit-rate Poisson process; the K-th is
+    G_K ~ Gamma(K), and given G_K the first K - 1 arrivals are the order
+    statistics of K - 1 i.i.d. uniforms on (0, G_K) (Kingman 1993;
+    Devroye 1986, ch. V).  W sums over the interferers in any order, so the
+    uniforms are never sorted: r_k^2 = (1 - U_k) r_K^2, where 1 - U_k lies
+    in (0, 1] and no trial meets a zero distance.  Fading draws one factor
+    F_k per interferer.  The field beyond r_K is again Poisson, so its
+    conditional mean E[F] 2 pi lam r_K^(2-alpha)/(alpha-2) is added
+    exactly:
 
         W = sum_k F_k r_k^(-alpha) + E[F] 2 pi lam r_K^(2-alpha)/(alpha-2).
 
@@ -342,12 +350,17 @@ def sample_w(lam: float, alpha: float, trials: int, rng,
     E[F^2] pi lam r_K^(2-2 alpha)/(alpha-1); at alpha = 3 and K = 128 that
     is about 9e-4, against a W scale (C lam)^(alpha/2) of about 24.
 
-    The draws are taken _MC_CHUNK trials at a time as (MC_NEAREST, m)
-    arrays, row k the k-th arrival of every trial, so the running sum of
-    arrivals is one vector add per row; the fading factors are drawn the
-    same way.  The same generator state and the same ``trials`` give the
-    same samples; within a chunk, ``trials`` samples are not a prefix of
-    more, since each row spans the whole chunk.
+    The trials are taken _MC_CHUNK at a time, m in a chunk, which draws in
+    this order: the m values of G_K; a (K - 1, m) block of U; under
+    log-uniform or exponential fading a (K - 1, m) block of fading draws;
+    the m fading factors of the K-th interferer.  The block is scaled by
+    r_K^2 before the power, so r_K^-alpha is never factored out (U^-alpha/2
+    alone overflows at large alpha), and the power is taken as
+    exp(-alpha/2 log r_k^2), with the log-uniform exponent u_k, F_k = e^u_k,
+    added inside.  The same generator state and the same ``trials`` give
+    the same samples; a full chunk reads the same stream as a run of
+    exactly _MC_CHUNK trials, but within a chunk ``trials`` samples are
+    not a prefix of more, since each draw spans the whole chunk.
 
     Raises ValueError unless alpha, fading and spread make a ChannelModel,
     lam is finite and positive and 1 <= trials <= MAX_TRIALS.
@@ -356,18 +369,24 @@ def sample_w(lam: float, alpha: float, trials: int, rng,
     _check_trials(lam, trials)
     rng = np.random.default_rng(rng)
     tail = psi(fading, 1.0, spread) * 2.0 * math.pi * lam / (alpha - 2.0)
+    h = -0.5 * alpha
     out = np.empty(trials)
     for start in range(0, trials, _MC_CHUNK):
         m = min(_MC_CHUNK, trials - start)
-        r2 = rng.standard_exponential((MC_NEAREST, m))
-        for k in range(1, MC_NEAREST):
-            np.add(r2[k - 1], r2[k], out=r2[k])
-        r2 /= math.pi * lam
-        power = r2 ** (-0.5 * alpha)
-        if fading != "none":
-            power *= sample_fading(fading, rng, (MC_NEAREST, m), spread)
-        out[start:start + m] = (power.sum(axis=0)
-                                + tail * r2[-1] ** (1.0 - 0.5 * alpha))
+        rk2 = rng.standard_gamma(MC_NEAREST, m) / (math.pi * lam)
+        r2 = rng.random((MC_NEAREST - 1, m))
+        np.subtract(1.0, r2, out=r2)
+        r2 *= rk2
+        np.log(r2, out=r2)
+        r2 *= h
+        if fading == "log_uniform":
+            r2 += rng.uniform(-spread, spread, r2.shape)
+        np.exp(r2, out=r2)
+        if fading == "exponential":
+            r2 *= rng.standard_exponential(r2.shape)
+        fk = sample_fading(fading, rng, m, spread)
+        out[start:start + m] = (r2.sum(axis=0) + fk * rk2 ** h
+                                + tail * rk2 ** (1.0 + h))
     return out
 
 

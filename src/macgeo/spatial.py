@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -245,18 +245,30 @@ def window_points(spec: GridSpec, extent: float) -> np.ndarray:
     return _pose(k @ A.T, spec, extent)
 
 
+@lru_cache(maxsize=64)
+def _near_stencil(kind: str, d: float, k1: float, k2: float, radius: float):
+    """Pose-free part of :func:`points_near`, read-only (it is shared): the
+    basis A, the in-cell offsets, A^-1 and the index steps within a reach
+    of ceil(radius * |row of A^-1|) + 1."""
+    A, offs = _basis(GridSpec(kind, d, k1, k2))
+    inv = np.linalg.inv(A)
+    reach = np.ceil(radius * np.linalg.norm(inv, axis=1)).astype(int) + 1
+    steps = np.mgrid[-reach[0]:reach[0] + 1, -reach[1]:reach[1] + 1].reshape(2, -1).T
+    for a in (A, offs, inv, steps):
+        a.flags.writeable = False
+    return A, offs, inv, steps
+
+
 def points_near(spec: GridSpec, centers: np.ndarray, radius: float):
     """Posed pattern points within ``radius`` of each center, with no window
     clip: (points, owner), where owner[j] is the row of ``centers`` that
     point j lies near.  Each center is put into lattice coordinates under
     the pose; an index reach of ceil(radius * |row of A^-1|) + 1 around it
     covers every point within the radius."""
-    A, offs = _basis(spec)
+    A, offs, inv, steps = _near_stencil(spec.kind, spec.d, spec.k1, spec.k2,
+                                        radius)
     R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)
-    inv = np.linalg.inv(A)
-    reach = np.ceil(radius * np.linalg.norm(inv, axis=1)).astype(int) + 1
-    steps = np.mgrid[-reach[0]:reach[0] + 1, -reach[1]:reach[1] + 1].reshape(2, -1).T
     local = (np.asarray(centers, dtype=float) - t) @ R  # R^T (c - t) per row
     k = np.rint((local[:, None, :] - offs) @ inv.T)[:, :, None, :] + steps
     pts = k @ A.T + offs[:, None, :]

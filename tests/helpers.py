@@ -16,9 +16,10 @@ clipping of that hull.
 A brute lattice sum with a continuum tail, independent of the library's
 Chowla-Selberg evaluator of the large-beta range.
 
-A Poisson-disc sampler of the ALOHA interference, independent of the
-library's ordered-arrival sampler, and the Laplace transform of that
-interference, its mean oracle.
+A Poisson-disc sampler of the ALOHA interference and a cumulative-Exp(1)
+arrival sampler, both independent of the library's order-statistics
+sampler, and the Laplace transform of that interference, its mean
+oracle.
 
 The alternating series for the interference CDF, in float64 with a
 cancellation guard and in high precision (mpmath).  Both are independent
@@ -44,6 +45,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from macgeo.aloha import MC_NEAREST
 from macgeo.cli import _hop_log, _write_rows_csv
 from macgeo.errors import SingularityError
 from macgeo.propagation import (SINGULARITY_GUARD, decodes, psi as psi_f,
@@ -396,6 +398,28 @@ def disc_sample_w(lam, alpha, trials, rng, fading="none", spread=1.0):
         sums[counts == 0] = 0.0
         out[done:done + m] = sums
     return out + tail
+
+
+def arrival_sample_w(lam, alpha, trials, rng, fading="none", spread=1.0):
+    """Draw ``trials`` samples of the aggregate interference W from the
+    MC_NEAREST nearest interferers placed by cumulative Exp(1) arrivals,
+    r_k^2 = (E_1 + ... + E_k) / (pi lam), one fading factor per
+    interferer, plus the beyond-r_K field's exact mean
+    E[F] 2 pi lam r_K^(2-alpha)/(alpha-2)."""
+    rng = np.random.default_rng(rng)
+    tail = psi_f(fading, 1.0, spread) * 2.0 * math.pi * lam / (alpha - 2.0)
+    out = np.empty(trials)
+    chunk = 8192
+    for done in range(0, trials, chunk):
+        m = min(chunk, trials - done)
+        r2 = np.cumsum(rng.standard_exponential((MC_NEAREST, m)), axis=0)
+        r2 /= math.pi * lam
+        power = r2 ** (-0.5 * alpha)
+        if fading != "none":
+            power *= sample_fading(fading, rng, (MC_NEAREST, m), spread)
+        out[done:done + m] = (power.sum(axis=0)
+                              + tail * r2[-1] ** (1.0 - 0.5 * alpha))
+    return out
 
 
 def interference(rx, ps, exclude, alpha):

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import ks_2samp
 
-from helpers import (disc_sample_w, float_series, laplace_transform_w,
-                     mp_fading_quadrature, mp_oracle)
+from helpers import (arrival_sample_w, disc_sample_w, float_series,
+                     laplace_transform_w, mp_fading_quadrature, mp_oracle)
 from macgeo import aloha
 from macgeo.aloha import (_MC_CHUNK, MAX_TRIALS, AlohaResult, _e1_laguerre,
                           _e1_series, aloha_prob, aloha_prob_exponential,
@@ -320,7 +320,7 @@ def test_sample_w_rejects_bad_arguments(lam, alpha, trials):
 
 
 @pytest.mark.parametrize("alpha", [2.5, 8.0])
-@pytest.mark.parametrize("fading", ["none", "log_uniform"])
+@pytest.mark.parametrize("fading", ["none", "log_uniform", "exponential"])
 def test_sample_w_matches_disc_reference(alpha, fading):
     # Two-sample Kolmogorov-Smirnov distance between the ordered-arrival
     # sampler and the independent Poisson-disc sampler, at fixed seeds,
@@ -332,7 +332,21 @@ def test_sample_w_matches_disc_reference(alpha, fading):
     assert d < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / n)
 
 
-@pytest.mark.parametrize("fading", ["none", "log_uniform"])
+@pytest.mark.parametrize("alpha", [2.5, 8.0])
+@pytest.mark.parametrize("fading", ["none", "log_uniform", "exponential"])
+def test_sample_w_matches_arrival_reference(alpha, fading):
+    # The order-statistics sampler against cumulative Exp(1) arrivals: the
+    # same law, drawn another way.  Two-sample KS distance at fixed seeds
+    # against its 99.9% critical value.
+    n = 40_000
+    a = sample_w(1.0, alpha, n, 13, fading=fading)
+    assert np.all(np.isfinite(a) & (a > 0))
+    b = arrival_sample_w(1.0, alpha, n, 14, fading=fading)
+    d = ks_2samp(a, b).statistic
+    assert d < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("fading", ["none", "log_uniform", "exponential"])
 def test_sample_w_chunk_edges(fading):
     # One full chunk and a partial one: the full chunk reads the same
     # stream as a run of exactly _MC_CHUNK trials, and the 5 trials of the
