@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,11 +67,6 @@ class ChannelModel:
         return 2.0 / self.alpha
 
 
-def _as_point(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float).reshape(2)
-    return a
-
-
 # Near/far split of the field kernel, in units of the set's scale.
 # Transmitters within NEAR_RADIUS of the probe are summed exactly; the
 # rest enter through a local expansion of order EXPANSION_ORDER about the
@@ -82,17 +76,24 @@ def _as_point(p) -> np.ndarray:
 NEAR_RADIUS = 20.0
 EXPANSION_ORDER = 6
 VALID_RADIUS = 1.0
+# Powers 0..EXPANSION_ORDER of the expansion variable, taken in one call.
+_POWERS = np.arange(EXPANSION_ORDER + 1)
 
 
 def _local_expansion(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients A of sum_j |x_j - t|^-alpha = sum_mn A_mn t^m conj(t)^n.
+    """Coefficients of the far sum and of its t-derivative, shape (2, k, k)
+    with k = EXPANSION_ORDER + 1.
 
-    With |x|^-a = x^(-a/2) conj(x)^(-a/2) and the binomial series of
+    sum_j |x_j - t|^-alpha = sum_mn A_mn t^m conj(t)^n.  With
+    |x|^-a = x^(-a/2) conj(x)^(-a/2) and the binomial series of
     (1 - t/x)^(-a/2), A_mn = c_m c_n M_mn, where c_m = (a/2)_m / m! and
     M_mn = sum_j |x_j|^-a x_j^-m conj(x_j)^-n.  The x_j are in units of the
     near radius (|x_j| > 1), so every term is at most 1.  A is Hermitian;
     its lower triangle is built with running products,
-    M_mn = sum |x|^-a |x|^-2n x^-(m-n) for m >= n.  Overwrites x.
+    M_mn = sum |x|^-a |x|^-2n x^-(m-n) for m >= n.  The second matrix D
+    holds D_mn = (m+1) A_(m+1)n (its last row 0), so that with the powers
+    p = t^(0..k-1), p.(A conj p) is the sum and p.(D conj p) its
+    d/dt.  Overwrites x.
     """
     k = EXPANSION_ORDER + 1
     r2inv = 1.0 / (x.real ** 2 + x.imag ** 2)
@@ -111,7 +112,10 @@ def _local_expansion(x: np.ndarray, alpha: float) -> np.ndarray:
     c = np.ones(k)
     for j in range(1, k):
         c[j] = c[j - 1] * (0.5 * alpha + j - 1) / j
-    return c[:, None] * m * c[None, :]
+    coef = np.zeros((2, k, k), dtype=complex)
+    coef[0] = c[:, None] * m * c[None, :]
+    coef[1, :-1] = coef[0, 1:] * _POWERS[1:, None]
+    return coef
 
 
 class Field:
@@ -125,6 +129,10 @@ class Field:
     counts them.  Distances are normalized by the nearest-transmitter
     distance (the ratio is invariant), so alpha = 100 stays in range, and
     the probe is never part of the interference sum, so nothing cancels.
+
+    Both point sets are held as contiguous x and y columns, so a query is
+    one pass of whole-column operations, with no per-point loop and no
+    (K, 2) temporaries.
     """
 
     def __init__(self, ps: PointSet, i: int, alpha: float):
@@ -133,13 +141,16 @@ class Field:
         self.order = EXPANSION_ORDER
         self.exact_queries = 0
         self._radius = NEAR_RADIUS * ps.scale
-        dx = ps.points[:, 0] - self.center[0]
-        dy = ps.points[:, 1] - self.center[1]
+        self._cx, self._cy = self.center.tolist()
+        dx = ps.points[:, 0] - self._cx
+        dy = ps.points[:, 1] - self._cy
         near = dx * dx + dy * dy <= self._radius ** 2
         far = ~near
         near[i] = far[i] = False
-        self._near = ps.points[near]
-        self.near_points = len(self._near)
+        self._near = ps.points[near, 0], ps.points[near, 1]
+        self.near_points = len(self._near[0])
+        self._interferers = (np.delete(ps.points[:, 0], i),
+                             np.delete(ps.points[:, 1], i))
         x = np.empty(np.count_nonzero(far), dtype=complex)
         x.real, x.imag = dx[far], dy[far]
         x /= self._radius
@@ -147,67 +158,67 @@ class Field:
         self._valid2 = (VALID_RADIUS * ps.scale) ** 2
         self._guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
 
-    @cached_property
-    def _interferers(self) -> np.ndarray:
-        """Every transmitter but the probe, built on the first exact query."""
-        return np.delete(self.ps.points, self.i, axis=0)
-
     def sir(self, rx) -> float:
-        """SIR of the probe at rx (see :meth:`sir_and_gradient`)."""
-        return self.sir_and_gradient(rx)[0]
+        """SIR of the probe at rx (see :meth:`sir_and_gradient`): the same
+        float, without the gradient's two dot products."""
+        return self._query(rx, False)[0]
 
     def sir_and_gradient(self, rx):
-        """(SIR, gradient) of the probe at rx.
+        """(SIR, gradient) of the probe at rx, a 2-sequence or a (1, 2)
+        array.
 
         Returns ``(inf, 0)`` when the interference is zero: no interferers,
         or an SIR beyond the float range.  Raises
         :class:`SingularityError` on top of a transmitter.
         """
-        z = _as_point(rx)
-        h = z - self.center
-        hi2 = h[0] * h[0] + h[1] * h[1]
-        coef = self._coef
+        return self._query(rx, True)
+
+    def _query(self, rx, gradient: bool):
+        """(SIR, gradient or None) of the probe at rx."""
+        x, y = np.asarray(rx, dtype=float).reshape(2).tolist()
+        hx, hy = x - self._cx, y - self._cy
+        hi2 = hx * hx + hy * hy
         if hi2 <= self._valid2:
-            pts = self._near
+            (px, py), coef = self._near, self._coef
         else:
-            pts, coef = self._interferers, None
+            (px, py), coef = self._interferers, None
             self.exact_queries += 1
-        diff = z - pts
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        s0 = min(hi2, d2.min()) if len(d2) else hi2
+        # Bare ufunc calls writing into the arrays they made: at ~1 300
+        # near points the call overhead is most of the cost.
+        dx = np.subtract(x, px)
+        dy = np.subtract(y, py)
+        d2 = np.multiply(dx, dx)
+        q = np.multiply(dy, dy)
+        np.add(d2, q, out=d2)
+        s0 = min(hi2, float(d2.min())) if d2.size else hi2
         if s0 < self._guard2:
             raise SingularityError("evaluation on top of a transmitter")
         a = self.alpha
-        u = d2 / s0
-        q = u ** (-0.5 * a - 1.0)
-        w = float(q @ u)
-        dw = (-a / s0) * (q @ diff)
+        u = np.divide(d2, s0, out=d2)
+        np.power(u, -0.5 * a - 1.0, out=q)
+        w = float(q.dot(u))
+        if gradient:
+            c = -a / s0
+            dwx, dwy = c * float(q.dot(dx)), c * float(q.dot(dy))
         if coef is not None:
-            far, dfar = self._far(h)
+            # The far term and its d/dt; for real F, grad_h F is
+            # (2/R)(Re, -Im) of the latter.
+            tp = (complex(hx, hy) / self._radius) ** _POWERS
+            far, dfdt = coef.dot(tp.conj()).dot(tp).tolist()
             scale = (s0 / self._radius ** 2) ** (0.5 * a)
-            w += scale * far
-            dw += scale * dfar
+            w += scale * far.real
+            if gradient:
+                dwx += scale * (2.0 / self._radius * dfdt.real)
+                dwy += scale * (2.0 / self._radius * -dfdt.imag)
         if w == 0.0:
-            return math.inf, np.zeros(2)
+            return math.inf, np.zeros(2) if gradient else None
         ui = hi2 / s0
         g = ui ** (-0.5 * a)
-        dg = (-a / s0) * (g / ui) * h
         s = g / w
-        return float(s), (dg - s * dw) / w
-
-    def _far(self, h):
-        """Far interference at offset h from the probe and its gradient, in
-        units where a transmitter at the near radius contributes 1."""
-        t = complex(h[0], h[1]) / self._radius
-        tp = np.empty(self.order + 1, dtype=complex)
-        tp[0] = 1.0
-        for m in range(1, self.order + 1):
-            tp[m] = tp[m - 1] * t
-        b = self._coef @ tp.conj()
-        # d/dt of the expansion; for real F, grad_h F = (2/R)(Re, -Im) of it.
-        dfdt = (tp[:-1] * np.arange(1, self.order + 1)) @ b[1:]
-        return (tp @ b).real, (2.0 / self._radius) * np.array([dfdt.real,
-                                                                -dfdt.imag])
+        if not gradient:
+            return s, None
+        c = (-a / s0) * (g / ui)
+        return s, np.array(((c * hx - s * dwx) / w, (c * hy - s * dwy) / w))
 
 
 def sir(i: int, rx, ps: PointSet, alpha: float) -> float:

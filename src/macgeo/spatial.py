@@ -73,6 +73,12 @@ class PointSet:
     points   (N, 2) float64 array
     density  points per square meter (> 0)
     extent   half-width of the containing square window, meters
+
+    The constructor checks the shape, that the points are finite and
+    inside the extent, the density and the extent, and that the points are
+    pairwise distinct, the last with an O(N log N) sort.  :func:`gen_poisson`
+    builds its sets through it; :func:`gen_grid` skips only the sort, and
+    only where its lattice cannot repeat a point.
     """
 
     points: np.ndarray
@@ -80,6 +86,20 @@ class PointSet:
     extent: float
 
     def __post_init__(self):
+        self._check(known_distinct=False)
+
+    @classmethod
+    def _of_distinct(cls, points, density: float, extent: float) -> PointSet:
+        """A PointSet of points known to be pairwise distinct: every check of
+        the constructor but the sort."""
+        ps = cls.__new__(cls)
+        for name, value in (("points", points), ("density", density),
+                            ("extent", extent)):
+            object.__setattr__(ps, name, value)
+        ps._check(known_distinct=True)
+        return ps
+
+    def _check(self, known_distinct: bool):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must have shape (N, 2)")
@@ -92,7 +112,7 @@ class PointSet:
         lim = self.extent * (1 + 1e-12) + _EDGE_TOL * self.scale
         if pts.size and np.max(np.abs(pts)) > lim:
             raise ValueError("points fall outside the stated extent")
-        if len(pts) > 1:
+        if len(pts) > 1 and not known_distinct:
             order = np.lexsort((pts[:, 1], pts[:, 0]))
             s = pts[order]
             if np.any(np.all(s[1:] == s[:-1], axis=1)):
@@ -195,14 +215,33 @@ def _pose(base: np.ndarray, spec: GridSpec, extent: float) -> np.ndarray:
     return pts[keep]
 
 
+# Float steps at the posed window's reach that the nearest-neighbour
+# spacing must exceed for gen_grid to skip the distinctness sort.
+_DISTINCT_STEPS = 2.0 ** 20
+
+
 def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     """Generate all pattern points inside [-extent, extent]^2.
 
     The pose transform is world = R(rotation) @ (lattice point) + translation,
     with one lattice point at the origin before the pose is applied.  Points
     exactly on the window boundary are included.
+
+    Distinct lattice indices land at least the nearest-neighbour spacing
+    d * min(k1, k2) apart, and every computed point is within a few float
+    steps of |translation| + extent + pad (the posed window's reach) of its
+    exact place.  While the spacing exceeds _DISTINCT_STEPS such steps, no
+    two points can round onto one another, and the PointSet is built
+    without the constructor's distinctness sort.  A window whose reach
+    passes about 4e9 spacings (a pose translated that far) takes the sort,
+    which refuses points that rounding merged.
     """
-    return PointSet(window_points(spec, extent), grid_density(spec), extent)
+    pts = window_points(spec, extent)
+    A, _ = _basis(spec)
+    reach = math.hypot(*spec.translation) + extent + _pad(A, spec.d)
+    if spec.d * min(spec.k1, spec.k2) > _DISTINCT_STEPS * math.ulp(reach):
+        return PointSet._of_distinct(pts, grid_density(spec), extent)
+    return PointSet(pts, grid_density(spec), extent)
 
 
 def window_points(spec: GridSpec, extent: float) -> np.ndarray:

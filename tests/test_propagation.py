@@ -177,6 +177,28 @@ def test_field_matches_full_sum_at_default_window(kind, default_windows):
     assert np.max(np.abs(g - dwant)) <= 1e-9 * np.max(np.abs(dwant))
 
 
+def test_field_query_interface():
+    # Any 2-point form of rx gives the same answer, sir is the first half
+    # of sir_and_gradient bit for bit, and a query on a transmitter raises,
+    # on the near path (within VALID_RADIUS of the probe) and the exact one.
+    ps = gen_grid(GridSpec("square", 1.0), 30.0)
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    near, exact = (0.31, -0.42), (1.7, 0.45)
+    for alpha in (2.05, 4.0, 100.0):
+        field = Field(ps, i, alpha)
+        for z in (near, exact):
+            forms = (z, list(z), np.array(z), np.array([z]))
+            got = [field.sir_and_gradient(rx) for rx in forms]
+            for s, g in got:
+                assert s == got[0][0] and np.array_equal(g, got[0][1])
+            assert all(field.sir(rx) == got[0][0] for rx in forms)
+        assert field.exact_queries == 8
+        for z in ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, -4.0)):
+            for query in (field.sir, field.sir_and_gradient):
+                with pytest.raises(SingularityError):
+                    query(z)
+
+
 KERNEL_BETAS = (1e-5, 0.05, 1.0, 10.0, 100.0)
 
 

@@ -67,12 +67,14 @@ def test_start_search_brackets_to_one_step(monkeypatch):
     bound = march + math.ceil(math.log2(0.5 * r / (ps.scale / 200.0)))
 
     inside, calls = [False], [0]
-    query, start = reception.Field.sir_and_gradient, reception._contour_start
+    start = reception._contour_start
 
-    def counted_query(self, rx):
-        if inside[0]:
-            calls[0] += 1
-        return query(self, rx)
+    def counted(query):
+        def counted_query(self, rx):
+            if inside[0]:
+                calls[0] += 1
+            return query(self, rx)
+        return counted_query
 
     def counted_start(*args):
         inside[0] = True
@@ -81,7 +83,9 @@ def test_start_search_brackets_to_one_step(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(reception.Field, "sir_and_gradient", counted_query)
+    for name in ("sir", "sir_and_gradient"):
+        monkeypatch.setattr(reception.Field, name,
+                            counted(getattr(reception.Field, name)))
     monkeypatch.setattr(reception, "_contour_start", counted_start)
     assert trace_contour(i, ps, ChannelModel(4.0, 10.0), direction=0.7).closed
     assert march < calls[0] <= bound

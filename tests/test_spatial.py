@@ -5,9 +5,10 @@ import pytest
 from helpers import hull_grid, rescale
 from scipy import stats
 
-from macgeo.spatial import (MAX_POINTS, GridSpec, PointSet, covering_radius,
-                            gen_grid, gen_poisson, grid_density,
-                            window_points, with_pose)
+from macgeo import spatial
+from macgeo.spatial import (GRID_KINDS, MAX_POINTS, GridSpec, PointSet,
+                            covering_radius, gen_grid, gen_poisson,
+                            grid_density, window_points, with_pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -226,3 +227,44 @@ def test_gen_grid_equals_hull_generator(spec):
         for extent in (0.3, 5.0, 40.0):
             assert np.array_equal(gen_grid(posed, extent).points,
                                   hull_grid(posed, extent))
+
+
+def aspect(kind):
+    return {"rectangular": (1.0, 2.0), "linear": (0.5, 4.0)}.get(kind,
+                                                                (1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_gen_grid_points_are_distinct_without_a_sort(kind, monkeypatch):
+    # At the default map (d = 25, extent 5000) and under a rotated and
+    # translated pose, gen_grid proves its points distinct instead of
+    # sorting them, and they are; the public constructor and gen_poisson
+    # still sort.
+    def no_sort(*args, **kwargs):
+        raise AssertionError("lexsort called")
+
+    k1, k2 = aspect(kind)
+    specs = [GridSpec(kind, 25.0, k1, k2),
+             GridSpec(kind, 25.0, k1, k2, rotation=0.7,
+                      translation=(1234.5, -987.25))]
+    with monkeypatch.context() as m:
+        m.setattr(spatial.np, "lexsort", no_sort)
+        sets = [gen_grid(spec, 5000.0) for spec in specs]
+        with pytest.raises(AssertionError, match="lexsort"):
+            PointSet(sets[0].points[:2], 1.0, 5000.0)
+        with pytest.raises(AssertionError, match="lexsort"):
+            gen_poisson(1e-4, 100.0, 0)
+    for ps in sets:
+        assert len(ps) > 40_000
+        s = sorted_pts(ps)
+        assert not np.any(np.all(s[1:] == s[:-1], axis=1))
+
+
+def test_gen_grid_sorts_where_rounding_can_merge_points():
+    # Past the float resolution of the posed window the lattice points can
+    # round onto one another; the sort then runs and refuses them.
+    for translation in ((1e16, 3.0), (1e17, 0.0)):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            gen_grid(GridSpec("square", 1.0, translation=translation), 10.0)
+    ps = gen_grid(GridSpec("square", 1.0, translation=(3e15, 0.0)), 10.0)
+    assert len(ps) == 441
