@@ -341,7 +341,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
 
     area = (2.0 * cfg.extent) ** 2
     n = max(1, rng_nodes.poisson(cfg.node_density * area))
-    nodes = rng_nodes.uniform(-cfg.extent, cfg.extent, size=(n, 2))
+    nodes = PointSet(rng_nodes.uniform(-cfg.extent, cfg.extent, size=(n, 2)),
+                     cfg.node_density, cfg.extent).points
     tree = cKDTree(nodes)
 
     lam = cfg.scheme_density
@@ -387,7 +388,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
             if rec.delivered or not active[holders[k]]:
                 continue
             if tx is None:
-                tx = PointSet(nodes[tx_idx], lam, cfg.extent)
+                # Distinct rows of the validated population.
+                tx = PointSet._of_distinct(nodes[tx_idx], lam, cfg.extent)
             holders[k] = relay_step(rec, holders[k], tx_idx, tx, active,
                                     nodes, tree, dest_idx[k], cfg, rng_slots,
                                     slot, candidate_radius)

@@ -80,34 +80,55 @@ VALID_RADIUS = 1.0
 _POWERS = np.arange(EXPANSION_ORDER + 1)
 
 
-def _local_expansion(x: np.ndarray, alpha: float) -> np.ndarray:
+# Far points per block of the moment sums.  A block's (k, B) powers of
+# rho and (B, k) complex powers of z take about 0.7 MB, within a core's L2
+# cache; one small matrix product then adds the block to the moments.
+_BLOCK = 4096
+
+
+def _local_expansion(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Coefficients of the far sum and of its t-derivative, shape (2, k, k)
-    with k = EXPANSION_ORDER + 1.
+    with k = EXPANSION_ORDER + 1, from the far points' offsets x + iy from
+    the probe in units of the near radius (so x^2 + y^2 > 1).
 
     sum_j |x_j - t|^-alpha = sum_mn A_mn t^m conj(t)^n.  With
     |x|^-a = x^(-a/2) conj(x)^(-a/2) and the binomial series of
     (1 - t/x)^(-a/2), A_mn = c_m c_n M_mn, where c_m = (a/2)_m / m! and
-    M_mn = sum_j |x_j|^-a x_j^-m conj(x_j)^-n.  The x_j are in units of the
-    near radius (|x_j| > 1), so every term is at most 1.  A is Hermitian;
-    its lower triangle is built with running products,
-    M_mn = sum |x|^-a |x|^-2n x^-(m-n) for m >= n.  The second matrix D
-    holds D_mn = (m+1) A_(m+1)n (its last row 0), so that with the powers
-    p = t^(0..k-1), p.(A conj p) is the sum and p.(D conj p) its
-    d/dt.  Overwrites x.
+    M_mn = sum_j |x_j|^-a x_j^-m conj(x_j)^-n; every term is at most 1.
+    With z = 1/x, rho = |z|^2 and w = rho^(a/2), M_(q+n)n = sum_j rho_j^n
+    w_j z_j^q for the lower triangle m = q + n >= n: one block of _BLOCK
+    points at a time, the (k, B) powers rho^n times the (B, k) powers
+    w z^q, all read as real (the complex columns as pairs of reals).  A is
+    Hermitian.  The second matrix D holds D_mn = (m+1) A_(m+1)n (its last
+    row 0), so that with the powers p = t^(0..k-1), p.(A conj p) is the sum
+    and p.(D conj p) its d/dt.
     """
     k = EXPANSION_ORDER + 1
-    r2inv = 1.0 / (x.real ** 2 + x.imag ** 2)
-    inv = np.conj(x, out=x)
-    inv *= r2inv
+    acc = np.zeros((k, 2 * k))
+    rho_n = np.empty((k, _BLOCK))
+    rho_n[0] = 1.0
+    wz = np.empty((_BLOCK, k), dtype=complex)
+    for s in range(0, len(x), _BLOCK):
+        xb, yb = x[s:s + _BLOCK], y[s:s + _BLOCK]
+        b = len(xb)
+        rho = np.multiply(xb, xb)
+        rho += yb * yb
+        np.divide(1.0, rho, out=rho)
+        z = np.empty(b, dtype=complex)
+        np.multiply(xb, rho, out=z.real)
+        np.multiply(yb, rho, out=z.imag)
+        np.conjugate(z, out=z)
+        rb, cb = rho_n[:, :b], wz[:b]
+        for n in range(1, k):
+            np.multiply(rb[n - 1], rho, out=rb[n])
+        cb[:, 0] = np.power(rho, 0.5 * alpha, out=rho)
+        for q in range(1, k):
+            np.multiply(cb[:, q - 1], z, out=cb[:, q])
+        acc += rb @ cb.view(float)
+    # acc[n, q] (as complex) is M_(q+n)n.
+    lo_m, lo_n = np.tril_indices(k)
     m = np.zeros((k, k), dtype=complex)
-    pk = (r2inv ** (0.5 * alpha)).astype(complex)
-    v = np.empty_like(pk)
-    for off in range(k):
-        v[:] = pk
-        for n in range(k - off):
-            m[n + off, n] = v.sum()
-            v *= r2inv
-        pk *= inv
+    m[lo_m, lo_n] = acc.view(complex)[lo_n, lo_m - lo_n]
     m += np.tril(m, -1).conj().T
     c = np.ones(k)
     for j in range(1, k):
@@ -116,6 +137,18 @@ def _local_expansion(x: np.ndarray, alpha: float) -> np.ndarray:
     coef[0] = c[:, None] * m * c[None, :]
     coef[1, :-1] = coef[0, 1:] * _POWERS[1:, None]
     return coef
+
+
+def _within(px: np.ndarray, py: np.ndarray, cx: float, cy: float,
+            r: float) -> np.ndarray:
+    """Mask of the points (px, py) within distance r of (cx, cy), by
+    squared distances; its two full-length temporaries end with the call."""
+    d2 = np.subtract(px, cx)
+    d2 *= d2
+    dy2 = np.subtract(py, cy)
+    dy2 *= dy2
+    d2 += dy2
+    return d2 <= r ** 2
 
 
 class Field:
@@ -142,19 +175,22 @@ class Field:
         self.exact_queries = 0
         self._radius = NEAR_RADIUS * ps.scale
         self._cx, self._cy = self.center.tolist()
-        dx = ps.points[:, 0] - self._cx
-        dy = ps.points[:, 1] - self._cy
-        near = dx * dx + dy * dy <= self._radius ** 2
-        far = ~near
-        near[i] = far[i] = False
-        self._near = ps.points[near, 0], ps.points[near, 1]
+        # Every interferer as contiguous x and y rows, the probe left out.
+        pts = ps.points
+        xy = np.empty((2, len(pts) - 1))
+        xy[:, :i] = pts[:i].T
+        xy[:, i:] = pts[i + 1:].T
+        px, py = self._interferers = xy[0], xy[1]
+        near = _within(px, py, self._cx, self._cy, self._radius)
+        self._near = px[near], py[near]
         self.near_points = len(self._near[0])
-        self._interferers = (np.delete(ps.points[:, 0], i),
-                             np.delete(ps.points[:, 1], i))
-        x = np.empty(np.count_nonzero(far), dtype=complex)
-        x.real, x.imag = dx[far], dy[far]
+        far = np.logical_not(near, out=near)
+        x, y = px[far], py[far]
+        x -= self._cx
         x /= self._radius
-        self._coef = _local_expansion(x, alpha) if len(x) else None
+        y -= self._cy
+        y /= self._radius
+        self._coef = _local_expansion(x, y, alpha) if len(x) else None
         self._valid2 = (VALID_RADIUS * ps.scale) ** 2
         self._guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
 

@@ -204,15 +204,33 @@ def _pad(A: np.ndarray, d: float) -> float:
 def _pose(base: np.ndarray, spec: GridSpec, extent: float) -> np.ndarray:
     """World points of the (K, 2) lattice vectors base = k @ A.T, every
     in-cell offset of each, under spec's pose, kept when inside
-    [-extent, extent]^2 (the boundary included up to rotation round-off)."""
+    [-extent, extent]^2 (the boundary included up to rotation round-off).
+
+    The pose works in place on the x and y columns with the rotation's
+    four floats, world = (c x - s y + tx, s x + c y + ty); a one-offset
+    pattern overwrites base.  The filter copies each kept row as one
+    complex item, which numpy moves much faster than a float pair."""
     _, offs = _basis(spec)
-    R = _rotation(spec.rotation)
-    t = np.asarray(spec.translation, dtype=float)
-    pts = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2)
-    pts = pts @ R.T + t
-    tol = _EDGE_TOL * spec.d
-    keep = (np.abs(pts[:, 0]) <= extent + tol) & (np.abs(pts[:, 1]) <= extent + tol)
-    return pts[keep]
+    n = len(base)
+    pts = base.reshape(n, 1, 2) if len(offs) == 1 else np.empty((n, len(offs), 2))
+    for j, (ox, oy) in enumerate(offs):
+        np.add(base[:, 0], ox, out=pts[:, j, 0])
+        np.add(base[:, 1], oy, out=pts[:, j, 1])
+    pts = pts.reshape(-1, 2)
+    c, s = math.cos(spec.rotation), math.sin(spec.rotation)
+    tx, ty = spec.translation
+    x, y = pts[:, 0], pts[:, 1]
+    sx = np.multiply(x, s)
+    x *= c
+    x -= np.multiply(y, s)
+    x += tx
+    y *= c
+    y += sx
+    y += ty
+    lim = extent + _EDGE_TOL * spec.d
+    keep = np.abs(x, out=sx) <= lim
+    keep &= np.abs(y, out=sx) <= lim
+    return pts.view(complex)[keep, 0].view(float).reshape(-1, 2)
 
 
 # Float steps at the posed window's reach that the nearest-neighbour
@@ -251,6 +269,14 @@ def window_points(spec: GridSpec, extent: float) -> np.ndarray:
         raise ValueError("extent must be positive")
     check_budget(grid_density(spec) * (2.0 * extent) ** 2, "lattice points")
     A, _ = _basis(spec)
+    # The index array is freed once the product is taken, before the pose.
+    return _pose(_hull_indices(spec, extent, A) @ A.T, spec, extent)
+
+
+def _hull_indices(spec: GridSpec, extent: float, A: np.ndarray) -> np.ndarray:
+    """(K, 2) lattice indices (m, n), as floats, whose points under spec's
+    pose may lie in [-extent, extent]^2: the integer hull of the padded
+    window, each row m clipped to its n range."""
     R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)
 
@@ -276,12 +302,16 @@ def window_points(spec: GridSpec, extent: float) -> np.ndarray:
             a, b = (-e - base) / v[c], (e - base) / v[c]
             n_lo = np.fmax(n_lo, np.floor(np.fmin(a, b)) - 1)
             n_hi = np.fmin(n_hi, np.ceil(np.fmax(a, b)) + 1)
-    count = np.maximum(n_hi - n_lo + 1, 0).astype(int)
+    rows = n_hi >= n_lo
+    m, n_lo = m[rows], n_lo[rows].astype(int)
+    count = n_hi[rows].astype(int) - n_lo + 1
     start = np.cumsum(count) - count
-    n = np.arange(count.sum()) - np.repeat(start, count) + np.repeat(
-        n_lo, count).astype(int)
-    k = np.stack([np.repeat(m, count), n], axis=1)
-    return _pose(k @ A.T, spec, extent)
+    k = np.empty((count.sum(), 2))
+    k[:, 0] = np.repeat(m, count)
+    # In integers, exact at any translation, then cast once into k.
+    np.subtract(np.arange(len(k)), np.repeat(start - n_lo, count),
+                out=k[:, 1])
+    return k
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,11 @@ A membership raster decided one row at a time by the batched decision,
 independent of the library's block bounds.
 
 The integer-hull lattice generator, independent of the library's per-row
-clipping of that hull.
+clipping of that hull, and the same hull posed as one (N, 2) @ R.T + t
+product, independent of the library's column pose.
+
+The field kernel's far moments summed by running products over the whole
+far set, independent of the library's blocked matrix products.
 
 A brute lattice sum with a continuum tail, independent of the library's
 Chowla-Selberg evaluator of the large-beta range.
@@ -48,10 +52,10 @@ import numpy as np
 from macgeo.aloha import MC_NEAREST
 from macgeo.cli import _hop_log, _write_rows_csv
 from macgeo.errors import SingularityError
-from macgeo.propagation import (SINGULARITY_GUARD, decodes, psi as psi_f,
-                                sample_fading)
-from macgeo.spatial import (GridSpec, PointSet, _basis, _pad, _pose,
-                            _rotation, gen_grid, grid_density)
+from macgeo.propagation import (EXPANSION_ORDER, SINGULARITY_GUARD, decodes,
+                                psi as psi_f, sample_fading)
+from macgeo.spatial import (_EDGE_TOL, GridSpec, PointSet, _basis, _pad,
+                            _pose, _rotation, gen_grid, grid_density)
 
 # Refuse the float series once the largest intermediate term exceeds this
 # factor times the final sum.
@@ -338,10 +342,10 @@ def rowwise_membership(i, ps, model, extent, n):
     return xs, ys, member
 
 
-def hull_grid(spec, extent):
-    """Points of the pattern inside [-extent, extent]^2: every index of the
-    integer hull of the padded window in lattice coordinates, posed and
-    filtered."""
+def hull_vectors(spec, extent):
+    """Lattice vectors k @ A.T of every index k of the integer hull of the
+    padded window [-extent, extent]^2 in lattice coordinates, (m, n) in
+    row-major order."""
     A, _ = _basis(spec)
     R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)
@@ -352,7 +356,54 @@ def hull_grid(spec, extent):
     hi = np.ceil(lat_corners.max(axis=1)).astype(int) + 1
     m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
                        np.arange(lo[1], hi[1] + 1), indexing="ij")
-    return _pose(np.stack([m.ravel(), n.ravel()], axis=1) @ A.T, spec, extent)
+    return np.stack([m.ravel(), n.ravel()], axis=1) @ A.T
+
+
+def hull_grid(spec, extent):
+    """Points of the pattern inside [-extent, extent]^2: every index of the
+    integer hull of the padded window in lattice coordinates, posed and
+    filtered."""
+    return _pose(hull_vectors(spec, extent), spec, extent)
+
+
+def matmul_pose_grid(spec, extent):
+    """The points of :func:`hull_grid`, each in-cell offset added to each
+    hull vector and the pose taken as one (N, 2) @ R.T + t product, then
+    kept when inside [-extent, extent]^2 (up to the edge tolerance)."""
+    _, offs = _basis(spec)
+    base = hull_vectors(spec, extent)
+    pts = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2)
+    pts = pts @ _rotation(spec.rotation).T + np.asarray(spec.translation)
+    lim = extent + _EDGE_TOL * spec.d
+    return pts[(np.abs(pts[:, 0]) <= lim) & (np.abs(pts[:, 1]) <= lim)]
+
+
+def running_product_expansion(x, alpha):
+    """Coefficients (2, k, k) of the far sum and of its t-derivative from the
+    far points' complex offsets x in units of the near radius, as the
+    library's local expansion defines them: every moment summed over the
+    whole far set, with running products over the points.  Overwrites x."""
+    k = EXPANSION_ORDER + 1
+    r2inv = 1.0 / (x.real ** 2 + x.imag ** 2)
+    inv = np.conj(x, out=x)
+    inv *= r2inv
+    m = np.zeros((k, k), dtype=complex)
+    pk = (r2inv ** (0.5 * alpha)).astype(complex)
+    v = np.empty_like(pk)
+    for off in range(k):
+        v[:] = pk
+        for n in range(k - off):
+            m[n + off, n] = v.sum()
+            v *= r2inv
+        pk *= inv
+    m += np.tril(m, -1).conj().T
+    c = np.ones(k)
+    for j in range(1, k):
+        c[j] = c[j - 1] * (0.5 * alpha + j - 1) / j
+    coef = np.zeros((2, k, k), dtype=complex)
+    coef[0] = c[:, None] * m * c[None, :]
+    coef[1, :-1] = coef[0, 1:] * np.arange(1, k)[:, None]
+    return coef
 
 
 def brute_lattice_sum(spec, alphas):

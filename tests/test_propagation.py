@@ -6,15 +6,18 @@ import zlib
 import numpy as np
 import pytest
 from helpers import (direct_decisions, full_sir_and_gradient, interference,
-                     rescale)
+                     rescale, running_product_expansion)
 
+from macgeo import propagation
 from macgeo.aloha import mc_aloha_prob
 from macgeo.errors import DivergentMomentError, MacGeoError, SingularityError
-from macgeo.propagation import (DECODE_NEIGHBORS, SINGULARITY_GUARD,
-                                VALID_RADIUS, ChannelModel, DecodeCounts,
+from macgeo.propagation import (_BLOCK, DECODE_NEIGHBORS, EXPANSION_ORDER,
+                                NEAR_RADIUS, SINGULARITY_GUARD, VALID_RADIUS,
+                                ChannelModel, DecodeCounts,
                                 Field, decodes, first_decoder, log_psi, psi,
                                 raster_field, sample_fading, sir,
                                 sir_and_gradient)
+from macgeo.reception import lattice_probe
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
                             grid_density)
 
@@ -175,6 +178,98 @@ def test_field_matches_full_sum_at_default_window(kind, default_windows):
     want, dwant = full_sir_and_gradient(i, z, ps.points, field.alpha)
     assert s == pytest.approx(want, rel=1e-9)
     assert np.max(np.abs(g - dwant)) <= 1e-9 * np.max(np.abs(dwant))
+
+
+def far_offsets(ps, i):
+    """Offsets from point i of the points beyond the near radius, in units
+    of that radius: the far set a Field at i expands."""
+    dx, dy = (ps.points - ps.points[i]).T / (NEAR_RADIUS * ps.scale)
+    far = dx * dx + dy * dy > 1.0
+    return dx[far], dy[far]
+
+
+def reference_expansion(x, y, alpha):
+    z = np.empty(len(x), dtype=complex)
+    z.real, z.imag = x, y
+    return running_product_expansion(z, alpha)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 4.0, 100.0])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 5, "square", "poisson"])
+def test_local_expansion_matches_running_products(n, alpha,
+                                                  default_windows):
+    # The blocked moment sums give the running-product coefficients, and
+    # their derivative matrix, at every block edge: far sets that end one
+    # short of, on and one past a block, several blocks and a tail, and
+    # the default window's lattice and Poisson far sets.  Every term of
+    # M_mn is at most |x|^-alpha, so the rounding of A_mn = c_m c_n M_mn is
+    # bounded on the scale c_m c_n |A_00| (c_6^2 is 4e14 at alpha 100).
+    if isinstance(n, str):
+        ps = default_windows[n]
+        x, y = far_offsets(ps, int(np.argmin(np.hypot(*ps.points.T))))
+    else:
+        rng = np.random.default_rng(n)
+        r = 1.0 + rng.exponential(3.0, n)
+        th = rng.uniform(0.0, 2.0 * math.pi, n)
+        x, y = r * np.cos(th), r * np.sin(th)
+    got = propagation._local_expansion(x, y, alpha)
+    want = reference_expansion(x, y, alpha)
+    k = EXPANSION_ORDER + 1
+    c = np.cumprod(np.r_[1.0, (0.5 * alpha + np.arange(k - 1))
+                         / np.arange(1, k)])
+    scale = np.zeros((2, k, k))
+    scale[0] = abs(want[0, 0, 0]) * np.outer(c, c)
+    scale[1, :-1] = scale[0, 1:] * np.arange(1, k)[:, None]
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 100.0])
+def test_field_agrees_with_running_product_moments(alpha, default_windows,
+                                                   monkeypatch):
+    # The same Field built from the running-product moments answers each
+    # query within VALID_RADIUS to 1e-14, far below the expansion's own
+    # truncation error.
+    ps = default_windows["square"]
+    i = int(np.argmin(np.hypot(*ps.points.T)))
+    field = Field(ps, i, alpha)
+    monkeypatch.setattr(propagation, "_local_expansion", reference_expansion)
+    ref = Field(ps, i, alpha)
+    rng = np.random.default_rng(31)
+    r = VALID_RADIUS * ps.scale * np.sqrt(rng.uniform(1e-4, 1.0, 20))
+    th = rng.uniform(0.0, 2.0 * math.pi, 20)
+    for z in ps.points[i] + np.column_stack([r * np.cos(th), r * np.sin(th)]):
+        s, g = field.sir_and_gradient(z)
+        want, dwant = ref.sir_and_gradient(z)
+        assert s == pytest.approx(want, rel=1e-14)
+        assert np.linalg.norm(g - dwant) <= 1e-14 * np.linalg.norm(dwant)
+    assert field.exact_queries == ref.exact_queries == 0
+
+
+def traced_build(build):
+    """(result, bytes it keeps, peak bytes) of build() under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_lattice_builds_stream_no_full_window_temporaries():
+    # At the default map (d = 25, extent 5000, 160 801 points) the Field
+    # build peaks at most at three times the bytes the Field keeps, and the
+    # lattice window at four times the bytes of its points; the whole-set
+    # moment passes and the (N, 2) pose took 5.6 times (13.9 MiB each).
+    # One more full-window (2, N) temporary breaks either bound.
+    (ps, i), probe_kept, probe_peak = traced_build(
+        lambda: lattice_probe(GridSpec("square", 25.0), 5000.0))
+    assert probe_kept >= ps.points.nbytes
+    assert probe_peak <= 4 * probe_kept
+    field, kept, peak = traced_build(lambda: Field(ps, i, 4.0))
+    assert field.near_points > 0 and kept >= 16 * (len(ps) - 1)
+    assert peak <= 3 * kept
 
 
 def test_field_query_interface():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import hull_grid, rescale
+from helpers import hull_grid, matmul_pose_grid, rescale
 from scipy import stats
 
 from macgeo import spatial
@@ -232,6 +232,26 @@ def test_gen_grid_equals_hull_generator(spec):
 def aspect(kind):
     return {"rectangular": (1.0, 2.0), "linear": (0.5, 4.0)}.get(kind,
                                                                 (1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_window_points_match_matmul_pose(kind):
+    # The column pose keeps the count and order of one (N, 2) @ R.T + t
+    # product over the integer hull, each point within 4 float steps at
+    # the posed window's reach, under random rotations and translations.
+    k1, k2 = aspect(kind)
+    spec = GridSpec(kind, 1.3, k1, k2)
+    rng = np.random.default_rng(23)
+    extent = 30.0
+    A, _ = spatial._basis(spec)
+    for _ in range(10):
+        translation = tuple(rng.uniform(-50.0, 50.0, 2))
+        posed = with_pose(spec, rng.uniform(-math.pi, math.pi), translation)
+        got = window_points(posed, extent)
+        want = matmul_pose_grid(posed, extent)
+        reach = math.hypot(*translation) + extent + spatial._pad(A, spec.d)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 4.0 * math.ulp(reach)
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
