@@ -32,18 +32,19 @@ holder transmits.  The random stream is not that of a full draw, so the
 hops differ from it run by run but not in law.
 
 Each built slot poses gen_grid's points as a bare array
-(``spatial.window_points``), with no PointSet.  A decoder needs g_i >=
-beta * sum_j g_j >= beta * g_j for every interferer j, so
-``propagation.first_decoder`` refuses a candidate where one of the
-holder's nearest transmitters alone beats it (for beta >= 1, past a
-bisector of the holder's Voronoi cell) before any interference sum.
+(``spatial.window_points``), with no PointSet.
 
 A relay step decides its candidates in winner order: the destination
 first, then the forward candidates by decreasing progress, and it stops
-at the first that receives.  Each candidate's outcome depends on its own
-row alone (its full interference sum, or under fading its own uniform,
-drawn for every candidate whether or not it is decided), so the
-candidates after the first success cannot change the hop.  None of these shortcuts changes a hop.
+at the first that receives.  ``propagation.first_decoder`` walks them,
+with or without fading.  Each candidate's outcome depends on its own row
+alone (its full interference sum, or under fading its own uniform, drawn
+for every candidate whether or not it is decided), so the candidates
+after the first success cannot change the hop.  Without fading a decoder
+needs g_i >= beta * sum_j g_j >= beta * g_j for every interferer j, so
+the walk first refuses a candidate where one of the holder's nearest
+transmitters alone beats it (for beta >= 1, past a bisector of the
+holder's Voronoi cell).  None of these shortcuts changes a hop.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .propagation import (ChannelModel, doubling_blocks, fading_success_prob,
-                          first_decoder)
+from .propagation import ChannelModel, first_decoder
 from .spatial import (GridSpec, PointSet, check_budget, grid_density,
                       points_near, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
@@ -219,21 +219,6 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
     return np.nonzero(marks)[0]
 
 
-def _first_success(rx: np.ndarray, u: np.ndarray | None, tx: PointSet,
-                   col: int, model: ChannelModel) -> int:
-    """Index of the first row of rx that receives transmitter ``col`` of
-    ``tx``, or -1.  Without fading that is the first decoder; under
-    exponential fading, the first row whose uniform in ``u`` falls below
-    its reception probability, evaluated one doubling block at a time."""
-    if model.fading == "none":
-        return first_decoder(rx, tx, col, model)
-    for sl in doubling_blocks(len(rx)):
-        hit = np.flatnonzero(u[sl] < fading_success_prob(rx[sl], tx, col, model))
-        if hit.size:
-            return sl.start + int(hit[0])
-    return -1
-
-
 def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
                tx: PointSet, active: np.ndarray, nodes: np.ndarray,
                tree: cKDTree, dest_idx: int, cfg: SimConfig,
@@ -278,8 +263,8 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
     order = order[np.lexsort((d_dest[order], -prog[order]))]
     order = np.concatenate((np.flatnonzero(is_dest), order))
     col = int(np.searchsorted(tx_idx, holder_idx))
-    k = _first_success(pos[order], None if u is None else u[order], tx, col,
-                       cfg.model)
+    k = first_decoder(pos[order], tx, col, cfg.model,
+                      None if u is None else u[order])
     if k < 0:
         return holder_idx
     hop_to = int(cand[order[k]])
@@ -295,8 +280,7 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
 
 
 def run_simulation(cfg: SimConfig, n_packets: int,
-                   pair_distance: float | None = None,
-                   record_transmitters: bool = False):
+                   pair_distance: float | None = None):
     """Run the slotted relaying process for ``n_packets`` tracked flows.
 
     The node population is drawn once; each slot re-runs the scheme's
@@ -306,10 +290,7 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     point at that distance from the source (direction random), which pins
     the end-to-end length for controlled experiments.
 
-    Returns (summary dict, list of PacketRecord); with
-    ``record_transmitters`` the summary also carries the per-slot
-    transmitter index arrays for post-hoc audits (empty for a slot that
-    no live holder could use, which is not built).  The summary counts
+    Returns (summary dict, list of PacketRecord).  The summary counts
     the slots built (``slots_built``; under ALOHA, the slots in which a
     live holder transmits) and, over them, the virtual lattice points
     posed (``snap_points``, 0 for ALOHA) and those left unmatched
@@ -372,13 +353,10 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         holders.append(src)
         dest_idx.append(dst)
 
-    slot_log = [] if record_transmitters else None
     snaps = SnapCounts()
     for slot in range(cfg.slots):
         live = np.array([h for h, rec in zip(holders, packets) if not rec.delivered])
         tx_idx = select_transmitters(nodes, tree, cfg, rng_slots, snaps, live)
-        if record_transmitters:
-            slot_log.append(tx_idx.copy())
         if tx_idx.size == 0:
             continue
         active = np.zeros(n, dtype=bool)
@@ -418,8 +396,5 @@ def run_simulation(cfg: SimConfig, n_packets: int,
         "snap_misses": snaps.misses,
         "snap_points": snaps.points,
     }
-    if record_transmitters:
-        summary["slot_transmitters"] = slot_log
-        summary["nodes"] = nodes
     return summary, packets
 

@@ -194,11 +194,6 @@ class Field:
         self._valid2 = (VALID_RADIUS * ps.scale) ** 2
         self._guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
 
-    def sir(self, rx) -> float:
-        """SIR of the probe at rx (see :meth:`sir_and_gradient`): the same
-        float, without the gradient's two dot products."""
-        return self._query(rx, False)[0]
-
     def sir_and_gradient(self, rx):
         """(SIR, gradient) of the probe at rx, a 2-sequence or a (1, 2)
         array.
@@ -207,10 +202,6 @@ class Field:
         or an SIR beyond the float range.  Raises
         :class:`SingularityError` on top of a transmitter.
         """
-        return self._query(rx, True)
-
-    def _query(self, rx, gradient: bool):
-        """(SIR, gradient or None) of the probe at rx."""
         x, y = np.asarray(rx, dtype=float).reshape(2).tolist()
         hx, hy = x - self._cx, y - self._cy
         hi2 = hx * hx + hy * hy
@@ -233,9 +224,8 @@ class Field:
         u = np.divide(d2, s0, out=d2)
         np.power(u, -0.5 * a - 1.0, out=q)
         w = float(q.dot(u))
-        if gradient:
-            c = -a / s0
-            dwx, dwy = c * float(q.dot(dx)), c * float(q.dot(dy))
+        c = -a / s0
+        dwx, dwy = c * float(q.dot(dx)), c * float(q.dot(dy))
         if coef is not None:
             # The far term and its d/dt; for real F, grad_h F is
             # (2/R)(Re, -Im) of the latter.
@@ -243,23 +233,20 @@ class Field:
             far, dfdt = coef.dot(tp.conj()).dot(tp).tolist()
             scale = (s0 / self._radius ** 2) ** (0.5 * a)
             w += scale * far.real
-            if gradient:
-                dwx += scale * (2.0 / self._radius * dfdt.real)
-                dwy += scale * (2.0 / self._radius * -dfdt.imag)
+            dwx += scale * (2.0 / self._radius * dfdt.real)
+            dwy += scale * (2.0 / self._radius * -dfdt.imag)
         if w == 0.0:
-            return math.inf, np.zeros(2) if gradient else None
+            return math.inf, np.zeros(2)
         ui = hi2 / s0
         g = ui ** (-0.5 * a)
         s = g / w
-        if not gradient:
-            return s, None
         c = (-a / s0) * (g / ui)
         return s, np.array(((c * hx - s * dwx) / w, (c * hy - s * dwy) / w))
 
 
 def sir(i: int, rx, ps: PointSet, alpha: float) -> float:
     """SIR of transmitter i at rx (see :class:`Field`)."""
-    return Field(ps, i, alpha).sir(rx)
+    return Field(ps, i, alpha).sir_and_gradient(rx)[0]
 
 
 def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
@@ -299,8 +286,8 @@ def sir_and_gradient(i: int, rx, ps: PointSet, alpha: float):
 DECODE_NEIGHBORS = 12
 DECODE_MARGIN = 1e-12
 CHUNK = 1 << 16
-# First block of rows that a walk for the first success decides; each
-# later block doubles (doubling_blocks).
+# First block of rows that first_decoder decides; each later block
+# doubles.
 FIRST_BLOCK = 8
 
 
@@ -322,17 +309,6 @@ def _chunks(rows: int, width: int):
     (one row at least)."""
     step = max(1, CHUNK // max(width, 1))
     return (slice(s, s + step) for s in range(0, rows, step))
-
-
-def doubling_blocks(rows: int):
-    """Row slices covering range(rows) in order, FIRST_BLOCK rows first and
-    twice as many in each next one: a walk that stops at its first success
-    decides at most twice the rows it needs, plus FIRST_BLOCK."""
-    start, size = 0, FIRST_BLOCK
-    while start < rows:
-        yield slice(start, start + size)
-        start += size
-        size *= 2
 
 
 def _squared_distances(rx: np.ndarray, pts: np.ndarray,
@@ -410,22 +386,40 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
     return out
 
 
-def first_decoder(rx, ps: PointSet, i: int, model: ChannelModel) -> int:
-    """Index of the first receiver row of the (M, 2) array rx where
-    transmitter i clears beta times the interference, or -1: the first
-    True of :func:`decodes`, bit for bit.  The single-interferer pass runs
-    over every row; the full sums then run over the rows it leaves, in
-    order, one doubling block at a time, and stop at the first block that
-    holds a decoder."""
+def first_decoder(rx, ps: PointSet, i: int, model: ChannelModel,
+                  u: np.ndarray | None = None) -> int:
+    """Index of the first row of the (M, 2) array rx that receives
+    transmitter i, or -1.  Without fading (``u`` None) that is the first
+    True of :func:`decodes`, bit for bit: the single-interferer pass runs
+    over every row, and the full sums over the rows it leaves.  Under
+    exponential fading it is the first row whose uniform in ``u`` falls
+    below its :func:`fading_success_prob`.  The rows are decided in order,
+    FIRST_BLOCK first and twice as many in each next block, up to the
+    first block that holds a receiver: at most twice the rows needed, plus
+    FIRST_BLOCK."""
+    if (u is None) != (model.fading == "none"):
+        raise ValueError("first_decoder takes one uniform per row under "
+                         "fading and none without")
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
-    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
-    rows = np.flatnonzero(~_beaten(rx, ps.points, i, model, guard2))
-    for sl in doubling_blocks(len(rows)):
-        g, w = _normalized_sums(rx[rows[sl]], ps.points, i, model.alpha,
-                                guard2)
-        hit = np.flatnonzero(g >= model.beta * w)
+    if u is None:
+        guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+        rows = np.flatnonzero(~_beaten(rx, ps.points, i, model, guard2))
+    else:
+        rows = np.arange(len(rx))
+    start, size = 0, FIRST_BLOCK
+    while start < len(rows):
+        block = rows[start:start + size]
+        if u is None:
+            g, w = _normalized_sums(rx[block], ps.points, i, model.alpha,
+                                    guard2)
+            hit = np.flatnonzero(g >= model.beta * w)
+        else:
+            hit = np.flatnonzero(
+                u[block] < fading_success_prob(rx[block], ps, i, model))
         if hit.size:
-            return int(rows[sl][hit[0]])
+            return int(block[hit[0]])
+        start += size
+        size *= 2
     return -1
 
 

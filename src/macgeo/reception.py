@@ -1,18 +1,24 @@
 """Reception-area boundary tracing and maximum transmission range.
 
 The set of points where transmitter i is received with SIR >= beta is
-bounded by the level set S_i(z) = beta.  For beta >= 1 that boundary is a
-single closed curve around the transmitter; it is followed numerically by
-Euler steps along the rotated SIR gradient,
+bounded by the level set S_i(z) = beta.  For beta >= 1 the region is
+star-shaped about the transmitter.  Outside i's Voronoi cell a nearer
+interferer j gives S <= g_i / g_j < 1 <= beta.  Inside it every d_j >= t =
+|z - z_i|, so along a ray from z_i, d log S / dt = -alpha / t - alpha
+sum_j p_j cos_j / d_j < 0 (p_j: j's share of the interference; cos_j: the
+cosine between the ray and z_j - z).  So the boundary is one closed curve
+that the start ray crosses once, and the trace winds once with strictly
+increasing polar angle.  It is followed by Euler steps along the rotated
+SIR gradient,
 
     z(k+1) = z(k) + J grad S / |grad S| * dt,      J = [[0, 1], [-1, 0]],
 
-with a Newton re-projection onto the level set after every step so the
-discretization error stays bounded by the contour tolerance instead of
-accumulating.  The maximum transmission range is the largest distance from
-the transmitter to the curve; it occurs where the distance gradient and
-the SIR gradient are parallel, i.e. where their 2D cross product changes
-sign along the curve.
+with a Newton re-projection onto the level set after every step (halved
+where it fails to advance) so the discretization error stays bounded by
+the contour tolerance instead of accumulating.  The maximum transmission
+range is the largest distance from the transmitter to the curve; it
+occurs where the distance gradient and the SIR gradient are parallel,
+i.e. where their 2D cross product changes sign along the curve.
 
 For beta < 1 the reception region can be unbounded or split into several
 components, or the start ray can meet an interferer's exclusion hole; the
@@ -45,6 +51,8 @@ _J = np.array([(0.0, 1.0), (-1.0, 0.0)])
 CONTOUR_TOL = 1e-6
 # Step budget of one trace before the non-closure signal.
 MAX_STEPS = 1_000_000
+# Halvings of one step before the tracer gives up on it.
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -95,14 +103,14 @@ def _contour_start(field, beta, direction, dt):
     zi = field.center
     lo = hi = 1e-3 * field.ps.scale
     limit = 2.0 * field.ps.extent
-    while field.sir(zi + hi * u) >= beta:
+    while field.sir_and_gradient(zi + hi * u)[0] >= beta:
         lo, hi = hi, 2.0 * hi
         if hi > limit:
             raise UnboundedReceptionError(
                 f"SIR never drops below beta={beta:g} within the window")
     while hi - lo > dt:
         mid = 0.5 * (lo + hi)
-        if field.sir(zi + mid * u) >= beta:
+        if field.sir_and_gradient(zi + mid * u)[0] >= beta:
             lo = mid
         else:
             hi = mid
@@ -118,6 +126,10 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     The start ray's crossing is bracketed to within dt and its midpoint is
     projected, like each Euler predictor step after it, onto the level
     set, so every returned vertex obeys |S - beta| <= CONTOUR_TOL * beta.
+    A step whose projection lands a step or more from its predictor (at a
+    corner narrower than the step) is halved and retried, down to
+    dt * 2**-MAX_HALVINGS.  One that lands nearer has advanced along its
+    heading t: (z_new - z) . t = h + (z_new - z_pred) . t > 0.
     The trace terminates once it returns within dt of the start (after at
     least 10 steps, with a matching heading); exhausting MAX_STEPS raises
     :class:`NonClosureError` with the partial trace attached, and a curve
@@ -139,13 +151,23 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     grads = [g0]
     z, g = z0, g0
     closed = False
-    steps = 0
+    steps = halvings = 0
     while steps < MAX_STEPS:
         n = math.hypot(g[0], g[1])
         if n < _GRAD_FLOOR:
             raise StationaryPointError("vanishing SIR gradient on the contour")
-        z_pred = z + dt * (_J @ g) / n
-        z, s, g = _project(field, beta, z_pred, CONTOUR_TOL)
+        heading, h = _J @ g, dt
+        for _ in range(MAX_HALVINGS + 1):
+            z_pred = z + h * heading / n
+            z_new, _, g_new = _project(field, beta, z_pred, CONTOUR_TOL)
+            if math.hypot(*(z_new - z_pred).tolist()) < h:
+                break
+            h *= 0.5
+            halvings += 1
+        else:
+            raise StationaryPointError("no forward contour step down to "
+                                       f"dt * 2**-{MAX_HALVINGS}")
+        z, g = z_new, g_new
         verts.append(z)
         grads.append(g)
         steps += 1
@@ -167,9 +189,9 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
             f"{i}: the start ray met an interferer's exclusion hole")
 
     r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta)
-    _log.debug("trace of transmitter %d: %d steps, %d near points, expansion "
-               "order %d, %d exact-path queries", i, steps, field.near_points,
-               field.order, field.exact_queries)
+    _log.debug("trace of transmitter %d: %d steps, %d halvings, %d near "
+               "points, expansion order %d, %d exact-path queries", i, steps,
+               halvings, field.near_points, field.order, field.exact_queries)
     return ContourTrace(vertices, z_max, r_lam, True, steps)
 
 
@@ -527,12 +549,14 @@ def origin_index(ps: PointSet, at=(0.0, 0.0)) -> int:
 
 def lattice_probe(spec: GridSpec, extent: float) -> tuple[PointSet, int]:
     """The pattern's points in [-extent, extent]^2 and the index of its
-    probe, the lattice point at the spec's translation."""
+    probe, lattice index (0, 0), which the pose puts exactly on the spec's
+    translation (0 c - 0 s + t is t): one equality match finds it."""
     ps = gen_grid(spec, extent)
-    i = origin_index(ps, spec.translation)
-    if math.hypot(*(ps.points[i] - spec.translation)) > 1e-6 * spec.d:
+    hit = np.flatnonzero(ps.points.view(complex)[:, 0]
+                         == complex(*spec.translation))
+    if not hit.size:
         raise MacGeoError("probe transmitter missing from the window center")
-    return ps, i
+    return ps, int(hit[0])
 
 
 def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,

@@ -64,6 +64,8 @@ class GridSpec:
                 raise ValueError("rectangular/linear patterns require k1 <= k2")
         elif not (self.k1 == 1.0 and self.k2 == 1.0):
             raise ValueError(f"{self.kind} pattern has fixed k1 = k2 = 1")
+        if not all(map(math.isfinite, (self.rotation, *self.translation))):
+            raise ValueError("pose rotation and translation must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class PointSet:
     The constructor checks the shape, that the points are finite and
     inside the extent, the density and the extent, and that the points are
     pairwise distinct, the last with an O(N log N) sort.  :func:`gen_poisson`
-    builds its sets through it; :func:`gen_grid` skips only the sort, and
-    only where its lattice cannot repeat a point.
+    builds its sets through it; :func:`gen_grid` and the simulator, whose
+    sets hold all of that by construction, build theirs with no check.
     """
 
     points: np.ndarray
@@ -86,20 +88,6 @@ class PointSet:
     extent: float
 
     def __post_init__(self):
-        self._check(known_distinct=False)
-
-    @classmethod
-    def _of_distinct(cls, points, density: float, extent: float) -> PointSet:
-        """A PointSet of points known to be pairwise distinct: every check of
-        the constructor but the sort."""
-        ps = cls.__new__(cls)
-        for name, value in (("points", points), ("density", density),
-                            ("extent", extent)):
-            object.__setattr__(ps, name, value)
-        ps._check(known_distinct=True)
-        return ps
-
-    def _check(self, known_distinct: bool):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must have shape (N, 2)")
@@ -112,13 +100,26 @@ class PointSet:
         lim = self.extent * (1 + 1e-12) + _EDGE_TOL * self.scale
         if pts.size and np.max(np.abs(pts)) > lim:
             raise ValueError("points fall outside the stated extent")
-        if len(pts) > 1 and not known_distinct:
+        if len(pts) > 1:
             order = np.lexsort((pts[:, 1], pts[:, 0]))
             s = pts[order]
             if np.any(np.all(s[1:] == s[:-1], axis=1)):
                 raise ValueError("points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _of_distinct(cls, points: np.ndarray, density: float,
+                     extent: float) -> PointSet:
+        """A PointSet whose contiguous float (N, 2) points, density and
+        extent pass every check by construction: none runs, and the points
+        are marked read-only, not read."""
+        ps = cls.__new__(cls)
+        points.setflags(write=False)
+        for name, value in (("points", points), ("density", density),
+                            ("extent", extent)):
+            object.__setattr__(ps, name, value)
+        return ps
 
     def __len__(self):
         return len(self.points)
@@ -249,10 +250,12 @@ def gen_grid(spec: GridSpec, extent: float) -> PointSet:
     d * min(k1, k2) apart, and every computed point is within a few float
     steps of |translation| + extent + pad (the posed window's reach) of its
     exact place.  While the spacing exceeds _DISTINCT_STEPS such steps, no
-    two points can round onto one another, and the PointSet is built
-    without the constructor's distinctness sort.  A window whose reach
-    passes about 4e9 spacings (a pose translated that far) takes the sort,
-    which refuses points that rounding merged.
+    two points can round onto one another.  The pose's filter keeps only
+    points within the window's edge tolerance, which no NaN or inf passes,
+    so the PointSet is then built with no pass over the points.  A window
+    whose reach passes about 4e9 spacings (a pose translated that far)
+    takes the constructor, whose sort refuses points that rounding
+    merged.
     """
     pts = window_points(spec, extent)
     A, _ = _basis(spec)

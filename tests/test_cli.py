@@ -635,7 +635,8 @@ def test_optimize_default_out_is_csv(tmp_path, monkeypatch):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_examples_parse():
+def test_readme_examples_parse(tmp_path):
+    # Each README example parses, and runs to exit 0 onto a fresh output.
     text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0].strip()
@@ -643,9 +644,12 @@ def test_readme_examples_parse():
     commands = [shlex.split(line)[1:] for line in lines
                 if line.startswith("macgeo ")]
     assert len(commands) >= 12
-    for command, *args in commands:
+    for k, (command, *args) in enumerate(commands):
         # Exits 2 on a flag the command lacks.
         _build_parser(command).parse_args(args)
+        out = tmp_path / f"{k}-{command}"
+        assert main([command, *args, "--out", str(out)]) == EXIT_OK, args
+        assert out.stat().st_size > 0
 
 
 def test_readme_flag_table_matches_commands():

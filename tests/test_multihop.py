@@ -10,8 +10,9 @@ from helpers import direct_decisions, write_hop_log
 from scipy.spatial import cKDTree
 
 from macgeo.cli import _write_json
-from macgeo.multihop import (SimConfig, _first_success, progress,
-                             run_simulation, select_transmitters)
+from macgeo import multihop
+from macgeo.multihop import (SimConfig, progress, run_simulation,
+                             select_transmitters)
 from macgeo.propagation import SINGULARITY_GUARD, ChannelModel, sir
 from macgeo.reception import grid_range
 from macgeo.spatial import GridSpec, PointSet
@@ -295,36 +296,6 @@ def test_fading_hop_log_pinned(tmp_path, scheme, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("interferer,candidate,want", [
-    ((1.0, 0.0), (5e-4, 0.0), True),        # SIR ~ 1e330: raw powers overflow
-    ((4500.0, 0.0), (2500.0, 0.0), False),  # SIR ~ 2e-10: both underflow to 0
-])
-def test_first_success_extreme_alpha(interferer, candidate, want):
-    model = ChannelModel(alpha=100.0, beta=1.0)
-    cfg = SimConfig(1e-2, 5000.0, 1e-2, model)
-    nodes = np.array([(0.0, 0.0), interferer, candidate])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tx = PointSet(nodes[:2], cfg.scheme_density, cfg.extent)
-        k = _first_success(nodes[[2]], None, tx, 0, model)
-    assert k == (0 if want else -1)
-
-
-def test_first_success_fading_extreme_alpha():
-    # The fading product at alpha 100: the candidate 1e-3 from the
-    # interferer would overflow a raw distance-ratio power.  Its uniform
-    # is not below its probability; the next candidate's is.
-    model = ChannelModel(alpha=100.0, beta=1.0, fading="exponential")
-    cfg = SimConfig(1e-2, 50.0, 1e-2, model)
-    nodes = np.array([(0.0, 0.0), (10.0, 0.0), (9.999, 0.0), (1e-3, 0.0)])
-    u = np.random.default_rng(0).random(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tx = PointSet(nodes[:2], cfg.scheme_density, cfg.extent)
-        k = _first_success(nodes[[2, 3]], u, tx, 0, model)
-    assert k == 1
-
-
 def test_fading_randomizes_hop_lengths_paired_seed():
     # Without fading the reception area is deterministic, so no hop can
     # exceed the traced maximum range (snap slack aside).  Exponential
@@ -367,18 +338,29 @@ def test_beta_monotone_delivery_paired_seed():
 
 @pytest.mark.parametrize("scheme", [GridSpec("square", 1.0), 1.0],
                          ids=["square", "aloha"])
-def test_post_hoc_sir_audit(scheme):
+def test_post_hoc_sir_audit(scheme, monkeypatch):
     # Every hop happens in a built slot and clears beta against that
-    # slot's recorded transmitters.  A relay hop goes to the decoder of
-    # largest forward progress: no other non-transmitting node within the
+    # slot's transmitters.  A relay hop goes to the decoder of largest
+    # forward progress: no other non-transmitting node within the
     # candidate radius whose (progress, -distance to destination) key beats
     # the receiver's decodes, and neither does the destination, which
     # would have taken the packet.  The decisions come from the direct sum.
+    # run_simulation selects the transmitters once per slot, in order, so
+    # a wrapper records each slot's nodes and set.
+    log = []
+    select = multihop.select_transmitters
+
+    def recorded(nodes, *args, **kwargs):
+        tx_idx = select(nodes, *args, **kwargs)
+        log.append((nodes, tx_idx.copy()))
+        return tx_idx
+
+    monkeypatch.setattr(multihop, "select_transmitters", recorded)
     cfg = SimConfig(100.0, 8.0, scheme, MODEL, slots=1500, seed=51)
-    summary, packets = run_simulation(cfg, 4, pair_distance=2.5,
-                                      record_transmitters=True)
-    nodes = summary["nodes"]
-    slot_tx = summary["slot_transmitters"]
+    _, packets = run_simulation(cfg, 4, pair_distance=2.5)
+    nodes = log[0][0]
+    assert all(entry[0] is nodes for entry in log)
+    slot_tx = [tx_idx for _, tx_idx in log]
     radius = 2.0 / math.sqrt(cfg.scheme_density)
     checked = beaten = 0
     for rec in packets:

@@ -14,7 +14,8 @@ from macgeo.errors import DivergentMomentError, MacGeoError, SingularityError
 from macgeo.propagation import (_BLOCK, DECODE_NEIGHBORS, EXPANSION_ORDER,
                                 NEAR_RADIUS, SINGULARITY_GUARD, VALID_RADIUS,
                                 ChannelModel, DecodeCounts,
-                                Field, decodes, first_decoder, log_psi, psi,
+                                Field, decodes, fading_success_prob,
+                                first_decoder, log_psi, psi,
                                 raster_field, sample_fading, sir,
                                 sir_and_gradient)
 from macgeo.reception import lattice_probe
@@ -273,9 +274,9 @@ def test_lattice_builds_stream_no_full_window_temporaries():
 
 
 def test_field_query_interface():
-    # Any 2-point form of rx gives the same answer, sir is the first half
-    # of sir_and_gradient bit for bit, and a query on a transmitter raises,
-    # on the near path (within VALID_RADIUS of the probe) and the exact one.
+    # Any 2-point form of rx gives the same answer, and a query on a
+    # transmitter raises, on the near path (within VALID_RADIUS of the
+    # probe) and the exact one.
     ps = gen_grid(GridSpec("square", 1.0), 30.0)
     i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
     near, exact = (0.31, -0.42), (1.7, 0.45)
@@ -286,12 +287,10 @@ def test_field_query_interface():
             got = [field.sir_and_gradient(rx) for rx in forms]
             for s, g in got:
                 assert s == got[0][0] and np.array_equal(g, got[0][1])
-            assert all(field.sir(rx) == got[0][0] for rx in forms)
-        assert field.exact_queries == 8
+        assert field.exact_queries == 4
         for z in ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, -4.0)):
-            for query in (field.sir, field.sir_and_gradient):
-                with pytest.raises(SingularityError):
-                    query(z)
+            with pytest.raises(SingularityError):
+                field.sir_and_gradient(z)
 
 
 KERNEL_BETAS = (1e-5, 0.05, 1.0, 10.0, 100.0)
@@ -425,6 +424,58 @@ def test_first_decoder_is_the_first_of_decodes(seed):
     # Receivers on other transmitters: no row decodes.
     far = np.delete(ps.points, i, axis=0)[:50]
     assert first_decoder(far, ps, i, ChannelModel(4.0, 1.0)) == -1
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_first_decoder_fading_is_the_first_draw_below_the_product(seed):
+    # Under exponential fading a row receives where its uniform falls below
+    # its reception probability; the walk returns the first such row, past
+    # several doubling blocks.  The uniforms are required under fading and
+    # refused without it.
+    ps = gen_poisson(1.0, 12.0, seed)
+    rng = np.random.default_rng(seed)
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    rx = ps.points[i] + rng.uniform(-3.0, 3.0, size=(300, 2))
+    for alpha, beta in ((2.5, 0.1), (4.0, 1.0), (100.0, 10.0)):
+        model = ChannelModel(alpha, beta, fading="exponential")
+        p = fading_success_prob(rx, ps, i, model)
+        late = p.copy()  # no row below its probability but row 250
+        late[250] = 0.0
+        for u in (rng.random(len(rx)), late, p):
+            hits = np.flatnonzero(u < p)
+            want = int(hits[0]) if hits.size else -1
+            assert first_decoder(rx, ps, i, model, u) == want, (alpha, beta)
+        with pytest.raises(ValueError):
+            first_decoder(rx, ps, i, model)
+    with pytest.raises(ValueError):
+        first_decoder(rx, ps, i, ChannelModel(4.0, 1.0), rng.random(len(rx)))
+
+
+@pytest.mark.parametrize("interferer,candidate,want", [
+    ((1.0, 0.0), (5e-4, 0.0), True),        # SIR ~ 1e330: raw powers overflow
+    ((4500.0, 0.0), (2500.0, 0.0), False),  # SIR ~ 2e-10: both underflow to 0
+])
+def test_first_decoder_extreme_alpha(interferer, candidate, want):
+    model = ChannelModel(alpha=100.0, beta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tx = PointSet(np.array([(0.0, 0.0), interferer]), 1e-2, 5000.0)
+        k = first_decoder(np.array([candidate]), tx, 0, model)
+    assert k == (0 if want else -1)
+
+
+def test_first_decoder_fading_extreme_alpha():
+    # The fading product at alpha 100: the candidate 1e-3 from the
+    # interferer would overflow a raw distance-ratio power.  Its uniform
+    # is not below its probability; the next candidate's is.
+    model = ChannelModel(alpha=100.0, beta=1.0, fading="exponential")
+    u = np.random.default_rng(0).random(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tx = PointSet(np.array([(0.0, 0.0), (10.0, 0.0)]), 1e-2, 50.0)
+        k = first_decoder(np.array([(9.999, 0.0), (1e-3, 0.0)]), tx, 0,
+                          model, u)
+    assert k == 1
 
 
 def test_decodes_memory_is_bounded():

@@ -69,12 +69,12 @@ def test_start_search_brackets_to_one_step(monkeypatch):
     inside, calls = [False], [0]
     start = reception._contour_start
 
-    def counted(query):
-        def counted_query(self, rx):
-            if inside[0]:
-                calls[0] += 1
-            return query(self, rx)
-        return counted_query
+    query = reception.Field.sir_and_gradient
+
+    def counted_query(self, rx):
+        if inside[0]:
+            calls[0] += 1
+        return query(self, rx)
 
     def counted_start(*args):
         inside[0] = True
@@ -83,9 +83,7 @@ def test_start_search_brackets_to_one_step(monkeypatch):
         finally:
             inside[0] = False
 
-    for name in ("sir", "sir_and_gradient"):
-        monkeypatch.setattr(reception.Field, name,
-                            counted(getattr(reception.Field, name)))
+    monkeypatch.setattr(reception.Field, "sir_and_gradient", counted_query)
     monkeypatch.setattr(reception, "_contour_start", counted_start)
     assert trace_contour(i, ps, ChannelModel(4.0, 10.0), direction=0.7).closed
     assert march < calls[0] <= bound
@@ -281,10 +279,20 @@ def test_raster_fallback_sums_every_interferer_the_tracer_sums(monkeypatch,
 
 
 def test_lattice_probe():
+    # The probe, lattice index (0, 0), lands exactly on the translation
+    # under any pose, and it is the point nearest to it.
     spec = GridSpec("triangular", 2.0, translation=(0.3, -0.4))
     ps, i = lattice_probe(spec, 10.0)
     assert np.array_equal(ps.points, gen_grid(spec, 10.0).points)
-    assert np.allclose(ps.points[i], spec.translation, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(3)
+    for kind in ("square", "triangular", "hexagonal", "rectangular"):
+        k2 = 2.0 if kind == "rectangular" else 1.0
+        for _ in range(4):
+            t = tuple(rng.uniform(-9.0, 9.0, 2).tolist())
+            spec = GridSpec(kind, 1.3, 1.0, k2, rng.uniform(0.0, 7.0), t)
+            ps, i = lattice_probe(spec, 10.0)
+            assert tuple(ps.points[i].tolist()) == t
+            assert i == origin_index(ps, t)
     with pytest.raises(MacGeoError, match="probe"):
         lattice_probe(GridSpec("square", 1.0, translation=(12.5, 0.0)), 10.0)
 
@@ -335,11 +343,43 @@ def test_trace_logs_field_counters(caplog):
     recs = [r for r in caplog.records if r.name == "macgeo.reception"]
     assert [r.levelno for r in recs] == [logging.DEBUG] * 2
     assert recs[0].getMessage() == (
-        f"trace of transmitter {i}: {trace.steps} steps, {near} near points, "
-        f"expansion order {EXPANSION_ORDER}, 0 exact-path queries")
+        f"trace of transmitter {i}: {trace.steps} steps, 0 halvings, {near} "
+        f"near points, expansion order {EXPANSION_ORDER}, 0 exact-path "
+        "queries")
     exact = re.search(r", 1 near points, expansion order \d+, (\d+) "
                       r"exact-path queries$", recs[1].getMessage())
     assert exact and int(exact.group(1)) > 0
+
+
+def test_trace_halves_its_step_at_a_sharp_corner(monkeypatch):
+    # At alpha 100 the curve is nearly the Voronoi square, and one step of
+    # dt = 0.02 is wider than its rounded corners: a full step's projection
+    # lands on the other edge at (0.5, 0.5), behind the vertex.  Halved
+    # steps turn the corner, and r_lambda agrees with the default dt's.
+    monkeypatch.setattr(reception, "MAX_STEPS", 5000)
+    ps, i = lattice_probe(GridSpec("square", 1.0), 40.0)
+    model = ChannelModel(100.0, 1.0)
+    coarse = trace_contour(i, ps, model, dt=0.02, direction=0.7)
+    fine = trace_contour(i, ps, model, direction=0.7)
+    assert coarse.closed and coarse.steps < 300
+    assert coarse.r_lambda == pytest.approx(fine.r_lambda, rel=1e-5)
+
+
+@pytest.mark.parametrize("beta", [1.0, 10.0])
+def test_trace_winds_once_with_increasing_polar_angle(beta):
+    # For beta >= 1 the reception region is star-shaped about the
+    # transmitter (see the reception module), so the traced polar angle
+    # increases at every step and winds once around it.
+    sets = [lattice_probe(GridSpec(kind, 25.0), 5000.0)
+            for kind in ("square", "triangular", "hexagonal")]
+    ps = gen_poisson(1.0, 30.0, 11)
+    sets.append((ps, origin_index(ps)))
+    for ps, i in sets:
+        trace = trace_contour(i, ps, ChannelModel(4.0, beta))
+        dz = trace.vertices - ps.points[i]
+        turn = np.diff(np.unwrap(np.arctan2(dz[:, 1], dz[:, 0])))
+        assert np.all(turn > 0.0)
+        assert turn.sum() / (2.0 * math.pi) == pytest.approx(1.0, rel=1e-2)
 
 
 def test_nonclosure_carries_partial_trace(monkeypatch):

@@ -124,6 +124,20 @@ def test_gridspec_validation():
         GridSpec("pentagonal", 1.0)
 
 
+@pytest.mark.parametrize("pose", [
+    {"rotation": math.nan}, {"rotation": math.inf},
+    {"translation": (math.inf, 0.0)}, {"translation": (0.0, math.nan)},
+    {"translation": (-math.inf, math.inf)}])
+def test_gridspec_refuses_non_finite_pose(pose):
+    # Refused at construction: posed, a NaN gives NaN window corners (and an
+    # empty window), and rotation=inf a bare math domain error.
+    with pytest.raises(ValueError, match="pose"):
+        GridSpec("square", 1.0, **pose)
+    with pytest.raises(ValueError, match="pose"):
+        with_pose(GridSpec("square", 1.0), pose.get("rotation", 0.0),
+                  pose.get("translation", (0.0, 0.0)))
+
+
 def test_poisson_moments_and_determinism():
     lam, extent = 1.0, 50.0
     counts = [len(gen_poisson(lam, extent, seed)) for seed in range(120)]
