@@ -473,12 +473,17 @@ class AlohaResult:
 def optimize_range(lam: float, model: ChannelModel) -> AlohaResult:
     """Maximize r * p(lam, r, beta, alpha) over the link length r.
 
-    p depends on (r, beta, lam) only through rho = r sqrt(lam)
+    Under exponential fading p = exp(-K r^2) (aloha_prob_exponential), so
+    r p peaks in closed form at r* = (2 K)^(-1/2), where p = e^(-1/2).
+    Otherwise p depends on (r, beta, lam) only through rho = r sqrt(lam)
     beta^(1/alpha), so one bounded maximization of rho * p(rho) at
     beta = lam = 1, in log rho, serves every (beta, lam):
     r* = rho* / (sqrt(lam) beta^(1/alpha)).
     """
     _check_link(lam, model)
+    if model.fading == "exponential":
+        r = (2.0 * _exponential_rate(lam, model.beta, model.gamma)) ** -0.5
+        return _result(r, math.exp(-0.5))
     unit = replace(model, beta=1.0)
     log_c = math.log(_stable_constant(model.gamma))
 
@@ -493,7 +498,10 @@ def optimize_range(lam: float, model: ChannelModel) -> AlohaResult:
     log_rho, rho_p_max = _brent_max(rho_p, a, b, _RHO_RTOL / 4.0)
     rho = math.exp(log_rho)
     r = rho / (math.sqrt(lam) * model.beta ** (1.0 / model.alpha))
-    p = rho_p_max / rho
+    return _result(r, rho_p_max / rho)
+
+
+def _result(r: float, p: float) -> AlohaResult:
     rp = r * p
     return AlohaResult(r, p, rp, 1.0 / rp if rp > 0 else math.inf)
 

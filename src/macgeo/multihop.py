@@ -32,7 +32,10 @@ holder transmits.  The random stream is not that of a full draw, so the
 hops differ from it run by run but not in law.
 
 Each built slot poses gen_grid's points as a bare array
-(``spatial.window_points``), with no PointSet.
+(``spatial.window_points``), with no PointSet.  The population never
+moves, so one cell index of it (``_CellIndex``), built per run, answers
+every neighbour query of the run with numpy alone: the snap, the holder
+test, the candidate disc and the pair draw's nearest node.
 
 A relay step decides its candidates in winner order: the destination
 first, then the forward candidates by decreasing progress, and it stops
@@ -42,9 +45,10 @@ alone (its full interference sum, or under fading its own uniform, drawn
 for every candidate whether or not it is decided), so the candidates
 after the first success cannot change the hop.  Without fading a decoder
 needs g_i >= beta * sum_j g_j >= beta * g_j for every interferer j, so
-the walk first refuses a candidate where one of the holder's nearest
-transmitters alone beats it (for beta >= 1, past a bisector of the
-holder's Voronoi cell).  None of these shortcuts changes a hop.
+the step first refuses the forward candidates where one of the holder's
+nearest transmitters alone beats them (for beta >= 1, past a bisector of
+the holder's Voronoi cell), before it sorts them.  None of these
+shortcuts changes a hop.
 """
 
 from __future__ import annotations
@@ -52,24 +56,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .propagation import ChannelModel, first_decoder
+from .propagation import ChannelModel, beaten, first_decoder
 from .spatial import (GridSpec, PointSet, check_budget, grid_density,
                       points_near, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 # Source/destination draws per tracked packet before giving up.
 PAIR_DRAWS = 10_000
 # A virtual lattice point snaps to the nearest node within d / SNAP_DIVISOR.
 SNAP_DIVISOR = 10.0
+# A cell of the node index is wider than twice the snap radius by this
+# relative slack, and a snap block reaches half of it past the radius.
+# That covers the holder test's 1e-9 d margin (1e-8 of the radius) and the
+# rounding of the cell arithmetic (about 1e-13 of a cell at any budget).
+_CELL_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,20 +158,181 @@ class SnapCounts:
     misses: int = 0
 
 
-def _holder_may_snap(nodes: np.ndarray, tree: cKDTree, spec: GridSpec,
+def _gather(a: np.ndarray, b: np.ndarray):
+    """The ranges a[k]:b[k], concatenated, and the length of each."""
+    lens = b - a
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(a - (ends - lens), lens), lens
+
+
+class _CellIndex:
+    """Fixed-radius cell grid over a run's node population (Bentley,
+    Stanat & Williams, *The complexity of finding fixed-radius near
+    neighbors*, 1977), in place of a k-d tree.
+
+    The nodes' bounding box is cut into square cells of side at least
+    2 radius (1 + _CELL_SLACK), radius the snap radius, and at least
+    (longer box side) / sqrt(n), so there are no more cells than nodes;
+    the last row and column take the remainder.  The nodes are sorted
+    row-major by cell, with a CSR ``start`` array (cell c holds the
+    sorted positions start[c]:start[c + 1]), contiguous x and y columns
+    in that order, and ``order`` mapping a sorted position to its node.
+    Adjacent cells of a row are adjacent in that order, so a block of
+    cells costs one slice per cell row.  A coordinate's cell,
+    floor((v - lo) / side) clipped to the grid, is monotone in v, so the
+    nodes within a reach of a point lie between the cells of the reach's
+    two ends.
+
+    Distances are those cKDTree computes, so every decision is the
+    tree's: sqrt(dx*dx + dy*dy) for the snap and the holder test, and
+    dx*dx + dy*dy for the disc (kept when <= R*R) and the nearest node.
+    """
+
+    def __init__(self, nodes: np.ndarray, radius: float):
+        n = len(nodes)
+        self._lo = nodes.min(axis=0)
+        span = nodes.max(axis=0) - self._lo
+        side = max(2.0 * radius * (1.0 + _CELL_SLACK),
+                   span.max() / math.sqrt(n))
+        self.side = side if side > 0 else 1.0
+        self._reach = radius * (1.0 + 0.5 * _CELL_SLACK)
+        # Cells along x (columns) and along y (rows).
+        self._n = np.maximum(1, (span // self.side).astype(np.intp))
+        cols, rows = (int(k) for k in self._n)
+        check_budget(cols * rows, "cells of the node index")
+        cell = self._cells(nodes[:, 1], 1) * cols + self._cells(nodes[:, 0], 0)
+        self.order = np.argsort(cell, kind="stable")
+        self.start = np.zeros(cols * rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=cols * rows), out=self.start[1:])
+        self.x = nodes[self.order, 0]
+        self.y = nodes[self.order, 1]
+
+    def _cells(self, v, axis: int):
+        """Cell coordinates along ``axis`` (0: column, 1: row) of v."""
+        k = np.floor((np.asarray(v) - self._lo[axis]) / self.side)
+        return np.clip(k, 0, self._n[axis] - 1).astype(np.intp)
+
+    def _slices(self, rows, c0, c1):
+        """Sorted positions of the cells c0..c1 of each cell row, one slice
+        per row."""
+        base = rows * self._n[0]
+        return _gather(self.start[base + c0], self.start[base + c1 + 1])[0]
+
+    def _squared(self, pos: np.ndarray, x, y) -> np.ndarray:
+        """dx*dx + dy*dy from the nodes at sorted positions pos to (x, y),
+        summed as cKDTree sums them."""
+        d2 = np.subtract(self.x[pos], x)
+        d2 *= d2
+        dy = np.subtract(self.y[pos], y)
+        dy *= dy
+        d2 += dy
+        return d2
+
+    def _block(self, pts: np.ndarray):
+        """Nodes of the 2 x 2 block of cells that holds each point's disc of
+        the snap reach, two slices per point (the second empty when the
+        disc spans one cell row): (positions, per-point counts, squared
+        distances)."""
+        x, y = pts[:, 0], pts[:, 1]
+        c0, c1 = self._cells((x - self._reach, x + self._reach), 0)
+        r0, r1 = self._cells((y - self._reach, y + self._reach), 1)
+        a = np.empty((len(pts), 2), dtype=np.intp)
+        b = np.empty_like(a)
+        for j, row in enumerate((r0, r1)):
+            base = row * self._n[0]
+            a[:, j] = self.start[base + c0]
+            b[:, j] = self.start[base + c1 + 1]
+        b[r1 == r0, 1] = a[r1 == r0, 1]
+        pos, lens = _gather(a.ravel(), b.ravel())
+        cnt = lens.reshape(-1, 2).sum(axis=1)
+        return pos, cnt, self._squared(pos, np.repeat(x, cnt), np.repeat(y, cnt))
+
+    def snap(self, pts: np.ndarray):
+        """(dist, idx) of the nearest node within the snap radius of each
+        posed point, as ``tree.query`` returns it (its distance, sqrt of
+        the squared distance); inf and -1 where the block holds no node."""
+        pos, cnt, d2 = self._block(pts)
+        best = np.full(len(pts), np.inf)
+        has = cnt > 0
+        best[has] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[has])
+        # Each point's minimum, the first in sorted order on a tie.
+        at = np.flatnonzero(d2 == np.repeat(best, cnt))
+        owner = np.repeat(np.arange(len(pts)), cnt)[at]
+        first = np.ones(len(at), dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        idx = np.full(len(pts), -1)
+        idx[owner[first]] = self.order[pos[at[first]]]
+        return np.sqrt(best), idx
+
+    def among_two_nearest(self, pts: np.ndarray, nodes: np.ndarray,
+                          cand: np.ndarray, tol: float) -> np.ndarray:
+        """Whether node cand[k] is among the two nearest nodes of pts[k]
+        and within tol of the nearest, as ``tree.query(pts, k=2)`` decides
+        it, for points within the snap reach of their node: every node
+        nearer than cand[k] is in the point's block."""
+        pos, cnt, d2 = self._block(pts)
+        dx = pts[:, 0] - nodes[cand, 0]
+        dy = pts[:, 1] - nodes[cand, 1]
+        dh = np.sqrt(dx * dx + dy * dy)
+        owner = np.repeat(np.arange(len(pts)), cnt)
+        dist = np.sqrt(d2)
+        nearer = dist < dh[owner]
+        closer = np.bincount(owner[nearer], minlength=len(pts))
+        d1 = dh.copy()
+        np.minimum.at(d1, owner[nearer], dist[nearer])
+        return (closer <= 1) & (dh <= d1 + tol)
+
+    def disc(self, c, R: float) -> np.ndarray:
+        """Sorted indices of the nodes within R of the point c, kept when
+        dx*dx + dy*dy <= R*R as ``tree.query_ball_point`` keeps them."""
+        cx, cy = float(c[0]), float(c[1])
+        e = R * (1.0 + _CELL_SLACK)
+        c0, c1 = self._cells((cx - e, cx + e), 0)
+        r0, r1 = self._cells((cy - e, cy + e), 1)
+        pos = self._slices(np.arange(r0, r1 + 1), c0, c1)
+        return np.sort(self.order[pos[self._squared(pos, cx, cy) <= R * R]])
+
+    def nearest(self, p) -> int:
+        """Index of the node nearest to the point p, as ``tree.query``
+        picks it: rings of cells around p's cell, widened until the
+        nearest node found is no farther than the block's nearest open
+        side (a side on the grid's edge is closed)."""
+        px, py = float(p[0]), float(p[1])
+        col, row = int(self._cells(px, 0)), int(self._cells(py, 1))
+        (cols, rows), lo, s = self._n, self._lo, self.side
+        k = 0
+        while True:
+            c0, c1 = max(col - k, 0), min(col + k, cols - 1)
+            r0, r1 = max(row - k, 0), min(row + k, rows - 1)
+            pos = self._slices(np.arange(r0, r1 + 1), c0, c1)
+            if pos.size:
+                d2 = self._squared(pos, px, py)
+                j = int(np.argmin(d2))
+                sides = (
+                    px - (lo[0] + c0 * s) if c0 > 0 else math.inf,
+                    lo[0] + (c1 + 1) * s - px if c1 < cols - 1 else math.inf,
+                    py - (lo[1] + r0 * s) if r0 > 0 else math.inf,
+                    lo[1] + (r1 + 1) * s - py if r1 < rows - 1 else math.inf)
+                if math.sqrt(d2[j]) <= min(sides) * (1.0 - _CELL_SLACK):
+                    return int(self.order[pos[j]])
+            k += 1
+
+
+def _holder_may_snap(nodes: np.ndarray, index: _CellIndex, spec: GridSpec,
                      holders: np.ndarray, r: float) -> bool:
-    """Whether a posed lattice point within r of a holder could snap to it.
-    The 1e-9 d margin only ever admits extra points and nearest nodes, so
-    rounding can build an extra slot but never skip one."""
+    """Whether a posed lattice point within r of a holder could snap to it:
+    the holder is among the point's two nearest nodes, within 1e-9 d of
+    the nearest.  The margin only ever admits extra points and nearest
+    nodes, so rounding can build an extra slot but never skip one."""
     tol = 1e-9 * spec.d
     pts, owner = points_near(spec, nodes[holders], r + tol)
     if len(pts) == 0:
         return False
-    dist, idx = tree.query(pts, k=2)
-    return bool(np.any((idx == holders[owner, None]) & (dist <= dist[:, :1] + tol)))
+    return bool(index.among_two_nearest(pts, nodes, holders[owner], tol).any())
 
 
-def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
+def select_transmitters(nodes: np.ndarray, index: _CellIndex, cfg: SimConfig,
                         rng: np.random.Generator,
                         counts: SnapCounts | None = None,
                         holders: np.ndarray | None = None) -> np.ndarray:
@@ -174,14 +340,15 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
 
     Grid scheme: anchor a freshly rotated copy of the virtual lattice at a
     random node and snap each lattice point to its nearest node within the
-    snap radius.  With ``holders`` (node indices), the set is built only
-    when the anchor is a holder or a holder could be snapped; other slots
-    return an empty array after the same draws.  ALOHA: Bernoulli thinning
-    with probability lam/nu.  With ``holders``, each distinct holder's mark
-    is drawn first; the slot returns an empty array when none transmits
-    and otherwise draws every other node's mark.  ``counts``, when given,
-    accumulates the slots built and the lattice points posed and left
-    unmatched in them.
+    snap radius, found by ``index``, the cell index of ``nodes`` built for
+    that radius (ALOHA reads no index).  With ``holders`` (node indices),
+    the set is built only when the anchor is a holder or a holder could be
+    snapped; other slots return an empty array after the same draws.
+    ALOHA: Bernoulli thinning with probability lam/nu.  With ``holders``,
+    each distinct holder's mark is drawn first; the slot returns an empty
+    array when none transmits and otherwise draws every other node's mark.
+    ``counts``, when given, accumulates the slots built and the lattice
+    points posed and left unmatched in them.
     """
     n = len(nodes)
     if isinstance(cfg.scheme, GridSpec):
@@ -190,12 +357,9 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
         spec = with_pose(cfg.scheme, theta, nodes[anchor])
         r = cfg.scheme.d / SNAP_DIVISOR
         if holders is not None and anchor not in holders and \
-                not _holder_may_snap(nodes, tree, spec, holders, r):
+                not _holder_may_snap(nodes, index, spec, holders, r):
             return np.empty(0, dtype=int)
-        virtual = window_points(spec, cfg.extent)
-        # The tree keeps only neighbors strictly inside the bound; lifting
-        # it one ulp above r leaves `dist <= r` to decide every match.
-        dist, idx = tree.query(virtual, distance_upper_bound=np.nextafter(r, np.inf))
+        dist, idx = index.snap(window_points(spec, cfg.extent))
         matched = dist <= r
         if counts is not None:
             counts.slots += 1
@@ -221,14 +385,15 @@ def select_transmitters(nodes: np.ndarray, tree: cKDTree, cfg: SimConfig,
 
 def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
                tx: PointSet, active: np.ndarray, nodes: np.ndarray,
-               tree: cKDTree, dest_idx: int, cfg: SimConfig,
+               index: _CellIndex, dest_idx: int, cfg: SimConfig,
                rng: np.random.Generator, slot: int,
                candidate_radius: float) -> int:
     """Advance the packet by at most one hop; returns the new holder index.
 
     ``tx_idx`` (sorted), ``tx`` and the node mask ``active`` are the
     slot's transmitters.  Candidate receivers are the non-transmitting
-    nodes within ``candidate_radius`` of the holder, plus the destination
+    nodes within ``candidate_radius`` of the holder (found by ``index``,
+    the run's cell index of ``nodes``), plus the destination
     (so the immediate-delivery relaxation is never missed).  The
     destination wins whenever it receives; otherwise the receiver with
     the largest forward progress wins, and exact ties go to the candidate
@@ -237,16 +402,17 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
 
     Candidates are decided in that winner order, the destination first,
     and the walk stops at the first that receives; candidates at progress
-    <= 0 are never decided.  A candidate's outcome depends on its own row
-    alone (its full interference sum, or under fading its own uniform,
-    drawn for every candidate in sorted node order), so the candidates
-    left undecided cannot change the hop.
+    <= 0 are never decided, and without fading neither are those that one
+    interferer alone beats, refused before the sort.  A candidate's
+    outcome depends on its own row alone (its full interference sum, or
+    under fading its own uniform, drawn for every candidate in sorted node
+    order), so the candidates left undecided cannot change the hop.
     """
     holder = nodes[holder_idx]
     dest = nodes[dest_idx]
-    cand = np.array(tree.query_ball_point(holder, candidate_radius), dtype=int)
     # Sorted, as the exponential-fading draws follow the candidate order.
-    cand = np.sort(cand[~active[cand]])
+    cand = index.disc(holder, candidate_radius)
+    cand = cand[~active[cand]]
     if dest_idx not in cand and not active[dest_idx]:
         cand = np.append(cand, dest_idx)
     if cand.size == 0:
@@ -257,12 +423,16 @@ def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
     e = dest - holder
     e = e / math.hypot(e[0], e[1])
     prog = (pos - holder) @ e
-    d_dest = np.hypot(pos[:, 0] - dest[0], pos[:, 1] - dest[1])
     is_dest = cand == dest_idx
-    order = np.flatnonzero((prog > 0.0) & ~is_dest)
-    order = order[np.lexsort((d_dest[order], -prog[order]))]
-    order = np.concatenate((np.flatnonzero(is_dest), order))
+    fwd = np.flatnonzero((prog > 0.0) & ~is_dest)
     col = int(np.searchsorted(tx_idx, holder_idx))
+    if u is None:
+        # A row that one interferer alone beats never decodes, so refusing
+        # it before the winner-order sort changes no hop.
+        fwd = fwd[~beaten(pos[fwd], tx, col, cfg.model)]
+    d_dest = np.hypot(pos[fwd, 0] - dest[0], pos[fwd, 1] - dest[1])
+    order = fwd[np.lexsort((d_dest, -prog[fwd]))]
+    order = np.concatenate((np.flatnonzero(is_dest), order))
     k = first_decoder(pos[order], tx, col, cfg.model,
                       None if u is None else u[order])
     if k < 0:
@@ -299,7 +469,6 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     exp(-nu pi (d / SNAP_DIVISOR)^2), exceeds 10%.  Fully deterministic
     for a fixed config and seed.
     """
-    from scipy.spatial import cKDTree
     if n_packets < 1:
         raise ValueError("need at least one tracked packet")
     inner = 0.8 * cfg.extent
@@ -324,7 +493,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     n = max(1, rng_nodes.poisson(cfg.node_density * area))
     nodes = PointSet(rng_nodes.uniform(-cfg.extent, cfg.extent, size=(n, 2)),
                      cfg.node_density, cfg.extent).points
-    tree = cKDTree(nodes)
+    index = _CellIndex(nodes, cfg.scheme.d / SNAP_DIVISOR
+                       if isinstance(cfg.scheme, GridSpec) else 0.0)
 
     lam = cfg.scheme_density
     candidate_radius = 2.0 / math.sqrt(lam)
@@ -342,7 +512,7 @@ def run_simulation(cfg: SimConfig, n_packets: int,
                 target = nodes[src] + pair_distance * np.array(
                     [math.cos(theta), math.sin(theta)])
                 if np.max(np.abs(nodes[src])) < inner and np.max(np.abs(target)) < inner:
-                    dst = int(tree.query(target)[1])
+                    dst = index.nearest(target)
                     if dst != src:
                         break
         else:
@@ -356,7 +526,7 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     snaps = SnapCounts()
     for slot in range(cfg.slots):
         live = np.array([h for h, rec in zip(holders, packets) if not rec.delivered])
-        tx_idx = select_transmitters(nodes, tree, cfg, rng_slots, snaps, live)
+        tx_idx = select_transmitters(nodes, index, cfg, rng_slots, snaps, live)
         if tx_idx.size == 0:
             continue
         active = np.zeros(n, dtype=bool)
@@ -369,7 +539,7 @@ def run_simulation(cfg: SimConfig, n_packets: int,
                 # Distinct rows of the validated population.
                 tx = PointSet._of_distinct(nodes[tx_idx], lam, cfg.extent)
             holders[k] = relay_step(rec, holders[k], tx_idx, tx, active,
-                                    nodes, tree, dest_idx[k], cfg, rng_slots,
+                                    nodes, index, dest_idx[k], cfg, rng_slots,
                                     slot, candidate_radius)
         if all(r.delivered for r in packets):
             break

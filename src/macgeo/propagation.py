@@ -165,7 +165,8 @@ class Field:
 
     Both point sets are held as contiguous x and y columns, so a query is
     one pass of whole-column operations, with no per-point loop and no
-    (K, 2) temporaries.
+    (K, 2) temporaries.  Each path writes into scratch rows of its own,
+    so a query allocates no array of the set's length.
     """
 
     def __init__(self, ps: PointSet, i: int, alpha: float):
@@ -184,6 +185,10 @@ class Field:
         near = _within(px, py, self._cx, self._cy, self._radius)
         self._near = px[near], py[near]
         self.near_points = len(self._near[0])
+        # Scratch rows (dx, dy, d2, q) of each query path; the exact path's
+        # are made on its first query.
+        self._near_buf = tuple(np.empty((4, self.near_points)))
+        self._exact_buf = None
         far = np.logical_not(near, out=near)
         x, y = px[far], py[far]
         x -= self._cx
@@ -206,23 +211,29 @@ class Field:
         hx, hy = x - self._cx, y - self._cy
         hi2 = hx * hx + hy * hy
         if hi2 <= self._valid2:
-            (px, py), coef = self._near, self._coef
+            (px, py), coef, buf = self._near, self._coef, self._near_buf
         else:
             (px, py), coef = self._interferers, None
             self.exact_queries += 1
-        # Bare ufunc calls writing into the arrays they made: at ~1 300
-        # near points the call overhead is most of the cost.
-        dx = np.subtract(x, px)
-        dy = np.subtract(y, py)
-        d2 = np.multiply(dx, dx)
-        q = np.multiply(dy, dy)
-        np.add(d2, q, out=d2)
+            if self._exact_buf is None:
+                self._exact_buf = tuple(np.empty((4, len(px))))
+            buf = self._exact_buf
+        # Bare ufunc calls with positional outputs, the path's own scratch
+        # rows: at ~1 300 near points the call overhead is most of the
+        # cost, and a fresh array of a large window's length would be
+        # mapped and faulted in on every call.
+        dx, dy, d2, q = buf
+        np.subtract(x, px, dx)
+        np.subtract(y, py, dy)
+        np.multiply(dx, dx, d2)
+        np.multiply(dy, dy, q)
+        np.add(d2, q, d2)
         s0 = min(hi2, float(d2.min())) if d2.size else hi2
         if s0 < self._guard2:
             raise SingularityError("evaluation on top of a transmitter")
         a = self.alpha
-        u = np.divide(d2, s0, out=d2)
-        np.power(u, -0.5 * a - 1.0, out=q)
+        u = np.divide(d2, s0, d2)
+        np.power(u, -0.5 * a - 1.0, q)
         w = float(q.dot(u))
         c = -a / s0
         dwx, dwy = c * float(q.dot(dx)), c * float(q.dot(dy))
@@ -343,10 +354,13 @@ def _normalized_sums(rx: np.ndarray, pts: np.ndarray, i: int, alpha: float,
     return g, w
 
 
-def _beaten(rx: np.ndarray, pts: np.ndarray, i: int, model: ChannelModel,
-            guard2: float) -> np.ndarray:
-    """Receivers of rx where one of i's DECODE_NEIGHBORS nearest
-    transmitters alone provably beats the signal (see above)."""
+def beaten(rx: np.ndarray, ps: PointSet, i: int,
+           model: ChannelModel) -> np.ndarray:
+    """Receivers of the (M, 2) array rx where one of i's DECODE_NEIGHBORS
+    nearest transmitters alone provably beats the signal (see above):
+    they fail whatever the other interferers add."""
+    pts = ps.points
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     k = min(DECODE_NEIGHBORS, len(pts) - 1)
     if k < 1:
         return np.zeros(len(rx), dtype=bool)
@@ -376,7 +390,7 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
     """
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
-    rows = np.flatnonzero(~_beaten(rx, ps.points, i, model, guard2))
+    rows = np.flatnonzero(~beaten(rx, ps, i, model))
     out = np.zeros(len(rx), dtype=bool)
     g, w = _normalized_sums(rx[rows], ps.points, i, model.alpha, guard2)
     out[rows] = g >= model.beta * w
@@ -390,10 +404,11 @@ def first_decoder(rx, ps: PointSet, i: int, model: ChannelModel,
                   u: np.ndarray | None = None) -> int:
     """Index of the first row of the (M, 2) array rx that receives
     transmitter i, or -1.  Without fading (``u`` None) that is the first
-    True of :func:`decodes`, bit for bit: the single-interferer pass runs
-    over every row, and the full sums over the rows it leaves.  Under
-    exponential fading it is the first row whose uniform in ``u`` falls
-    below its :func:`fading_success_prob`.  The rows are decided in order,
+    True of :func:`decodes`, bit for bit: the full sum decides every row
+    as it does there, and rows that :func:`beaten` refuses fail it too, so
+    a caller may drop them first.  Under exponential fading it is the
+    first row whose uniform in ``u`` falls below its
+    :func:`fading_success_prob`.  The rows are decided in order,
     FIRST_BLOCK first and twice as many in each next block, up to the
     first block that holds a receiver: at most twice the rows needed, plus
     FIRST_BLOCK."""
@@ -401,14 +416,10 @@ def first_decoder(rx, ps: PointSet, i: int, model: ChannelModel,
         raise ValueError("first_decoder takes one uniform per row under "
                          "fading and none without")
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
-    if u is None:
-        guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
-        rows = np.flatnonzero(~_beaten(rx, ps.points, i, model, guard2))
-    else:
-        rows = np.arange(len(rx))
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     start, size = 0, FIRST_BLOCK
-    while start < len(rows):
-        block = rows[start:start + size]
+    while start < len(rx):
+        block = slice(start, start + size)
         if u is None:
             g, w = _normalized_sums(rx[block], ps.points, i, model.alpha,
                                     guard2)
@@ -417,7 +428,7 @@ def first_decoder(rx, ps: PointSet, i: int, model: ChannelModel,
             hit = np.flatnonzero(
                 u[block] < fading_success_prob(rx[block], ps, i, model))
         if hit.size:
-            return int(block[hit[0]])
+            return start + int(hit[0])
         start += size
         size *= 2
     return -1

@@ -11,11 +11,11 @@ from scipy.spatial import cKDTree
 
 from macgeo.cli import _write_json
 from macgeo import multihop
-from macgeo.multihop import (SimConfig, progress, run_simulation,
-                             select_transmitters)
+from macgeo.multihop import (SNAP_DIVISOR, SimConfig, _CellIndex, progress,
+                             run_simulation, select_transmitters)
 from macgeo.propagation import SINGULARITY_GUARD, ChannelModel, sir
 from macgeo.reception import grid_range
-from macgeo.spatial import GridSpec, PointSet
+from macgeo.spatial import GridSpec, PointSet, window_points, with_pose
 
 MODEL = ChannelModel(alpha=4.0, beta=1.0)
 
@@ -81,10 +81,10 @@ def test_pair_draws_are_bounded():
 def test_aloha_thinning_fraction():
     rng = np.random.default_rng(0)
     nodes = rng.uniform(-20, 20, size=(8000, 2))
-    tree = cKDTree(nodes)
+    index = _CellIndex(nodes, 0.0)
     cfg = SimConfig(node_density=5.0, extent=20.0, scheme=1.0, model=MODEL)
     q = cfg.scheme_density / cfg.node_density
-    counts = [len(select_transmitters(nodes, tree, cfg, rng)) for _ in range(30)]
+    counts = [len(select_transmitters(nodes, index, cfg, rng)) for _ in range(30)]
     mean = np.mean(counts)
     se = math.sqrt(len(nodes) * q * (1 - q) / 30)
     assert abs(mean - q * len(nodes)) < 4 * se
@@ -97,7 +97,7 @@ def test_aloha_holder_first_law():
     # built slot are still thinned with probability q.  A repeated holder
     # draws one mark.  All bounds are 4 standard errors.
     nodes = np.random.default_rng(0).uniform(-5, 5, size=(1000, 2))
-    tree = cKDTree(nodes)
+    index = _CellIndex(nodes, 0.0)
     cfg = SimConfig(node_density=10.0, extent=5.0, scheme=1.0, model=MODEL)
     q = cfg.scheme_density / cfg.node_density
     n, trials = len(nodes), 10000
@@ -107,7 +107,7 @@ def test_aloha_holder_first_law():
     picks = [[], []]
     for k, given in enumerate((holders, uniq)):
         rng = np.random.default_rng(11)
-        picks[k] = [select_transmitters(nodes, tree, cfg, rng, holders=given)
+        picks[k] = [select_transmitters(nodes, index, cfg, rng, holders=given)
                     for _ in range(trials)]
     # The repeats change nothing: the unique set draws the same slots.
     for a, b in zip(*picks):
@@ -130,10 +130,10 @@ def test_grid_snapping_dense_population():
     rng = np.random.default_rng(1)
     nu, extent = 500.0, 12.0
     nodes = rng.uniform(-extent, extent, size=(int(nu * (2 * extent) ** 2), 2))
-    tree = cKDTree(nodes)
     spec = GridSpec("square", 1.0)
+    index = _CellIndex(nodes, spec.d / SNAP_DIVISOR)
     cfg = SimConfig(nu, extent, spec, MODEL)
-    idx = select_transmitters(nodes, tree, cfg, rng)
+    idx = select_transmitters(nodes, index, cfg, rng)
     virtual = (2 * extent) ** 2 * 1.0
     # Nearly every lattice point finds a node; snapped set density within
     # a couple percent of the scheme density.
@@ -168,14 +168,14 @@ def test_holder_skip_is_safe(spec):
     # draws.  Holder counts vary so that both outcomes occur.
     rng = np.random.default_rng(7)
     nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
-    tree = cKDTree(nodes)
+    index = _CellIndex(nodes, spec.d / SNAP_DIVISOR)
     cfg = SimConfig(100.0, 4.0, spec, MODEL)
     outcomes = {"built": 0, "skipped": 0}
     for k in range(600):
         holders = rng.choice(len(nodes), size=1 + k % 12, replace=False)
-        held = select_transmitters(nodes, tree, cfg, np.random.default_rng(k),
+        held = select_transmitters(nodes, index, cfg, np.random.default_rng(k),
                                    holders=holders)
-        full = select_transmitters(nodes, tree, cfg, np.random.default_rng(k))
+        full = select_transmitters(nodes, index, cfg, np.random.default_rng(k))
         if held.size:
             np.testing.assert_array_equal(held, full)
             outcomes["built"] += 1
@@ -188,11 +188,100 @@ def test_holder_skip_is_safe(spec):
 def test_consecutive_slots_use_fresh_poses():
     rng = np.random.default_rng(3)
     nodes = rng.uniform(-10, 10, size=(40000, 2))
-    tree = cKDTree(nodes)
+    index = _CellIndex(nodes, 1.0 / SNAP_DIVISOR)
     cfg = SimConfig(100.0, 10.0, GridSpec("square", 1.0), MODEL)
-    a = select_transmitters(nodes, tree, cfg, rng)
-    b = select_transmitters(nodes, tree, cfg, rng)
+    a = select_transmitters(nodes, index, cfg, rng)
+    b = select_transmitters(nodes, index, cfg, rng)
     assert not np.array_equal(a, b)
+
+
+# The cell index against scipy's k-d tree, an independent reference.
+INDEX_PATTERNS = [
+    GridSpec("square", 1.0), GridSpec("triangular", 1.0),
+    GridSpec("hexagonal", 1.0),
+    GridSpec("rectangular", 1.0, k1=0.05, k2=1.0),
+    GridSpec("linear", 1.0, k1=0.5, k2=3.0),
+]
+
+
+@pytest.mark.parametrize("spec", INDEX_PATTERNS, ids=lambda s: s.kind)
+def test_cell_index_snaps_as_the_tree(spec):
+    # Random poses of every pattern, anchored inside and outside the node
+    # box, over a window wider than the box, so points fall outside it.
+    rng = np.random.default_rng(17)
+    nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
+    r = spec.d / SNAP_DIVISOR
+    index = _CellIndex(nodes, r)
+    tree = cKDTree(nodes)
+    assert len(index.start) - 1 <= len(nodes)
+    matched = outside = 0
+    for _ in range(40):
+        posed = with_pose(spec, rng.uniform(0.0, 2.0 * math.pi),
+                          rng.uniform(-6.0, 6.0, size=2))
+        pts = window_points(posed, 5.0)
+        dist, idx = index.snap(pts)
+        want_d, want_i = tree.query(pts, distance_upper_bound=np.nextafter(r, np.inf))
+        hit = want_d <= r
+        np.testing.assert_array_equal(dist <= r, hit)
+        np.testing.assert_array_equal(idx[hit], want_i[hit])
+        np.testing.assert_array_equal(dist[hit], want_d[hit])
+        matched += np.count_nonzero(hit)
+        outside += np.count_nonzero(np.abs(pts).max(axis=1) > 4.0)
+    assert matched > 1000 and outside > 500
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-2, 5e-2])
+def test_cell_index_holder_rule_as_the_tree(tol):
+    # A node is among a point's two nearest nodes and within tol of the
+    # nearest, decided as tree.query(k=2) decides it, for points within
+    # the snap radius of their node.
+    rng = np.random.default_rng(23)
+    nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
+    r = 0.1
+    index = _CellIndex(nodes, r)
+    cand = rng.integers(len(nodes), size=4000)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=len(cand))
+    rho = r * np.sqrt(rng.uniform(0.0, 1.0, size=len(cand)))
+    pts = nodes[cand] + rho[:, None] * np.column_stack((np.cos(theta),
+                                                       np.sin(theta)))
+    dist, idx = cKDTree(nodes).query(pts, k=2)
+    want = np.any((idx == cand[:, None]) & (dist <= dist[:, :1] + tol), axis=1)
+    got = index.among_two_nearest(pts, nodes, cand, tol)
+    np.testing.assert_array_equal(got, want)
+    assert 0 < np.count_nonzero(want) < len(want)
+
+
+def test_cell_index_discs_as_the_tree():
+    # Random centres, centres on the box's edges and corners and outside
+    # it, and radii from below a cell to the whole box, some of them
+    # exactly a node's distance.
+    rng = np.random.default_rng(29)
+    nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
+    index = _CellIndex(nodes, 0.1)
+    tree = cKDTree(nodes)
+    centres = [*rng.uniform(-4.0, 4.0, size=(30, 2)),
+               (-4.0, -4.0), (4.0, 4.0), (4.0, 0.3), (0.0, -4.0),
+               (5.0, 1.0), (-4.5, -4.5), *nodes[:5]]
+    for c in centres:
+        c = np.asarray(c, dtype=float)
+        j = rng.integers(len(nodes))
+        exact = math.sqrt((nodes[j, 0] - c[0]) ** 2 + (nodes[j, 1] - c[1]) ** 2)
+        for R in (0.05, 0.3, 2.0, 12.0, exact):
+            got = index.disc(c, R)
+            want = np.sort(tree.query_ball_point(c, R))
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,extent", [(6400, 4.0), (40, 4.0), (3, 1.0)])
+def test_cell_index_nearest_node_as_the_tree(n, extent):
+    # The pair draw's nearest node, in dense and sparse populations, for
+    # targets inside and outside the node box.
+    rng = np.random.default_rng(31)
+    nodes = rng.uniform(-extent, extent, size=(n, 2))
+    index = _CellIndex(nodes, 0.1)
+    tree = cKDTree(nodes)
+    for t in rng.uniform(-1.5 * extent, 1.5 * extent, size=(200, 2)):
+        assert index.nearest(t) == tree.query(t)[1]
 
 
 def test_single_hop_delivery():

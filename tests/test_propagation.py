@@ -293,6 +293,28 @@ def test_field_query_interface():
                 field.sir_and_gradient(z)
 
 
+def test_exact_query_allocates_no_full_length_array():
+    # An exact-path query writes into its Field's own scratch rows.  Above
+    # 16 384 points a fresh row passes glibc's initial mmap threshold and
+    # can be mapped and faulted in on every call, whatever the allocator
+    # did before; tracemalloc sees the allocation either way.
+    ps, i = lattice_probe(GridSpec("square", 1.0), 100.0)
+    assert len(ps) > 16_384
+    field = Field(ps, i, 4.0)
+    rx = ps.points[i] + (40.3, 3.6)
+    first = field.sir_and_gradient(rx)
+    tracemalloc.start()
+    try:
+        again = [field.sir_and_gradient(rx) for _ in range(5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.exact_queries == 6
+    assert peak < 8 * len(ps), peak
+    for s, g in again:
+        assert s == first[0] and np.array_equal(g, first[1])
+
+
 KERNEL_BETAS = (1e-5, 0.05, 1.0, 10.0, 100.0)
 
 
