@@ -21,21 +21,24 @@ Schemes:
   counted in the run summary).
 
 Slots are holder-first: the transmitter set is built only when a live
-holder can be in it, and any other slot moves no packet.  A lattice slot
-is built when the anchor is a live holder or a posed lattice point near
-one could snap to it; otherwise it ends after its two draws with no
-transmitters, so every hop is that of the full build.  An ALOHA slot
-first draws one mark per distinct live holder and draws the other nodes'
-marks only when a holder transmits.  The marks are independent, so a
-built slot's set has the law of a full Bernoulli thinning given that a
-holder transmits.  The random stream is not that of a full draw, so the
-hops differ from it run by run but not in law.
+holder is in it, and any other slot moves no packet.  A lattice slot is
+built when the anchor is a live holder or a point of the slot's window
+snaps to one: the lattice points near the holders are posed as the
+window's (``spatial.lattice_near``, ``spatial.lattice_points``) and
+snapped by the build's own snap.  Otherwise the slot ends after its two
+draws with no transmitters, so every hop is that of the full build.  An
+ALOHA slot first draws one mark per distinct live holder and draws the
+other nodes' marks only when a holder transmits.  The marks are
+independent, so a built slot's set has the law of a full Bernoulli
+thinning given that a holder transmits.  The random stream is not that
+of a full draw, so the hops differ from it run by run but not in law.
 
 Each built slot poses gen_grid's points as a bare array
 (``spatial.window_points``), with no PointSet.  The population never
 moves, so one cell index of it (``_CellIndex``), built per run, answers
-every neighbour query of the run with numpy alone: the snap, the holder
-test, the candidate disc and the pair draw's nearest node.
+every neighbour query of the run with numpy alone: the snap (which the
+holder test asks too), the candidate disc and the pair draw's nearest
+node.
 
 A relay step decides its candidates in winner order: the destination
 first, then the forward candidates by decreasing progress, and it stops
@@ -61,7 +64,7 @@ import numpy as np
 
 from .propagation import ChannelModel, beaten, first_decoder
 from .spatial import (GridSpec, PointSet, check_budget, grid_density,
-                      points_near, window_points, with_pose)
+                      lattice_near, lattice_points, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
@@ -72,8 +75,9 @@ PAIR_DRAWS = 10_000
 SNAP_DIVISOR = 10.0
 # A cell of the node index is wider than twice the snap radius by this
 # relative slack, and a snap block reaches half of it past the radius.
-# That covers the holder test's 1e-9 d margin (1e-8 of the radius) and the
-# rounding of the cell arithmetic (about 1e-13 of a cell at any budget).
+# That covers the rounding of the cell arithmetic (about 1e-13 of a cell
+# at any budget).  The holder test's stencil widens the snap radius by it
+# too, which covers the rounding of the holders' lattice coordinates.
 _CELL_SLACK = 1e-6
 
 
@@ -185,8 +189,8 @@ class _CellIndex:
     two ends.
 
     Distances are those cKDTree computes, so every decision is the
-    tree's: sqrt(dx*dx + dy*dy) for the snap and the holder test, and
-    dx*dx + dy*dy for the disc (kept when <= R*R) and the nearest node.
+    tree's: sqrt(dx*dx + dy*dy) for the snap, and dx*dx + dy*dy for the
+    disc (kept when <= R*R) and the nearest node.
     """
 
     def __init__(self, nodes: np.ndarray, radius: float):
@@ -213,12 +217,6 @@ class _CellIndex:
         k = np.floor((np.asarray(v) - self._lo[axis]) / self.side)
         return np.clip(k, 0, self._n[axis] - 1).astype(np.intp)
 
-    def _slices(self, rows, c0, c1):
-        """Sorted positions of the cells c0..c1 of each cell row, one slice
-        per row."""
-        base = rows * self._n[0]
-        return _gather(self.start[base + c0], self.start[base + c1 + 1])[0]
-
     def _squared(self, pos: np.ndarray, x, y) -> np.ndarray:
         """dx*dx + dy*dy from the nodes at sorted positions pos to (x, y),
         summed as cKDTree sums them."""
@@ -229,11 +227,13 @@ class _CellIndex:
         d2 += dy
         return d2
 
-    def _block(self, pts: np.ndarray):
-        """Nodes of the 2 x 2 block of cells that holds each point's disc of
-        the snap reach, two slices per point (the second empty when the
-        disc spans one cell row): (positions, per-point counts, squared
-        distances)."""
+    def snap(self, pts: np.ndarray):
+        """(dist, idx) of the nearest node within the snap radius of each
+        posed point, as ``tree.query`` returns it (its distance, sqrt of
+        the squared distance); inf and -1 where no node is near.  A
+        point's candidates are the nodes of the 2 x 2 block of cells that
+        holds its disc of the snap reach, two slices per point (the
+        second empty when the disc spans one cell row)."""
         x, y = pts[:, 0], pts[:, 1]
         c0, c1 = self._cells((x - self._reach, x + self._reach), 0)
         r0, r1 = self._cells((y - self._reach, y + self._reach), 1)
@@ -246,13 +246,7 @@ class _CellIndex:
         b[r1 == r0, 1] = a[r1 == r0, 1]
         pos, lens = _gather(a.ravel(), b.ravel())
         cnt = lens.reshape(-1, 2).sum(axis=1)
-        return pos, cnt, self._squared(pos, np.repeat(x, cnt), np.repeat(y, cnt))
-
-    def snap(self, pts: np.ndarray):
-        """(dist, idx) of the nearest node within the snap radius of each
-        posed point, as ``tree.query`` returns it (its distance, sqrt of
-        the squared distance); inf and -1 where the block holds no node."""
-        pos, cnt, d2 = self._block(pts)
+        d2 = self._squared(pos, np.repeat(x, cnt), np.repeat(y, cnt))
         best = np.full(len(pts), np.inf)
         has = cnt > 0
         best[has] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[has])
@@ -265,71 +259,53 @@ class _CellIndex:
         idx[owner[first]] = self.order[pos[at[first]]]
         return np.sqrt(best), idx
 
-    def among_two_nearest(self, pts: np.ndarray, nodes: np.ndarray,
-                          cand: np.ndarray, tol: float) -> np.ndarray:
-        """Whether node cand[k] is among the two nearest nodes of pts[k]
-        and within tol of the nearest, as ``tree.query(pts, k=2)`` decides
-        it, for points within the snap reach of their node: every node
-        nearer than cand[k] is in the point's block."""
-        pos, cnt, d2 = self._block(pts)
-        dx = pts[:, 0] - nodes[cand, 0]
-        dy = pts[:, 1] - nodes[cand, 1]
-        dh = np.sqrt(dx * dx + dy * dy)
-        owner = np.repeat(np.arange(len(pts)), cnt)
-        dist = np.sqrt(d2)
-        nearer = dist < dh[owner]
-        closer = np.bincount(owner[nearer], minlength=len(pts))
-        d1 = dh.copy()
-        np.minimum.at(d1, owner[nearer], dist[nearer])
-        return (closer <= 1) & (dh <= d1 + tol)
+    def _around(self, cx: float, cy: float, R: float):
+        """Sorted positions of the block of cells that holds the disc of
+        radius R about (cx, cy), and their squared distances."""
+        e = R * (1.0 + _CELL_SLACK)
+        c0, c1 = self._cells((cx - e, cx + e), 0)
+        r0, r1 = self._cells((cy - e, cy + e), 1)
+        base = np.arange(r0, r1 + 1) * self._n[0]
+        pos = _gather(self.start[base + c0], self.start[base + c1 + 1])[0]
+        return pos, self._squared(pos, cx, cy)
 
     def disc(self, c, R: float) -> np.ndarray:
         """Sorted indices of the nodes within R of the point c, kept when
         dx*dx + dy*dy <= R*R as ``tree.query_ball_point`` keeps them."""
-        cx, cy = float(c[0]), float(c[1])
-        e = R * (1.0 + _CELL_SLACK)
-        c0, c1 = self._cells((cx - e, cx + e), 0)
-        r0, r1 = self._cells((cy - e, cy + e), 1)
-        pos = self._slices(np.arange(r0, r1 + 1), c0, c1)
-        return np.sort(self.order[pos[self._squared(pos, cx, cy) <= R * R]])
+        pos, d2 = self._around(float(c[0]), float(c[1]), R)
+        return np.sort(self.order[pos[d2 <= R * R]])
 
     def nearest(self, p) -> int:
         """Index of the node nearest to the point p, as ``tree.query``
-        picks it: rings of cells around p's cell, widened until the
-        nearest node found is no farther than the block's nearest open
-        side (a side on the grid's edge is closed)."""
-        px, py = float(p[0]), float(p[1])
-        col, row = int(self._cells(px, 0)), int(self._cells(py, 1))
-        (cols, rows), lo, s = self._n, self._lo, self.side
-        k = 0
+        picks it: the disc block of radius R, R from one cell side doubled
+        until the block's nearest node lies within R, so that every
+        nearer node is in the block."""
+        R = self.side
         while True:
-            c0, c1 = max(col - k, 0), min(col + k, cols - 1)
-            r0, r1 = max(row - k, 0), min(row + k, rows - 1)
-            pos = self._slices(np.arange(r0, r1 + 1), c0, c1)
+            pos, d2 = self._around(float(p[0]), float(p[1]), R)
             if pos.size:
-                d2 = self._squared(pos, px, py)
                 j = int(np.argmin(d2))
-                sides = (
-                    px - (lo[0] + c0 * s) if c0 > 0 else math.inf,
-                    lo[0] + (c1 + 1) * s - px if c1 < cols - 1 else math.inf,
-                    py - (lo[1] + r0 * s) if r0 > 0 else math.inf,
-                    lo[1] + (r1 + 1) * s - py if r1 < rows - 1 else math.inf)
-                if math.sqrt(d2[j]) <= min(sides) * (1.0 - _CELL_SLACK):
+                if d2[j] <= R * R:
                     return int(self.order[pos[j]])
-            k += 1
+            R *= 2.0
 
 
-def _holder_may_snap(nodes: np.ndarray, index: _CellIndex, spec: GridSpec,
-                     holders: np.ndarray, r: float) -> bool:
-    """Whether a posed lattice point within r of a holder could snap to it:
-    the holder is among the point's two nearest nodes, within 1e-9 d of
-    the nearest.  The margin only ever admits extra points and nearest
-    nodes, so rounding can build an extra slot but never skip one."""
-    tol = 1e-9 * spec.d
-    pts, owner = points_near(spec, nodes[holders], r + tol)
+def _holder_snaps(nodes: np.ndarray, index: _CellIndex, spec: GridSpec,
+                  holders: np.ndarray, r: float, extent: float) -> bool:
+    """Whether a point of the slot's lattice window snaps to a holder: the
+    lattice indices near the holders, posed and snapped as the build
+    poses and snaps the window's.  A point snaps to a holder only within
+    r of it by the snap's own arithmetic, so only those points are
+    snapped."""
+    k = lattice_near(spec, nodes[holders], r * (1.0 + _CELL_SLACK))
+    pts = lattice_points(spec, k, extent)
+    dx = nodes[holders, 0] - pts[:, :1]
+    dy = nodes[holders, 1] - pts[:, 1:]
+    pts = pts[(np.sqrt(dx * dx + dy * dy) <= r).any(axis=1)]
     if len(pts) == 0:
         return False
-    return bool(index.among_two_nearest(pts, nodes, holders[owner], tol).any())
+    dist, idx = index.snap(pts)
+    return bool((idx[dist <= r, None] == holders).any())
 
 
 def select_transmitters(nodes: np.ndarray, index: _CellIndex, cfg: SimConfig,
@@ -342,7 +318,7 @@ def select_transmitters(nodes: np.ndarray, index: _CellIndex, cfg: SimConfig,
     random node and snap each lattice point to its nearest node within the
     snap radius, found by ``index``, the cell index of ``nodes`` built for
     that radius (ALOHA reads no index).  With ``holders`` (node indices),
-    the set is built only when the anchor is a holder or a holder could be
+    the set is built only when the anchor is a holder or a holder is
     snapped; other slots return an empty array after the same draws.
     ALOHA: Bernoulli thinning with probability lam/nu.  With ``holders``,
     each distinct holder's mark is drawn first; the slot returns an empty
@@ -357,7 +333,7 @@ def select_transmitters(nodes: np.ndarray, index: _CellIndex, cfg: SimConfig,
         spec = with_pose(cfg.scheme, theta, nodes[anchor])
         r = cfg.scheme.d / SNAP_DIVISOR
         if holders is not None and anchor not in holders and \
-                not _holder_may_snap(nodes, index, spec, holders, r):
+                not _holder_snaps(nodes, index, spec, holders, r, cfg.extent):
             return np.empty(0, dtype=int)
         dist, idx = index.snap(window_points(spec, cfg.extent))
         matched = dist <= r
@@ -461,9 +437,9 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     the end-to-end length for controlled experiments.
 
     Returns (summary dict, list of PacketRecord).  The summary counts
-    the slots built (``slots_built``; under ALOHA, the slots in which a
-    live holder transmits) and, over them, the virtual lattice points
-    posed (``snap_points``, 0 for ALOHA) and those left unmatched
+    the slots built (``slots_built``: under either scheme, the slots in
+    which a live holder transmits) and, over them, the virtual lattice
+    points posed (``snap_points``, 0 for ALOHA) and those left unmatched
     (``snap_misses``).  A lattice run warns once, before any draw, when
     the Poisson void probability of the snap disc,
     exp(-nu pi (d / SNAP_DIVISOR)^2), exceeds 10%.  Fully deterministic
@@ -491,8 +467,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
 
     area = (2.0 * cfg.extent) ** 2
     n = max(1, rng_nodes.poisson(cfg.node_density * area))
-    nodes = PointSet(rng_nodes.uniform(-cfg.extent, cfg.extent, size=(n, 2)),
-                     cfg.node_density, cfg.extent).points
+    nodes = rng_nodes.uniform(-cfg.extent, cfg.extent, size=(n, 2))
+    nodes.setflags(write=False)
     index = _CellIndex(nodes, cfg.scheme.d / SNAP_DIVISOR
                        if isinstance(cfg.scheme, GridSpec) else 0.0)
 
@@ -536,7 +512,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
             if rec.delivered or not active[holders[k]]:
                 continue
             if tx is None:
-                # Distinct rows of the validated population.
+                # Rows of i.i.d. uniform draws in the box, which repeat a
+                # point with probability of order n^2 / 2^106.
                 tx = PointSet._of_distinct(nodes[tx_idx], lam, cfg.extent)
             holders[k] = relay_step(rec, holders[k], tx_idx, tx, active,
                                     nodes, index, dest_idx[k], cfg, rng_slots,

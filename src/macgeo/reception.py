@@ -339,6 +339,8 @@ def membership_grid(i: int, ps: PointSet, model: ChannelModel,
     """
     if n < 1:
         raise ValueError("the raster needs at least one cell per side")
+    if not (0.0 < extent < math.inf):
+        raise ValueError("the raster's half-width must be finite and positive")
     check_budget(n * n, "raster cells")
     zi = ps.points[i]
     step = 2.0 * extent / n

@@ -272,8 +272,18 @@ def window_points(spec: GridSpec, extent: float) -> np.ndarray:
         raise ValueError("extent must be positive")
     check_budget(grid_density(spec) * (2.0 * extent) ** 2, "lattice points")
     A, _ = _basis(spec)
-    # The index array is freed once the product is taken, before the pose.
+    # The pose of lattice_points, written out so that the index array is
+    # freed once the product is taken, before the pose.
     return _pose(_hull_indices(spec, extent, A) @ A.T, spec, extent)
+
+
+def lattice_points(spec: GridSpec, k: np.ndarray, extent: float) -> np.ndarray:
+    """World points of the (K, 2) float lattice indices k, every in-cell
+    offset of each, under spec's pose, kept when inside [-extent, extent]^2:
+    bit for bit the rows :func:`window_points` gives for those indices, as
+    each row is posed on its own."""
+    A, _ = _basis(spec)
+    return _pose(k @ A.T, spec, extent)
 
 
 def _hull_indices(spec: GridSpec, extent: float, A: np.ndarray) -> np.ndarray:
@@ -319,33 +329,33 @@ def _hull_indices(spec: GridSpec, extent: float, A: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _near_stencil(kind: str, d: float, k1: float, k2: float, radius: float):
-    """Pose-free part of :func:`points_near`, read-only (it is shared): the
-    basis A, the in-cell offsets, A^-1 and the index steps within a reach
-    of ceil(radius * |row of A^-1|) + 1."""
+    """Pose-free part of :func:`lattice_near`, read-only (it is shared): the
+    in-cell offsets, A^-1 and the index steps within a reach of
+    floor(radius * |row of A^-1| + 1/2)."""
     A, offs = _basis(GridSpec(kind, d, k1, k2))
     inv = np.linalg.inv(A)
-    reach = np.ceil(radius * np.linalg.norm(inv, axis=1)).astype(int) + 1
-    steps = np.mgrid[-reach[0]:reach[0] + 1, -reach[1]:reach[1] + 1].reshape(2, -1).T
-    for a in (A, offs, inv, steps):
+    reach = np.floor(radius * np.linalg.norm(inv, axis=1) + 0.5).astype(int)
+    steps = np.mgrid[-reach[0]:reach[0] + 1,
+                     -reach[1]:reach[1] + 1].reshape(2, -1).T.astype(float)
+    for a in (offs, inv, steps):
         a.flags.writeable = False
-    return A, offs, inv, steps
+    return offs, inv, steps
 
 
-def points_near(spec: GridSpec, centers: np.ndarray, radius: float):
-    """Posed pattern points within ``radius`` of each center, with no window
-    clip: (points, owner), where owner[j] is the row of ``centers`` that
-    point j lies near.  Each center is put into lattice coordinates under
-    the pose; an index reach of ceil(radius * |row of A^-1|) + 1 around it
-    covers every point within the radius."""
-    A, offs, inv, steps = _near_stencil(spec.kind, spec.d, spec.k1, spec.k2,
-                                        radius)
+def lattice_near(spec: GridSpec, centers: np.ndarray, radius: float):
+    """(K, 2) float lattice indices of every pattern point within ``radius``
+    of a center under spec's pose, and a few more.  Index m of offset o
+    lies within the radius of a center of lattice coordinates c (less o)
+    only if |m_i - c_i| <= radius |row i of A^-1|, so within
+    floor(radius |row i| + 1/2) of rint(c).  Callers cover the rounding
+    of c by a small relative slack on the radius."""
+    offs, inv, steps = _near_stencil(spec.kind, spec.d, spec.k1, spec.k2,
+                                     radius)
     R = _rotation(spec.rotation)
     t = np.asarray(spec.translation, dtype=float)
     local = (np.asarray(centers, dtype=float) - t) @ R  # R^T (c - t) per row
-    k = np.rint((local[:, None, :] - offs) @ inv.T)[:, :, None, :] + steps
-    pts = k @ A.T + offs[:, None, :]
-    near = np.hypot(*np.moveaxis(pts - local[:, None, None, :], -1, 0)) <= radius
-    return pts[near] @ R.T + t, np.nonzero(near)[0]
+    k = np.rint((local[:, None, :] - offs) @ inv.T)
+    return (k[:, :, None, :] + steps).reshape(-1, 2)
 
 
 def gen_poisson(lam: float, extent: float, seed) -> PointSet:

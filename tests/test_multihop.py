@@ -165,7 +165,8 @@ def test_grid_snapping_sparse_warns():
 def test_holder_skip_is_safe(spec):
     # A slot that the holder test skips must be one whose full set holds
     # no live holder; a built slot must be the full set, after the same
-    # draws.  Holder counts vary so that both outcomes occur.
+    # draws, and hold a live holder.  Holder counts vary so that both
+    # outcomes occur.
     rng = np.random.default_rng(7)
     nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
     index = _CellIndex(nodes, spec.d / SNAP_DIVISOR)
@@ -178,6 +179,7 @@ def test_holder_skip_is_safe(spec):
         full = select_transmitters(nodes, index, cfg, np.random.default_rng(k))
         if held.size:
             np.testing.assert_array_equal(held, full)
+            assert np.isin(holders, full).any()
             outcomes["built"] += 1
         else:
             assert not np.isin(holders, full).any()
@@ -228,27 +230,6 @@ def test_cell_index_snaps_as_the_tree(spec):
         matched += np.count_nonzero(hit)
         outside += np.count_nonzero(np.abs(pts).max(axis=1) > 4.0)
     assert matched > 1000 and outside > 500
-
-
-@pytest.mark.parametrize("tol", [1e-10, 1e-2, 5e-2])
-def test_cell_index_holder_rule_as_the_tree(tol):
-    # A node is among a point's two nearest nodes and within tol of the
-    # nearest, decided as tree.query(k=2) decides it, for points within
-    # the snap radius of their node.
-    rng = np.random.default_rng(23)
-    nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
-    r = 0.1
-    index = _CellIndex(nodes, r)
-    cand = rng.integers(len(nodes), size=4000)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=len(cand))
-    rho = r * np.sqrt(rng.uniform(0.0, 1.0, size=len(cand)))
-    pts = nodes[cand] + rho[:, None] * np.column_stack((np.cos(theta),
-                                                       np.sin(theta)))
-    dist, idx = cKDTree(nodes).query(pts, k=2)
-    want = np.any((idx == cand[:, None]) & (dist <= dist[:, :1] + tol), axis=1)
-    got = index.among_two_nearest(pts, nodes, cand, tol)
-    np.testing.assert_array_equal(got, want)
-    assert 0 < np.count_nonzero(want) < len(want)
 
 
 def test_cell_index_discs_as_the_tree():
@@ -363,6 +344,26 @@ def test_hop_log_pinned(tmp_path, scheme, digest, beta, extent):
     path = tmp_path / "log.csv"
     write_hop_log(packets, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scheme,beta,extent,counts", [
+    (GridSpec("square", 1.0), 1.0, 8.0, (15, 3832, 162)),
+    (1.0, 1.0, 8.0, (21, 0, 0)),
+    (GridSpec("square", 1.0), 10.0, 8.0, (21, 5361, 235)),
+    (GridSpec("triangular", 1.0), 1.0, 8.0, (14, 4143, 184)),
+    (GridSpec("hexagonal", 1.0), 1.0, 8.0, (8, 1581, 81)),
+    (GridSpec("square", 1.0), 10.0, 12.0, (22, 12683, 580)),
+    (GridSpec("hexagonal", 1.0), 1.0, 12.0, (17, 7540, 370)),
+])
+def test_slot_counts_pinned(scheme, beta, extent, counts):
+    # The slots built and the lattice points posed and missed in them, for
+    # the runs of test_hop_log_pinned: a holder test that built a slot with
+    # no live holder in it, or skipped one with a holder, moves them.
+    cfg = SimConfig(100.0, extent, scheme, ChannelModel(4.0, beta), slots=600,
+                    seed=21)
+    summary, _ = run_simulation(cfg, 4, pair_distance=2.0)
+    assert (summary["slots_built"], summary["snap_points"],
+            summary["snap_misses"]) == counts
 
 
 @pytest.mark.parametrize("scheme,digest", [

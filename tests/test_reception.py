@@ -302,6 +302,20 @@ def test_membership_grid_budget():
         membership_grid(0, APOLLO, ChannelModel(4.0, 1.0), 1.0, 50_000)
 
 
+@pytest.mark.parametrize("extent", [-3.0, 0.0, math.nan, math.inf, -math.inf])
+def test_membership_grid_refuses_a_bad_half_width(extent):
+    # A negative half-width once mirrored the raster into a range of 0.53,
+    # zero gave 0.0, and NaN or inf reached scipy after a RuntimeWarning.
+    ps = gen_grid(GridSpec("square", 1.0), 4.0)
+    i = int(np.argmin(np.hypot(*ps.points.T)))
+    model = ChannelModel(4.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (membership_grid, max_range_membership):
+            with pytest.raises(ValueError, match="half-width"):
+                call(i, ps, model, extent, 8)
+
+
 def test_grid_range_truncation_guard():
     model = ChannelModel(4.0, 10.0)
     res = grid_range(GridSpec("square", 1.0), model, extent=60.0,

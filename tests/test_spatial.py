@@ -8,7 +8,8 @@ from scipy import stats
 from macgeo import spatial
 from macgeo.spatial import (GRID_KINDS, MAX_POINTS, GridSpec, PointSet,
                             covering_radius, gen_grid, gen_poisson,
-                            grid_density, window_points, with_pose)
+                            grid_density, lattice_near, lattice_points,
+                            window_points, with_pose)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -266,6 +267,77 @@ def test_window_points_match_matmul_pose(kind):
         reach = math.hypot(*translation) + extent + spatial._pad(A, spec.d)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 4.0 * math.ulp(reach)
+
+
+# The simulator's patterns; the 0.05-wide columns put several lattice
+# indices within the d/10 snap radius of a point.
+NEAR_PATTERNS = [
+    GridSpec("square", 1.0), GridSpec("triangular", 1.0),
+    GridSpec("hexagonal", 1.0), GridSpec("rectangular", 1.0, 0.05, 1.0),
+    GridSpec("linear", 1.0, 0.5, 3.0)]
+
+
+def random_poses(spec, rng, count):
+    return [with_pose(spec, rng.uniform(0.0, 2.0 * math.pi),
+                      rng.uniform(-6.0, 6.0, size=2)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec", NEAR_PATTERNS, ids=lambda s: s.kind)
+def test_lattice_points_pose_as_the_window(spec):
+    # Any subset of the window's hull indices, from one row to half of
+    # them, poses to the window_points rows of those indices, bit for bit.
+    # With an infinite extent every row of every index is kept, in index
+    # order, offsets innermost.
+    rng = np.random.default_rng(37)
+    extent = 5.0
+    A, offs = spatial._basis(spec)
+    lim = extent + spatial._EDGE_TOL * spec.d
+    for posed in random_poses(spec, rng, 20):
+        hull = spatial._hull_indices(posed, extent, A)
+        every = lattice_points(posed, hull, math.inf)
+        inside = np.all(np.abs(every) <= lim, axis=1)
+        assert np.array_equal(every[inside], window_points(posed, extent))
+        for size in (1, 3, 17, 200, len(hull) // 2):
+            pick = np.zeros(len(hull), dtype=bool)
+            pick[rng.choice(len(hull), size=size, replace=False)] = True
+            want = every[np.repeat(pick, len(offs)) & inside]
+            assert np.array_equal(lattice_points(posed, hull[pick], extent),
+                                  want)
+
+
+@pytest.mark.parametrize("spec", NEAR_PATTERNS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("scale", [0.1, 0.7])
+def test_lattice_near_covers_the_radius(spec, scale):
+    # Every window point within the radius of a centre, found by brute
+    # force, is among the posed stencil points.  Centres are random, on
+    # window points, and about one radius from them, under random poses.
+    rng = np.random.default_rng(41)
+    extent, radius = 5.0, scale * spec.d
+    found = 0
+    for posed in random_poses(spec, rng, 20):
+        window = window_points(posed, extent)
+        on = window[rng.choice(len(window), size=20)]
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=20)
+        rim = on + radius * (1.0 - rng.uniform(0.0, 1e-12, size=(20, 1))) \
+            * np.column_stack((np.cos(phi), np.sin(phi)))
+        centres = np.vstack((rng.uniform(-extent, extent, size=(20, 2)),
+                             on, rim))
+        k = lattice_near(posed, centres, radius * (1.0 + 1e-6))
+        got = lattice_points(posed, k, extent).view(complex).ravel()
+        for c in centres:
+            near = window[np.hypot(*(window - c).T) <= radius]
+            assert np.isin(near.view(complex).ravel(), got).all()
+            found += len(near)
+    assert found > 40 * 20
+
+
+def test_lattice_near_poses_one_point_within_a_tenth():
+    # On the square lattice at most one point lies within d/10 of any
+    # centre, and the stencil poses one index per centre.
+    rng = np.random.default_rng(43)
+    posed = random_poses(GridSpec("square", 1.0), rng, 1)[0]
+    centres = rng.uniform(-5.0, 5.0, size=(50, 2))
+    assert lattice_near(posed, centres, 0.1 * (1.0 + 1e-6)).shape == (50, 2)
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
