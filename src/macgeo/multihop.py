@@ -35,10 +35,9 @@ of a full draw, so the hops differ from it run by run but not in law.
 
 Each built slot poses gen_grid's points as a bare array
 (``spatial.window_points``), with no PointSet.  The population never
-moves, so one cell index of it (``_CellIndex``), built per run, answers
-every neighbour query of the run with numpy alone: the snap (which the
-holder test asks too), the candidate disc and the pair draw's nearest
-node.
+moves, so one cell index of it (``spatial.CellIndex``), built per run,
+answers every neighbour query of the run: the snap (which the holder
+test asks too), the candidate disc and the pair draw's nearest node.
 
 A relay step decides its candidates in winner order: the destination
 first, then the forward candidates by decreasing progress, and it stops
@@ -63,8 +62,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagation import ChannelModel, beaten, first_decoder
-from .spatial import (GridSpec, PointSet, check_budget, grid_density,
-                      lattice_near, lattice_points, window_points, with_pose)
+from .spatial import (_CELL_SLACK, CellIndex, GridSpec, PointSet,
+                      check_budget, grid_density, lattice_near,
+                      lattice_points, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
 from .spatial import gen_grid  # noqa: F401
@@ -73,12 +73,6 @@ from .spatial import gen_grid  # noqa: F401
 PAIR_DRAWS = 10_000
 # A virtual lattice point snaps to the nearest node within d / SNAP_DIVISOR.
 SNAP_DIVISOR = 10.0
-# A cell of the node index is wider than twice the snap radius by this
-# relative slack, and a snap block reaches half of it past the radius.
-# That covers the rounding of the cell arithmetic (about 1e-13 of a cell
-# at any budget).  The holder test's stencil widens the snap radius by it
-# too, which covers the rounding of the holders' lattice coordinates.
-_CELL_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -162,141 +156,15 @@ class SnapCounts:
     misses: int = 0
 
 
-def _gather(a: np.ndarray, b: np.ndarray):
-    """The ranges a[k]:b[k], concatenated, and the length of each."""
-    lens = b - a
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(a - (ends - lens), lens), lens
-
-
-class _CellIndex:
-    """Fixed-radius cell grid over a run's node population (Bentley,
-    Stanat & Williams, *The complexity of finding fixed-radius near
-    neighbors*, 1977), in place of a k-d tree.
-
-    The nodes' bounding box is cut into square cells of side at least
-    2 radius (1 + _CELL_SLACK), radius the snap radius, and at least
-    (longer box side) / sqrt(n), so there are no more cells than nodes;
-    the last row and column take the remainder.  The nodes are sorted
-    row-major by cell, with a CSR ``start`` array (cell c holds the
-    sorted positions start[c]:start[c + 1]), contiguous x and y columns
-    in that order, and ``order`` mapping a sorted position to its node.
-    Adjacent cells of a row are adjacent in that order, so a block of
-    cells costs one slice per cell row.  A coordinate's cell,
-    floor((v - lo) / side) clipped to the grid, is monotone in v, so the
-    nodes within a reach of a point lie between the cells of the reach's
-    two ends.
-
-    Distances are those cKDTree computes, so every decision is the
-    tree's: sqrt(dx*dx + dy*dy) for the snap, and dx*dx + dy*dy for the
-    disc (kept when <= R*R) and the nearest node.
-    """
-
-    def __init__(self, nodes: np.ndarray, radius: float):
-        n = len(nodes)
-        self._lo = nodes.min(axis=0)
-        span = nodes.max(axis=0) - self._lo
-        side = max(2.0 * radius * (1.0 + _CELL_SLACK),
-                   span.max() / math.sqrt(n))
-        self.side = side if side > 0 else 1.0
-        self._reach = radius * (1.0 + 0.5 * _CELL_SLACK)
-        # Cells along x (columns) and along y (rows).
-        self._n = np.maximum(1, (span // self.side).astype(np.intp))
-        cols, rows = (int(k) for k in self._n)
-        check_budget(cols * rows, "cells of the node index")
-        cell = self._cells(nodes[:, 1], 1) * cols + self._cells(nodes[:, 0], 0)
-        self.order = np.argsort(cell, kind="stable")
-        self.start = np.zeros(cols * rows + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cell, minlength=cols * rows), out=self.start[1:])
-        self.x = nodes[self.order, 0]
-        self.y = nodes[self.order, 1]
-
-    def _cells(self, v, axis: int):
-        """Cell coordinates along ``axis`` (0: column, 1: row) of v."""
-        k = np.floor((np.asarray(v) - self._lo[axis]) / self.side)
-        return np.clip(k, 0, self._n[axis] - 1).astype(np.intp)
-
-    def _squared(self, pos: np.ndarray, x, y) -> np.ndarray:
-        """dx*dx + dy*dy from the nodes at sorted positions pos to (x, y),
-        summed as cKDTree sums them."""
-        d2 = np.subtract(self.x[pos], x)
-        d2 *= d2
-        dy = np.subtract(self.y[pos], y)
-        dy *= dy
-        d2 += dy
-        return d2
-
-    def snap(self, pts: np.ndarray):
-        """(dist, idx) of the nearest node within the snap radius of each
-        posed point, as ``tree.query`` returns it (its distance, sqrt of
-        the squared distance); inf and -1 where no node is near.  A
-        point's candidates are the nodes of the 2 x 2 block of cells that
-        holds its disc of the snap reach, two slices per point (the
-        second empty when the disc spans one cell row)."""
-        x, y = pts[:, 0], pts[:, 1]
-        c0, c1 = self._cells((x - self._reach, x + self._reach), 0)
-        r0, r1 = self._cells((y - self._reach, y + self._reach), 1)
-        a = np.empty((len(pts), 2), dtype=np.intp)
-        b = np.empty_like(a)
-        for j, row in enumerate((r0, r1)):
-            base = row * self._n[0]
-            a[:, j] = self.start[base + c0]
-            b[:, j] = self.start[base + c1 + 1]
-        b[r1 == r0, 1] = a[r1 == r0, 1]
-        pos, lens = _gather(a.ravel(), b.ravel())
-        cnt = lens.reshape(-1, 2).sum(axis=1)
-        d2 = self._squared(pos, np.repeat(x, cnt), np.repeat(y, cnt))
-        best = np.full(len(pts), np.inf)
-        has = cnt > 0
-        best[has] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[has])
-        # Each point's minimum, the first in sorted order on a tie.
-        at = np.flatnonzero(d2 == np.repeat(best, cnt))
-        owner = np.repeat(np.arange(len(pts)), cnt)[at]
-        first = np.ones(len(at), dtype=bool)
-        first[1:] = owner[1:] != owner[:-1]
-        idx = np.full(len(pts), -1)
-        idx[owner[first]] = self.order[pos[at[first]]]
-        return np.sqrt(best), idx
-
-    def _around(self, cx: float, cy: float, R: float):
-        """Sorted positions of the block of cells that holds the disc of
-        radius R about (cx, cy), and their squared distances."""
-        e = R * (1.0 + _CELL_SLACK)
-        c0, c1 = self._cells((cx - e, cx + e), 0)
-        r0, r1 = self._cells((cy - e, cy + e), 1)
-        base = np.arange(r0, r1 + 1) * self._n[0]
-        pos = _gather(self.start[base + c0], self.start[base + c1 + 1])[0]
-        return pos, self._squared(pos, cx, cy)
-
-    def disc(self, c, R: float) -> np.ndarray:
-        """Sorted indices of the nodes within R of the point c, kept when
-        dx*dx + dy*dy <= R*R as ``tree.query_ball_point`` keeps them."""
-        pos, d2 = self._around(float(c[0]), float(c[1]), R)
-        return np.sort(self.order[pos[d2 <= R * R]])
-
-    def nearest(self, p) -> int:
-        """Index of the node nearest to the point p, as ``tree.query``
-        picks it: the disc block of radius R, R from one cell side doubled
-        until the block's nearest node lies within R, so that every
-        nearer node is in the block."""
-        R = self.side
-        while True:
-            pos, d2 = self._around(float(p[0]), float(p[1]), R)
-            if pos.size:
-                j = int(np.argmin(d2))
-                if d2[j] <= R * R:
-                    return int(self.order[pos[j]])
-            R *= 2.0
-
-
-def _holder_snaps(nodes: np.ndarray, index: _CellIndex, spec: GridSpec,
+def _holder_snaps(nodes: np.ndarray, index: CellIndex, spec: GridSpec,
                   holders: np.ndarray, r: float, extent: float) -> bool:
     """Whether a point of the slot's lattice window snaps to a holder: the
     lattice indices near the holders, posed and snapped as the build
     poses and snaps the window's.  A point snaps to a holder only within
     r of it by the snap's own arithmetic, so only those points are
     snapped."""
+    # Widened by _CELL_SLACK, which covers the rounding of the holders'
+    # lattice coordinates.
     k = lattice_near(spec, nodes[holders], r * (1.0 + _CELL_SLACK))
     pts = lattice_points(spec, k, extent)
     dx = nodes[holders, 0] - pts[:, :1]
@@ -308,7 +176,7 @@ def _holder_snaps(nodes: np.ndarray, index: _CellIndex, spec: GridSpec,
     return bool((idx[dist <= r, None] == holders).any())
 
 
-def select_transmitters(nodes: np.ndarray, index: _CellIndex, cfg: SimConfig,
+def select_transmitters(nodes: np.ndarray, index: CellIndex, cfg: SimConfig,
                         rng: np.random.Generator,
                         counts: SnapCounts | None = None,
                         holders: np.ndarray | None = None) -> np.ndarray:
@@ -361,7 +229,7 @@ def select_transmitters(nodes: np.ndarray, index: _CellIndex, cfg: SimConfig,
 
 def relay_step(packet: PacketRecord, holder_idx: int, tx_idx: np.ndarray,
                tx: PointSet, active: np.ndarray, nodes: np.ndarray,
-               index: _CellIndex, dest_idx: int, cfg: SimConfig,
+               index: CellIndex, dest_idx: int, cfg: SimConfig,
                rng: np.random.Generator, slot: int,
                candidate_radius: float) -> int:
     """Advance the packet by at most one hop; returns the new holder index.
@@ -469,7 +337,7 @@ def run_simulation(cfg: SimConfig, n_packets: int,
     n = max(1, rng_nodes.poisson(cfg.node_density * area))
     nodes = rng_nodes.uniform(-cfg.extent, cfg.extent, size=(n, 2))
     nodes.setflags(write=False)
-    index = _CellIndex(nodes, cfg.scheme.d / SNAP_DIVISOR
+    index = CellIndex(nodes, cfg.scheme.d / SNAP_DIVISOR
                        if isinstance(cfg.scheme, GridSpec) else 0.0)
 
     lam = cfg.scheme_density

@@ -41,8 +41,8 @@ from .errors import (MacGeoError, NonClosureError, StationaryPointError,
 from .propagation import (DECODE_MARGIN, SINGULARITY_GUARD, ChannelModel,
                           Field, _chunks, decodes, fading_success_prob, sir,
                           sir_and_gradient)
-from .spatial import (GridSpec, PointSet, check_budget, covering_radius,
-                      gen_grid, grid_density)
+from .spatial import (CellIndex, GridSpec, PointSet, _gather, check_budget,
+                      covering_radius, gen_grid, grid_density)
 
 _log = logging.getLogger(__name__)
 _GRAD_FLOOR = 1e-15
@@ -394,10 +394,9 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
                           bys[blocks // nb], nidx)
 
     # Block test.
-    k = min(RASTER_NEIGHBORS + 1, len(pts))
-    dist, idx = ps.tree.query(centers, k=k)
-    dist = dist.reshape(len(centers), k)
-    idx = idx.reshape(len(centers), k)
+    index = CellIndex(pts, 0.0)
+    dist, idx = _k_nearest(index, centers,
+                           min(RASTER_NEIGHBORS + 1, len(pts)), ps.scale)
     dist[idx == i] = np.inf
     dc = np.hypot(centers[:, 0] - pts[i, 0], centers[:, 1] - pts[i, 1])
     fail = (-alpha * np.log((dc - delta) * inv_s)
@@ -415,16 +414,9 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
     if not len(live):
         return
     radius = RASTER_NEAR * ps.scale + delta
-    k = min(len(pts), math.ceil(1.5 * math.pi * (radius * inv_s) ** 2)
-            + RASTER_NEIGHBORS)
-    dist, near = ps.tree.query(centers[live], k=k, distance_upper_bound=radius)
-    # Sorted by distance, so the columns past the fullest row are empty;
-    # an empty slot (index N) points at i, which no sum takes.
-    k = int(np.count_nonzero(near.reshape(len(live), k) < len(pts),
-                             axis=1).max()) or 1
-    dist = dist.reshape(len(live), -1)[:, :k]
-    near = near.reshape(len(live), -1)[:, :k]
-    near[near == len(pts)] = i
+    # Empty slots point at i, which no sum takes.
+    near, d2 = index.within(centers[live], radius, i)
+    dist = np.sqrt(d2)
     dist[near == i] = np.inf
     llo, lhi = _far_interval(i, ps, alpha, centers[live], near, radius, delta)
     near_hi = _log_power_sum((dist - delta) * inv_s, alpha)
@@ -440,6 +432,30 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
     s[(s == _OPEN) & (lg - np.logaddexp(ln, lhi) >= win)] = _MEMBER
     s[(s == _OPEN) & (lg - np.logaddexp(ln, llo) < lose)] = _FAILED
     state[live] = s
+
+
+def _k_nearest(index: CellIndex, centers: np.ndarray, k: int,
+               scale: float):
+    """(dist, idx) of the k nearest points of each center, unordered:
+    the k nearest of its disc of radius R, by argpartition, once the disc
+    holds k points, so that every nearer point is in it.  R starts at
+    sqrt(1.25 k / pi) scales, where a disc holds 1.25 k points on
+    average, and doubles for the centers whose disc holds fewer."""
+    dist = np.empty((len(centers), k))
+    idx = np.empty((len(centers), k), dtype=np.intp)
+    rows = np.arange(len(centers))
+    R = math.sqrt(1.25 * k / math.pi) * scale
+    while rows.size:
+        near, d2 = index.within(centers[rows], R, 0)
+        done = np.count_nonzero(d2 <= R * R, axis=1) >= k
+        if done.any():
+            part = np.argpartition(d2[done], k - 1, axis=1)[:, :k]
+            idx[rows[done]] = np.take_along_axis(near[done], part, axis=1)
+            dist[rows[done]] = np.sqrt(np.take_along_axis(d2[done], part,
+                                                          axis=1))
+        rows = rows[~done]
+        R *= 2.0
+    return dist, idx
 
 
 def _cell_sums(i, ps, alpha, centers, bx, by, nidx):
@@ -517,30 +533,73 @@ def _far_interval(i, ps, alpha, centers, near, radius, delta):
 def max_range_membership(i: int, ps: PointSet, model: ChannelModel,
                          extent: float, n: int) -> float:
     """Maximum range from a membership raster: the farthest member cell
-    4-connected to the transmitter's own cell.  Fallback for beta < 1
-    where the boundary tracer does not apply."""
-    from scipy import ndimage
+    4-connected to the cell that holds the transmitter, or where that
+    cell is not a member, to the member cell nearest to the transmitter.
+    Fallback for beta < 1 where the boundary tracer does not apply.
+
+    The components are those of the raster's row runs of member cells
+    (:func:`_run_components`); the farthest cell of a run is one of its
+    two ends."""
     counts = RasterCounts()
     xs, ys, member = membership_grid(i, ps, model, extent, n, counts)
     _log.debug("membership raster of transmitter %d: %d cells, %d settled by "
                "the block test, %d by the near/far interval, %d full sums", i,
                counts.cells, counts.block, counts.interval, counts.full)
-    labels, _ = ndimage.label(member)
     zi = ps.points[i]
-    ix = int(np.clip(np.searchsorted(xs, zi[0]), 0, n - 1))
-    iy = int(np.clip(np.searchsorted(ys, zi[1]), 0, n - 1))
-    home = labels[iy, ix]
-    if home == 0:
-        # Cell center offset pushed the transmitter cell out; use nearest
-        # member cell instead.
+    # The transmitter sits extent = n/2 cells from the raster's edges: in
+    # cell n // 2 of each axis (on its corner when n is even).
+    iy = ix = n // 2
+    if not member[iy, ix]:
         yy, xx = np.nonzero(member)
         if yy.size == 0:
             raise MacGeoError("empty reception region on the raster")
         k = int(np.argmin((xs[xx] - zi[0]) ** 2 + (ys[yy] - zi[1]) ** 2))
-        home = labels[yy[k], xx[k]]
-    yy, xx = np.nonzero(labels == home)
-    d = np.hypot(xs[xx] - zi[0], ys[yy] - zi[1])
+        iy, ix = yy[k], xx[k]
+    start, end, labels = _run_components(member)
+    home = np.searchsorted(start, iy * (n + 1) + ix, side="right") - 1
+    mine = labels == labels[home]
+    row, first = np.divmod(start[mine], n + 1)
+    last = end[mine] - 1 - row * (n + 1)
+    dy = ys[row] - zi[1]
+    d = np.maximum(np.hypot(xs[first] - zi[0], dy),
+                   np.hypot(xs[last] - zi[0], dy))
     return float(d.max())
+
+
+def _run_components(member: np.ndarray):
+    """(start, end, labels) of the runs of True in the rows of the 2-D
+    boolean array member, as flat indices of member with a False column
+    appended, w = width + 1 wide: run k covers start[k]:end[k] of row
+    start[k] // w, and labels[k] is the same for two runs exactly when
+    they are 4-connected.
+
+    A run of row r meets the runs of row r - 1 that end past its start
+    less w and start before its end less w: a contiguous range of the
+    runs, found by two binary searches.  Each round hooks the larger
+    label of every joined pair under the smaller and then jumps pointers
+    until every label is a root (min-propagation with pointer jumping, as
+    in Shiloach & Vishkin, *An O(log n) parallel connectivity algorithm*,
+    1982); the rounds end when every joined pair agrees."""
+    w = member.shape[1] + 1
+    flat = np.zeros(member.shape[0] * w + 1, dtype=bool)
+    flat[1:].reshape(-1, w)[:, :-1] = member
+    # Every run starts and ends at a change, and the appended column ends
+    # each row's last one.
+    start, end = np.flatnonzero(flat[1:] != flat[:-1]).reshape(-1, 2).T
+    lo = np.searchsorted(end, start - w, side="right")
+    a, lens = _gather(lo, np.maximum(np.searchsorted(start, end - w), lo))
+    b = np.repeat(np.arange(len(start)), lens)
+    labels = np.arange(len(start))
+    while True:
+        la, lb = labels[a], labels[b]
+        if np.array_equal(la, lb):
+            return start, end, labels
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
 
 
 def origin_index(ps: PointSet, at=(0.0, 0.0)) -> int:

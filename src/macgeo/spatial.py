@@ -14,17 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 GRID_KINDS = ("square", "rectangular", "hexagonal", "triangular", "linear")
 # Largest point set, raster or node population a call may build.
 MAX_POINTS = 2_000_000
+
+# A cell of a CellIndex is wider than twice its snap radius by this
+# relative slack; a snap block reaches half of it past the radius, and a
+# disc's block all of it.  That covers the rounding of the cell
+# arithmetic (about 1e-13 of a cell at any budget).
+_CELL_SLACK = 1e-6
+# Nodes a batched disc query gathers at a time: temporaries of this size
+# stay in cache.
+_GATHER_CHUNK = 1 << 15
 
 # Boundary test tolerance, relative to the lattice parameter: points that
 # land on the window edge up to rotation round-off are kept.
@@ -129,12 +134,6 @@ class PointSet:
         """Characteristic nearest-neighbor length 1/sqrt(density)."""
         return 1.0 / math.sqrt(self.density)
 
-    @cached_property
-    def tree(self) -> cKDTree:
-        """k-d tree over the points, built on first use."""
-        from scipy.spatial import cKDTree
-        return cKDTree(self.points)
-
 
 def grid_density(spec: GridSpec) -> float:
     """Exact intensity (points per m^2) of the ideal infinite pattern."""
@@ -167,6 +166,185 @@ def check_budget(count: float, what: str) -> None:
     (``what`` names them) above MAX_POINTS."""
     if not (count <= MAX_POINTS):
         raise ValueError(f"{count:.3g} {what} exceed the budget of {MAX_POINTS}")
+
+
+def _gather(a: np.ndarray, b: np.ndarray):
+    """The ranges a[k]:b[k], concatenated, and the length of each."""
+    lens = b - a
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(a - (ends - lens), lens), lens
+
+
+class CellIndex:
+    """Fixed-radius cell grid over a point set (Bentley, Stanat &
+    Williams, *The complexity of finding fixed-radius near neighbors*,
+    1977): the package's one neighbour index.  ``radius`` is the snap
+    radius, 0 where no snap is asked.
+
+    The nodes' bounding box is cut into square cells of side at least
+    2 radius (1 + _CELL_SLACK) and at least (longer box side) / sqrt(n),
+    so there are no more cells than nodes; the last row and column take
+    the remainder.  The nodes are sorted row-major by cell, with a CSR
+    ``start`` array (cell c holds the sorted positions
+    start[c]:start[c + 1]), contiguous x and y columns in that order, and
+    ``order`` mapping a sorted position to its node.  Adjacent cells of a
+    row are adjacent in that order, so a block of cells costs one slice
+    per cell row.  A coordinate's cell, floor((v - lo) / side) clipped to
+    the grid, is monotone in v, so the nodes within a reach of a point lie
+    between the cells of the reach's two ends.
+
+    Every query measures a node at x, y from a point at px, py as
+    d2 = (x - px)^2 + (y - py)^2, each square a product and the two
+    added in that order: the snap takes sqrt(d2) <= radius, the discs
+    d2 <= R*R, and the nearest node the least d2.
+    """
+
+    def __init__(self, nodes: np.ndarray, radius: float):
+        n = len(nodes)
+        self._lo = nodes.min(axis=0)
+        span = nodes.max(axis=0) - self._lo
+        side = max(2.0 * radius * (1.0 + _CELL_SLACK),
+                   span.max() / math.sqrt(n))
+        self.side = side if side > 0 else 1.0
+        self._reach = radius * (1.0 + 0.5 * _CELL_SLACK)
+        # Cells along x (columns) and along y (rows).
+        self._n = np.maximum(1, (span // self.side).astype(np.intp))
+        cols, rows = (int(k) for k in self._n)
+        check_budget(cols * rows, "cells of the node index")
+        cell = self._cells(nodes[:, 1], 1) * cols + self._cells(nodes[:, 0], 0)
+        self.order = np.argsort(cell, kind="stable")
+        self.start = np.zeros(cols * rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=cols * rows), out=self.start[1:])
+        self.x = nodes[self.order, 0]
+        self.y = nodes[self.order, 1]
+
+    def _cells(self, v, axis: int):
+        """Cell coordinates along ``axis`` (0: column, 1: row) of v."""
+        k = np.floor((np.asarray(v) - self._lo[axis]) / self.side)
+        return np.clip(k, 0, self._n[axis] - 1).astype(np.intp)
+
+    def _squared(self, pos: np.ndarray, x, y) -> np.ndarray:
+        """d2 from the nodes at sorted positions pos to (x, y)."""
+        d2 = np.subtract(self.x[pos], x)
+        d2 *= d2
+        dy = np.subtract(self.y[pos], y)
+        dy *= dy
+        d2 += dy
+        return d2
+
+    def snap(self, pts: np.ndarray):
+        """(dist, idx) of the nearest node within the snap radius of each
+        posed point, dist = sqrt(d2), the first node in sorted order on a
+        tie; inf and -1 where no node is near.  A
+        point's candidates are the nodes of the 2 x 2 block of cells that
+        holds its disc of the snap reach, two slices per point (the
+        second empty when the disc spans one cell row)."""
+        x, y = pts[:, 0], pts[:, 1]
+        c0, c1 = self._cells((x - self._reach, x + self._reach), 0)
+        r0, r1 = self._cells((y - self._reach, y + self._reach), 1)
+        a = np.empty((len(pts), 2), dtype=np.intp)
+        b = np.empty_like(a)
+        for j, row in enumerate((r0, r1)):
+            base = row * self._n[0]
+            a[:, j] = self.start[base + c0]
+            b[:, j] = self.start[base + c1 + 1]
+        b[r1 == r0, 1] = a[r1 == r0, 1]
+        pos, lens = _gather(a.ravel(), b.ravel())
+        cnt = lens.reshape(-1, 2).sum(axis=1)
+        d2 = self._squared(pos, np.repeat(x, cnt), np.repeat(y, cnt))
+        best = np.full(len(pts), np.inf)
+        has = cnt > 0
+        best[has] = np.minimum.reduceat(d2, (np.cumsum(cnt) - cnt)[has])
+        # Each point's minimum, the first in sorted order on a tie.
+        at = np.flatnonzero(d2 == np.repeat(best, cnt))
+        owner = np.repeat(np.arange(len(pts)), cnt)[at]
+        first = np.ones(len(at), dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        idx = np.full(len(pts), -1)
+        idx[owner[first]] = self.order[pos[at[first]]]
+        return np.sqrt(best), idx
+
+    def _around(self, cx: float, cy: float, R: float):
+        """Sorted positions of the block of cells that holds the disc of
+        radius R about (cx, cy), and their squared distances: the
+        one-point form of :meth:`_around_each`, some 20 us a call
+        cheaper, for the candidate disc each relay step asks."""
+        e = R * (1.0 + _CELL_SLACK)
+        c0, c1 = self._cells((cx - e, cx + e), 0)
+        r0, r1 = self._cells((cy - e, cy + e), 1)
+        base = np.arange(r0, r1 + 1) * self._n[0]
+        pos = _gather(self.start[base + c0], self.start[base + c1 + 1])[0]
+        return pos, self._squared(pos, cx, cy)
+
+    def _around_each(self, x: np.ndarray, y: np.ndarray, R: float):
+        """Sorted positions of the block of cells that holds the disc of
+        radius R about each point (x[j], y[j]), one slice per cell row,
+        the blocks concatenated; their squared distances; and the end of
+        each point's block in them."""
+        e = R * (1.0 + _CELL_SLACK)
+        c0, c1 = self._cells((x - e, x + e), 0)
+        r0, r1 = self._cells((y - e, y + e), 1)
+        rows = r1 - r0 + 1
+        base = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows - r0,
+                                                  rows)
+        base *= self._n[0]
+        pos, lens = _gather(self.start[base + np.repeat(c0, rows)],
+                            self.start[base + np.repeat(c1 + 1, rows)])
+        lens = np.add.reduceat(lens, np.cumsum(rows) - rows)
+        return pos, self._squared(pos, np.repeat(x, lens),
+                                  np.repeat(y, lens)), np.cumsum(lens)
+
+    def disc(self, c, R: float) -> np.ndarray:
+        """Sorted indices of the nodes within R of the point c, kept when
+        d2 <= R*R."""
+        pos, d2 = self._around(float(c[0]), float(c[1]), R)
+        return np.sort(self.order[pos[d2 <= R * R]])
+
+    def within(self, centers: np.ndarray, R: float, fill: int):
+        """(idx, d2): the nodes within R of each of the (m, 2) centers,
+        kept when d2 <= R*R, as (m, k) arrays, k the largest count (at
+        least 1).  Row j holds centre j's nodes in the index's sorted
+        order, then ``fill`` and inf.  The discs are gathered for about
+        _GATHER_CHUNK nodes of centres at a time."""
+        x, y = centers[:, 0], centers[:, 1]
+        # Nodes in a centre's block: its cells times the mean per cell.
+        block = ((2.0 * R / self.side + 2.0) ** 2 * len(self.order)
+                 / (len(self.start) - 1))
+        step = max(1, int(_GATHER_CHUNK / block))
+        cnt = np.empty(len(centers), dtype=np.intp)
+        kept = []
+        for j in range(0, len(centers), step):
+            sl = slice(j, j + step)
+            pos, d2, ends = self._around_each(x[sl], y[sl], R)
+            keep = d2 <= R * R
+            ck = np.zeros(len(keep) + 1, dtype=np.intp)
+            np.cumsum(keep, out=ck[1:])
+            cnt[sl] = np.diff(ck[ends], prepend=0)
+            kept.append((pos[keep], d2[keep]))
+        pos, d2 = (np.concatenate(a) for a in zip(*kept))
+        k = max(int(cnt.max(initial=0)), 1)
+        at = np.arange(len(pos)) + np.repeat(
+            np.arange(0, len(cnt) * k, k) - (np.cumsum(cnt) - cnt), cnt)
+        idx = np.full((len(centers), k), fill, dtype=np.intp)
+        dist2 = np.full((len(centers), k), np.inf)
+        idx.ravel()[at] = self.order[pos]
+        dist2.ravel()[at] = d2
+        return idx, dist2
+
+    def nearest(self, p) -> int:
+        """Index of the node nearest to the point p, the first in sorted
+        order on a tie: the disc block of radius R, R from one cell side
+        doubled until the block's nearest node lies within R, so that
+        every nearer node is in the block."""
+        R = self.side
+        while True:
+            pos, d2 = self._around(float(p[0]), float(p[1]), R)
+            if pos.size:
+                j = int(np.argmin(d2))
+                if d2[j] <= R * R:
+                    return int(self.order[pos[j]])
+            R *= 2.0
 
 
 def _basis(spec: GridSpec):

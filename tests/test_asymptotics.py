@@ -80,9 +80,29 @@ def _epstein_mp(kind, alpha):
 
 @pytest.mark.parametrize("kind", ["square", "triangular"])
 def test_matches_epstein_closed_forms(kind):
-    for alpha in np.r_[np.linspace(2.05, 30.0, 15), 19.99, 20.0]:
+    for alpha in np.r_[2.001, np.linspace(2.05, 30.0, 15), 19.99, 20.0]:
         got = beta_inf_range(GridSpec(kind, 1.0), alpha) ** -alpha
         assert got == pytest.approx(_epstein_mp(kind, alpha), rel=1e-13)
+
+
+def test_zeta_against_mpmath():
+    # The formula takes zeta(alpha - 1), which nears its pole as
+    # alpha -> 2, and zeta(alpha).
+    s_values = np.r_[1.0001, 1.001, np.geomspace(1.01, 40.0, 80)]
+    for s in s_values:
+        want = float(mp.zeta(mp.mpf(float(s))))
+        assert asymptotics._zeta(float(s)) == pytest.approx(want, rel=1e-15)
+
+
+def test_bessel_k_against_mpmath():
+    # The dual series' arguments pi j k sqrt(Delta) start at pi sqrt(3)
+    # (a reduced form has Delta >= 3); nu = alpha/2 - 1/2 below alpha 21.
+    x = np.r_[math.pi * math.sqrt(3.0), np.geomspace(5.5, 700.0, 40)]
+    for nu in np.r_[np.linspace(0.5, 10.0, 20), 0.5005, 9.75]:
+        got = asymptotics._bessel_k(float(nu), x)
+        want = [float(mp.besselk(mp.mpf(float(nu)), mp.mpf(float(v))))
+                for v in x]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_matches_brute_lattice_sum():

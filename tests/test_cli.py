@@ -130,40 +130,6 @@ def test_grid_range_membership_fallback(tmp_path, monkeypatch):
     assert rows[0][5] == f"{7.621982554136137:.12g}"
 
 
-def test_import_loads_no_scipy(tmp_path):
-    # scipy is imported where it is used, so a command that needs none of
-    # it starts without it; the log-uniform ALOHA path (E1 and all) is one.
-    src = os.path.dirname(os.path.dirname(macgeo.__file__))
-    code = ("import sys, macgeo, macgeo.cli; "
-            "macgeo.cli.main(['aloha-curve', '--fading', 'log-uniform:1', "
-            "'--n', '5', '--out', 'c.csv']); "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    env = {k: v for k, v in os.environ.items() if k != "MACGEO_OUTDIR"}
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, cwd=tmp_path,
-                         env={**env, "PYTHONPATH": src})
-    assert out.stdout.splitlines()[-1] == "[]"
-    _, rows = read_csv(tmp_path / "c.csv")
-    assert [r[3] for r in rows] == ["none"] * 5 + ["log-uniform:1"] * 5
-
-
-def test_simulate_loads_no_scipy_spatial(tmp_path):
-    # The simulator's neighbour queries run on its own cell index, so a
-    # simulate run never imports scipy's k-d tree.
-    src = os.path.dirname(os.path.dirname(macgeo.__file__))
-    code = ("import sys, macgeo.cli; "
-            "rc = macgeo.cli.main(['simulate', '--nu', '100', '--extent', '4', "
-            "'--distance', '1', '--slots', '50', '--packets', '2', "
-            "'--out', 's.csv']); "
-            "print(rc, 'scipy.spatial' in sys.modules)")
-    env = {k: v for k, v in os.environ.items() if k != "MACGEO_OUTDIR"}
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, cwd=tmp_path,
-                         env={**env, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.splitlines()[-1] == f"{EXIT_OK} False"
-    assert (tmp_path / "s.csv").stat().st_size > 0
-
-
 def test_sweep_beta_monotone(tmp_path, monkeypatch):
     rc = invoke(["grid-range", "--pattern", "triangular", "--d", "1",
                  "--extent", "60", "--alpha", "4",
@@ -654,20 +620,36 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_examples_parse(tmp_path):
-    # Each README example parses, and runs to exit 0 onto a fresh output.
+    # Each README example parses, and runs to exit 0 onto a fresh output,
+    # all in one fresh interpreter that never loads scipy: the package
+    # runs on numpy alone.
     text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0].strip()
              for line in block.replace("\\\n", " ").splitlines()]
     commands = [shlex.split(line)[1:] for line in lines
                 if line.startswith("macgeo ")]
-    assert len(commands) >= 12
-    for k, (command, *args) in enumerate(commands):
-        # Exits 2 on a flag the command lacks.
-        _build_parser(command).parse_args(args)
-        out = tmp_path / f"{k}-{command}"
-        assert main([command, *args, "--out", str(out)]) == EXIT_OK, args
-        assert out.stat().st_size > 0
+    assert len(commands) >= 13
+    code = ("import json, sys\n"
+            "from macgeo.cli import _build_parser, main\n"
+            "codes = []\n"
+            "for k, (command, *args) in enumerate(json.loads(sys.argv[1])):\n"
+            "    _build_parser(command).parse_args(args)\n"
+            "    out = f'{k}-{command}'\n"
+            "    codes.append(main([command, *args, '--out', out]))\n"
+            "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(json.dumps([codes, scipy]))\n")
+    src = os.path.dirname(os.path.dirname(macgeo.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "MACGEO_OUTDIR"}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         check=True, capture_output=True, text=True,
+                         cwd=tmp_path, env={**env, "PYTHONPATH": src},
+                         timeout=600)
+    codes, scipy = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * len(commands)
+    assert scipy == []
+    for k, (command, *_) in enumerate(commands):
+        assert (tmp_path / f"{k}-{command}").stat().st_size > 0
 
 
 def test_readme_flag_table_matches_commands():

@@ -11,11 +11,12 @@ from scipy.spatial import cKDTree
 
 from macgeo.cli import _write_json
 from macgeo import multihop
-from macgeo.multihop import (SNAP_DIVISOR, SimConfig, _CellIndex, progress,
+from macgeo.multihop import (SNAP_DIVISOR, SimConfig, progress,
                              run_simulation, select_transmitters)
 from macgeo.propagation import SINGULARITY_GUARD, ChannelModel, sir
 from macgeo.reception import grid_range
-from macgeo.spatial import GridSpec, PointSet, window_points, with_pose
+from macgeo.spatial import (CellIndex, GridSpec, PointSet, window_points,
+                            with_pose)
 
 MODEL = ChannelModel(alpha=4.0, beta=1.0)
 
@@ -81,7 +82,7 @@ def test_pair_draws_are_bounded():
 def test_aloha_thinning_fraction():
     rng = np.random.default_rng(0)
     nodes = rng.uniform(-20, 20, size=(8000, 2))
-    index = _CellIndex(nodes, 0.0)
+    index = CellIndex(nodes, 0.0)
     cfg = SimConfig(node_density=5.0, extent=20.0, scheme=1.0, model=MODEL)
     q = cfg.scheme_density / cfg.node_density
     counts = [len(select_transmitters(nodes, index, cfg, rng)) for _ in range(30)]
@@ -97,7 +98,7 @@ def test_aloha_holder_first_law():
     # built slot are still thinned with probability q.  A repeated holder
     # draws one mark.  All bounds are 4 standard errors.
     nodes = np.random.default_rng(0).uniform(-5, 5, size=(1000, 2))
-    index = _CellIndex(nodes, 0.0)
+    index = CellIndex(nodes, 0.0)
     cfg = SimConfig(node_density=10.0, extent=5.0, scheme=1.0, model=MODEL)
     q = cfg.scheme_density / cfg.node_density
     n, trials = len(nodes), 10000
@@ -131,7 +132,7 @@ def test_grid_snapping_dense_population():
     nu, extent = 500.0, 12.0
     nodes = rng.uniform(-extent, extent, size=(int(nu * (2 * extent) ** 2), 2))
     spec = GridSpec("square", 1.0)
-    index = _CellIndex(nodes, spec.d / SNAP_DIVISOR)
+    index = CellIndex(nodes, spec.d / SNAP_DIVISOR)
     cfg = SimConfig(nu, extent, spec, MODEL)
     idx = select_transmitters(nodes, index, cfg, rng)
     virtual = (2 * extent) ** 2 * 1.0
@@ -169,7 +170,7 @@ def test_holder_skip_is_safe(spec):
     # outcomes occur.
     rng = np.random.default_rng(7)
     nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
-    index = _CellIndex(nodes, spec.d / SNAP_DIVISOR)
+    index = CellIndex(nodes, spec.d / SNAP_DIVISOR)
     cfg = SimConfig(100.0, 4.0, spec, MODEL)
     outcomes = {"built": 0, "skipped": 0}
     for k in range(600):
@@ -190,7 +191,7 @@ def test_holder_skip_is_safe(spec):
 def test_consecutive_slots_use_fresh_poses():
     rng = np.random.default_rng(3)
     nodes = rng.uniform(-10, 10, size=(40000, 2))
-    index = _CellIndex(nodes, 1.0 / SNAP_DIVISOR)
+    index = CellIndex(nodes, 1.0 / SNAP_DIVISOR)
     cfg = SimConfig(100.0, 10.0, GridSpec("square", 1.0), MODEL)
     a = select_transmitters(nodes, index, cfg, rng)
     b = select_transmitters(nodes, index, cfg, rng)
@@ -213,7 +214,7 @@ def test_cell_index_snaps_as_the_tree(spec):
     rng = np.random.default_rng(17)
     nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
     r = spec.d / SNAP_DIVISOR
-    index = _CellIndex(nodes, r)
+    index = CellIndex(nodes, r)
     tree = cKDTree(nodes)
     assert len(index.start) - 1 <= len(nodes)
     matched = outside = 0
@@ -238,7 +239,7 @@ def test_cell_index_discs_as_the_tree():
     # exactly a node's distance.
     rng = np.random.default_rng(29)
     nodes = rng.uniform(-4.0, 4.0, size=(6400, 2))
-    index = _CellIndex(nodes, 0.1)
+    index = CellIndex(nodes, 0.1)
     tree = cKDTree(nodes)
     centres = [*rng.uniform(-4.0, 4.0, size=(30, 2)),
                (-4.0, -4.0), (4.0, 4.0), (4.0, 0.3), (0.0, -4.0),
@@ -259,7 +260,7 @@ def test_cell_index_nearest_node_as_the_tree(n, extent):
     # targets inside and outside the node box.
     rng = np.random.default_rng(31)
     nodes = rng.uniform(-extent, extent, size=(n, 2))
-    index = _CellIndex(nodes, 0.1)
+    index = CellIndex(nodes, 0.1)
     tree = cKDTree(nodes)
     for t in rng.uniform(-1.5 * extent, 1.5 * extent, size=(200, 2)):
         assert index.nearest(t) == tree.query(t)[1]

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from helpers import full_sir_and_gradient, rowwise_membership
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from macgeo import reception
 from macgeo.errors import (MacGeoError, NonClosureError,
@@ -18,8 +20,8 @@ from macgeo.reception import (ContourTrace, RasterCounts, grid_range,
                               max_range_membership, membership_grid,
                               normalized_range, origin_index,
                               point_in_polygon, trace_contour, trace_summary)
-from macgeo.spatial import (GridSpec, PointSet, covering_radius, gen_grid,
-                            gen_poisson)
+from macgeo.spatial import (CellIndex, GridSpec, PointSet, covering_radius,
+                            gen_grid, gen_poisson)
 
 APOLLO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 10.0)
 
@@ -565,6 +567,102 @@ def test_membership_logs_decision_counts(caplog):
     cells, block, interval, full = map(int, m.groups())
     assert cells == 1600 and block + interval + full == cells
     assert block > 0 and interval > 0
+
+
+def labelled_range(i, ps, model, extent, n):
+    """max_range_membership by scipy's labelling: the farthest cell of the
+    4-connected component of the raster cell n // 2 (which holds the
+    transmitter), or of the member cell nearest to it."""
+    xs, ys, member = membership_grid(i, ps, model, extent, n)
+    labels, _ = ndimage.label(member)
+    zi = ps.points[i]
+    home = labels[n // 2, n // 2]
+    if home == 0:
+        yy, xx = np.nonzero(member)
+        k = np.argmin((xs[xx] - zi[0]) ** 2 + (ys[yy] - zi[1]) ** 2)
+        home = labels[yy[k], xx[k]]
+    yy, xx = np.nonzero(labels == home)
+    return float(np.hypot(xs[xx] - zi[0], ys[yy] - zi[1]).max())
+
+
+@pytest.mark.parametrize("kind,beta,n", [
+    ("square", 0.05, 400), ("square", 1e-5, 384), ("triangular", 0.2, 151),
+    ("hexagonal", 0.5, 64), ("rectangular", 0.05, 97), ("poisson", 0.05, 200),
+    ("poisson", 0.5, 33)])
+def test_membership_range_as_labelled(kind, beta, n, raster_sets):
+    # The row-run components and run ends give scipy's labelling's range,
+    # bit for bit, at even and odd n.
+    ps = raster_sets[kind]
+    i = origin_index(ps)
+    model = ChannelModel(4.0, beta)
+    extent = (8.0 if beta < 0.01 else 4.0) * ps.scale
+    assert max_range_membership(i, ps, model, extent, n) == \
+        labelled_range(i, ps, model, extent, n)
+
+
+def test_membership_range_starts_in_the_transmitter_cell():
+    # On a 3 x 3 raster the centre cell holds the transmitter, but its x
+    # and y round 3e-17 below the transmitter's, where a search over the
+    # cell centres took the corner cell [2, 2] (range 0.943).
+    # Interferers on the four edge cells leave the centre and each corner
+    # a component of its own, so the range is the centre's distance.
+    zi, extent, n = 0.1, 1.0, 3
+    xs = zi - extent + (np.arange(n) + 0.5) * (2.0 * extent / n)
+    assert xs[1] < zi
+    ps = PointSet(np.array([(zi, zi), (xs[2], xs[1]), (xs[0], xs[1]),
+                            (xs[1], xs[2]), (xs[1], xs[0])]), 5 / 16, 2.0)
+    model = ChannelModel(4.0, 0.05)
+    member = membership_grid(0, ps, model, extent, n)[2]
+    assert np.array_equal(member, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    r = max_range_membership(0, ps, model, extent, n)
+    assert r == math.hypot(xs[1] - zi, xs[1] - zi) < 1e-16
+
+
+def test_membership_range_falls_back_to_the_nearest_member():
+    # An interferer on the centre of the transmitter's own cell [2, 2]
+    # makes it a non-member; the range is then that of the member cell
+    # nearest to the transmitter (one of three at 0.707, the first in
+    # row-major order).
+    ps = PointSet(np.array([(0.0, 0.0), (0.5, 0.5), (-1.5, 1.5)]), 3 / 16,
+                  2.0)
+    model = ChannelModel(4.0, 1.0)
+    member = membership_grid(0, ps, model, 2.0, 4)[2]
+    assert not member[2, 2] and member.any()
+    r = max_range_membership(0, ps, model, 2.0, 4)
+    assert r == labelled_range(0, ps, model, 2.0, 4)
+
+
+def test_membership_range_refuses_an_empty_region():
+    ps = PointSet(np.array([(0.0, 0.0), (3.0, 3.0)]), 2 / 16, 4.0)
+    model = ChannelModel(4.0, 1e12)
+    assert not membership_grid(0, ps, model, 2.0, 4)[2].any()
+    with pytest.raises(MacGeoError, match="empty reception region"):
+        max_range_membership(0, ps, model, 2.0, 4)
+
+
+@pytest.mark.parametrize("kind", ["square", "rectangular", "poisson"])
+def test_block_test_neighbours_are_the_nearest(kind, raster_sets):
+    # The block test's k nearest, taken from the batched disc query,
+    # against cKDTree's query(k=): the same distances, and the same points
+    # wherever the k-th and (k + 1)-th distances differ.  Centres reach
+    # past the set's box, where the disc doubles.
+    ps = raster_sets[kind]
+    rng = np.random.default_rng(53)
+    lim = 1.5 * ps.extent
+    centers = np.vstack((rng.uniform(-lim, lim, size=(300, 2)),
+                         ps.points[:10]))
+    tree = cKDTree(ps.points)
+    for k in (1, 9, 40):
+        dist, idx = reception._k_nearest(CellIndex(ps.points, 0.0), centers,
+                                         k, ps.scale)
+        order = np.argsort(dist, axis=1)
+        dist = np.take_along_axis(dist, order, axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        want_d, want_i = tree.query(centers, k=k + 1)
+        np.testing.assert_array_equal(dist, want_d[:, :k])
+        apart = want_d[:, k - 1] < want_d[:, k]
+        np.testing.assert_array_equal(np.sort(idx[apart], axis=1),
+                                      np.sort(want_i[apart, :k], axis=1))
 
 
 @pytest.fixture(scope="module")

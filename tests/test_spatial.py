@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from helpers import hull_grid, matmul_pose_grid, rescale
 from scipy import stats
+from scipy.spatial import cKDTree
 
 from macgeo import spatial
-from macgeo.spatial import (GRID_KINDS, MAX_POINTS, GridSpec, PointSet,
-                            covering_radius, gen_grid, gen_poisson,
+from macgeo.spatial import (GRID_KINDS, MAX_POINTS, CellIndex, GridSpec,
+                            PointSet, covering_radius, gen_grid, gen_poisson,
                             grid_density, lattice_near, lattice_points,
                             window_points, with_pose)
 
@@ -31,7 +32,7 @@ def test_covering_radius_is_the_farthest_nearest_distance(spec):
     ps = gen_grid(spec, 8.0 * r)
     g = np.linspace(-2.0 * r, 2.0 * r, 801)
     z = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    far = ps.tree.query(z)[0].max()
+    far = cKDTree(ps.points).query(z)[0].max()
     assert r * (1 - 1e-2) < far <= r * (1 + 1e-12)
 
 
@@ -338,6 +339,44 @@ def test_lattice_near_poses_one_point_within_a_tenth():
     posed = random_poses(GridSpec("square", 1.0), rng, 1)[0]
     centres = rng.uniform(-5.0, 5.0, size=(50, 2))
     assert lattice_near(posed, centres, 0.1 * (1.0 + 1e-6)).shape == (50, 2)
+
+
+# A rotated lattice window and a Poisson set, against scipy's k-d tree.
+WITHIN_SETS = {
+    "lattice": lambda: window_points(GridSpec("triangular", 1.0, rotation=0.3,
+                                              translation=(0.2, -0.1)), 12.0),
+    "poisson": lambda: gen_poisson(1.0, 12.0, 7).points,
+}
+
+
+@pytest.mark.parametrize("name", WITHIN_SETS)
+def test_cell_index_within_as_the_tree(name):
+    # The batched disc query keeps what query_ball_point keeps, with
+    # d2 = dx*dx + dy*dy, for centres inside, on and outside the set's
+    # box and on its points, at radii from below a spacing to the whole
+    # box and at one centre's exact distance to a point.
+    pts = WITHIN_SETS[name]()
+    rng = np.random.default_rng(47)
+    centres = np.vstack((rng.uniform(-14.0, 14.0, size=(200, 2)), pts[:20],
+                         [(-12.0, -12.0), (12.0, 12.0), (0.0, 12.0)]))
+    index = CellIndex(pts, 0.0)
+    tree = cKDTree(pts)
+    exact = math.sqrt((pts[5, 0] - centres[0, 0]) ** 2
+                      + (pts[5, 1] - centres[0, 1]) ** 2)
+    fill = len(pts)
+    for R in (0.3, 1.0, 2.5, 40.0, exact):
+        idx, d2 = index.within(centres, R, fill)
+        assert idx.shape == d2.shape and idx.shape[1] >= 1
+        assert np.array_equal(idx == fill, np.isinf(d2))
+        for c, row, drow in zip(centres, idx, d2):
+            want = np.sort(tree.query_ball_point(c, R))
+            got = row[row != fill]
+            np.testing.assert_array_equal(np.sort(got), want)
+            dx, dy = pts[got, 0] - c[0], pts[got, 1] - c[1]
+            np.testing.assert_array_equal(drow[row != fill], dx * dx + dy * dy)
+        assert idx.shape[1] == max(1, max(len(r) for r in
+                                          tree.query_ball_point(centres, R)))
+    assert 5 in idx[0]
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
