@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propagation import ChannelModel, beaten, first_decoder
-from .spatial import (_CELL_SLACK, CellIndex, GridSpec, PointSet,
+from .spatial import (CELL_SLACK, CellIndex, GridSpec, PointSet,
                       check_budget, grid_density, lattice_near,
                       lattice_points, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
@@ -163,9 +163,9 @@ def _holder_snaps(nodes: np.ndarray, index: CellIndex, spec: GridSpec,
     poses and snaps the window's.  A point snaps to a holder only within
     r of it by the snap's own arithmetic, so only those points are
     snapped."""
-    # Widened by _CELL_SLACK, which covers the rounding of the holders'
+    # Widened by CELL_SLACK, which covers the rounding of the holders'
     # lattice coordinates.
-    k = lattice_near(spec, nodes[holders], r * (1.0 + _CELL_SLACK))
+    k = lattice_near(spec, nodes[holders], r * (1.0 + CELL_SLACK))
     pts = lattice_points(spec, k, extent)
     dx = nodes[holders, 0] - pts[:, :1]
     dy = nodes[holders, 1] - pts[:, 1:]

@@ -41,8 +41,8 @@ from .errors import (MacGeoError, NonClosureError, StationaryPointError,
 from .propagation import (DECODE_MARGIN, SINGULARITY_GUARD, ChannelModel,
                           Field, _chunks, decodes, fading_success_prob, sir,
                           sir_and_gradient)
-from .spatial import (CellIndex, GridSpec, PointSet, _gather, check_budget,
-                      covering_radius, gen_grid, grid_density)
+from .spatial import (CellIndex, GridSpec, PointSet, check_budget,
+                      covering_radius, gather, gen_grid, grid_density)
 
 _log = logging.getLogger(__name__)
 _GRAD_FLOOR = 1e-15
@@ -395,8 +395,10 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
 
     # Block test.
     index = CellIndex(pts, 0.0)
-    dist, idx = _k_nearest(index, centers,
-                           min(RASTER_NEIGHBORS + 1, len(pts)), ps.scale)
+    k = min(RASTER_NEIGHBORS + 1, len(pts))
+    # The first disc holds 1.25 k points on average.
+    dist, idx = index.k_nearest(centers, k,
+                                math.sqrt(1.25 * k / math.pi) * ps.scale)
     dist[idx == i] = np.inf
     dc = np.hypot(centers[:, 0] - pts[i, 0], centers[:, 1] - pts[i, 1])
     fail = (-alpha * np.log((dc - delta) * inv_s)
@@ -432,30 +434,6 @@ def _settle_blocks(i, ps, model, centers, bxs, bys, delta, state):
     s[(s == _OPEN) & (lg - np.logaddexp(ln, lhi) >= win)] = _MEMBER
     s[(s == _OPEN) & (lg - np.logaddexp(ln, llo) < lose)] = _FAILED
     state[live] = s
-
-
-def _k_nearest(index: CellIndex, centers: np.ndarray, k: int,
-               scale: float):
-    """(dist, idx) of the k nearest points of each center, unordered:
-    the k nearest of its disc of radius R, by argpartition, once the disc
-    holds k points, so that every nearer point is in it.  R starts at
-    sqrt(1.25 k / pi) scales, where a disc holds 1.25 k points on
-    average, and doubles for the centers whose disc holds fewer."""
-    dist = np.empty((len(centers), k))
-    idx = np.empty((len(centers), k), dtype=np.intp)
-    rows = np.arange(len(centers))
-    R = math.sqrt(1.25 * k / math.pi) * scale
-    while rows.size:
-        near, d2 = index.within(centers[rows], R, 0)
-        done = np.count_nonzero(d2 <= R * R, axis=1) >= k
-        if done.any():
-            part = np.argpartition(d2[done], k - 1, axis=1)[:, :k]
-            idx[rows[done]] = np.take_along_axis(near[done], part, axis=1)
-            dist[rows[done]] = np.sqrt(np.take_along_axis(d2[done], part,
-                                                          axis=1))
-        rows = rows[~done]
-        R *= 2.0
-    return dist, idx
 
 
 def _cell_sums(i, ps, alpha, centers, bx, by, nidx):
@@ -587,7 +565,7 @@ def _run_components(member: np.ndarray):
     # each row's last one.
     start, end = np.flatnonzero(flat[1:] != flat[:-1]).reshape(-1, 2).T
     lo = np.searchsorted(end, start - w, side="right")
-    a, lens = _gather(lo, np.maximum(np.searchsorted(start, end - w), lo))
+    a, lens = gather(lo, np.maximum(np.searchsorted(start, end - w), lo))
     b = np.repeat(np.arange(len(start)), lens)
     labels = np.arange(len(start))
     while True:

@@ -26,10 +26,7 @@ MAX_POINTS = 2_000_000
 # relative slack; a snap block reaches half of it past the radius, and a
 # disc's block all of it.  That covers the rounding of the cell
 # arithmetic (about 1e-13 of a cell at any budget).
-_CELL_SLACK = 1e-6
-# Nodes a batched disc query gathers at a time: temporaries of this size
-# stay in cache.
-_GATHER_CHUNK = 1 << 15
+CELL_SLACK = 1e-6
 
 # Boundary test tolerance, relative to the lattice parameter: points that
 # land on the window edge up to rotation round-off are kept.
@@ -168,7 +165,7 @@ def check_budget(count: float, what: str) -> None:
         raise ValueError(f"{count:.3g} {what} exceed the budget of {MAX_POINTS}")
 
 
-def _gather(a: np.ndarray, b: np.ndarray):
+def gather(a: np.ndarray, b: np.ndarray):
     """The ranges a[k]:b[k], concatenated, and the length of each."""
     lens = b - a
     ends = np.cumsum(lens)
@@ -183,7 +180,7 @@ class CellIndex:
     radius, 0 where no snap is asked.
 
     The nodes' bounding box is cut into square cells of side at least
-    2 radius (1 + _CELL_SLACK) and at least (longer box side) / sqrt(n),
+    2 radius (1 + CELL_SLACK) and at least (longer box side) / sqrt(n),
     so there are no more cells than nodes; the last row and column take
     the remainder.  The nodes are sorted row-major by cell, with a CSR
     ``start`` array (cell c holds the sorted positions
@@ -204,10 +201,10 @@ class CellIndex:
         n = len(nodes)
         self._lo = nodes.min(axis=0)
         span = nodes.max(axis=0) - self._lo
-        side = max(2.0 * radius * (1.0 + _CELL_SLACK),
+        side = max(2.0 * radius * (1.0 + CELL_SLACK),
                    span.max() / math.sqrt(n))
         self.side = side if side > 0 else 1.0
-        self._reach = radius * (1.0 + 0.5 * _CELL_SLACK)
+        self._reach = radius * (1.0 + 0.5 * CELL_SLACK)
         # Cells along x (columns) and along y (rows).
         self._n = np.maximum(1, (span // self.side).astype(np.intp))
         cols, rows = (int(k) for k in self._n)
@@ -250,7 +247,7 @@ class CellIndex:
             a[:, j] = self.start[base + c0]
             b[:, j] = self.start[base + c1 + 1]
         b[r1 == r0, 1] = a[r1 == r0, 1]
-        pos, lens = _gather(a.ravel(), b.ravel())
+        pos, lens = gather(a.ravel(), b.ravel())
         cnt = lens.reshape(-1, 2).sum(axis=1)
         d2 = self._squared(pos, np.repeat(x, cnt), np.repeat(y, cnt))
         best = np.full(len(pts), np.inf)
@@ -265,64 +262,47 @@ class CellIndex:
         idx[owner[first]] = self.order[pos[at[first]]]
         return np.sqrt(best), idx
 
-    def _around(self, cx: float, cy: float, R: float):
-        """Sorted positions of the block of cells that holds the disc of
-        radius R about (cx, cy), and their squared distances: the
-        one-point form of :meth:`_around_each`, some 20 us a call
-        cheaper, for the candidate disc each relay step asks."""
-        e = R * (1.0 + _CELL_SLACK)
-        c0, c1 = self._cells((cx - e, cx + e), 0)
-        r0, r1 = self._cells((cy - e, cy + e), 1)
-        base = np.arange(r0, r1 + 1) * self._n[0]
-        pos = _gather(self.start[base + c0], self.start[base + c1 + 1])[0]
-        return pos, self._squared(pos, cx, cy)
-
-    def _around_each(self, x: np.ndarray, y: np.ndarray, R: float):
+    def _around(self, x: np.ndarray, y: np.ndarray, R: float):
         """Sorted positions of the block of cells that holds the disc of
         radius R about each point (x[j], y[j]), one slice per cell row,
         the blocks concatenated; their squared distances; and the end of
         each point's block in them."""
-        e = R * (1.0 + _CELL_SLACK)
+        e = R * (1.0 + CELL_SLACK)
         c0, c1 = self._cells((x - e, x + e), 0)
         r0, r1 = self._cells((y - e, y + e), 1)
         rows = r1 - r0 + 1
         base = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows - r0,
                                                   rows)
         base *= self._n[0]
-        pos, lens = _gather(self.start[base + np.repeat(c0, rows)],
-                            self.start[base + np.repeat(c1 + 1, rows)])
+        pos, lens = gather(self.start[base + np.repeat(c0, rows)],
+                           self.start[base + np.repeat(c1 + 1, rows)])
         lens = np.add.reduceat(lens, np.cumsum(rows) - rows)
         return pos, self._squared(pos, np.repeat(x, lens),
                                   np.repeat(y, lens)), np.cumsum(lens)
 
+    def _around_one(self, p, R: float):
+        """Sorted positions and squared distances of the block of cells
+        that holds the disc of radius R about the point p."""
+        return self._around(np.array([float(p[0])]), np.array([float(p[1])]),
+                            R)[:2]
+
     def disc(self, c, R: float) -> np.ndarray:
         """Sorted indices of the nodes within R of the point c, kept when
         d2 <= R*R."""
-        pos, d2 = self._around(float(c[0]), float(c[1]), R)
+        pos, d2 = self._around_one(c, R)
         return np.sort(self.order[pos[d2 <= R * R]])
 
     def within(self, centers: np.ndarray, R: float, fill: int):
         """(idx, d2): the nodes within R of each of the (m, 2) centers,
         kept when d2 <= R*R, as (m, k) arrays, k the largest count (at
         least 1).  Row j holds centre j's nodes in the index's sorted
-        order, then ``fill`` and inf.  The discs are gathered for about
-        _GATHER_CHUNK nodes of centres at a time."""
-        x, y = centers[:, 0], centers[:, 1]
-        # Nodes in a centre's block: its cells times the mean per cell.
-        block = ((2.0 * R / self.side + 2.0) ** 2 * len(self.order)
-                 / (len(self.start) - 1))
-        step = max(1, int(_GATHER_CHUNK / block))
-        cnt = np.empty(len(centers), dtype=np.intp)
-        kept = []
-        for j in range(0, len(centers), step):
-            sl = slice(j, j + step)
-            pos, d2, ends = self._around_each(x[sl], y[sl], R)
-            keep = d2 <= R * R
-            ck = np.zeros(len(keep) + 1, dtype=np.intp)
-            np.cumsum(keep, out=ck[1:])
-            cnt[sl] = np.diff(ck[ends], prepend=0)
-            kept.append((pos[keep], d2[keep]))
-        pos, d2 = (np.concatenate(a) for a in zip(*kept))
+        order, then ``fill`` and inf."""
+        pos, d2, ends = self._around(centers[:, 0], centers[:, 1], R)
+        keep = d2 <= R * R
+        ck = np.zeros(len(keep) + 1, dtype=np.intp)
+        np.cumsum(keep, out=ck[1:])
+        cnt = np.diff(ck[ends], prepend=0)
+        pos, d2 = pos[keep], d2[keep]
         k = max(int(cnt.max(initial=0)), 1)
         at = np.arange(len(pos)) + np.repeat(
             np.arange(0, len(cnt) * k, k) - (np.cumsum(cnt) - cnt), cnt)
@@ -332,6 +312,27 @@ class CellIndex:
         dist2.ravel()[at] = d2
         return idx, dist2
 
+    def k_nearest(self, centers: np.ndarray, k: int, R: float):
+        """(dist, idx) of the k nearest nodes of each of the (m, 2)
+        centers, unordered, for k at most the number of nodes: the k
+        nearest of its disc of radius R, by argpartition, once the disc
+        holds k nodes, so that every nearer node is in it.  R doubles for
+        the centres whose disc holds fewer."""
+        dist = np.empty((len(centers), k))
+        idx = np.empty((len(centers), k), dtype=np.intp)
+        rows = np.arange(len(centers))
+        while rows.size:
+            near, d2 = self.within(centers[rows], R, 0)
+            done = np.count_nonzero(d2 <= R * R, axis=1) >= k
+            if done.any():
+                part = np.argpartition(d2[done], k - 1, axis=1)[:, :k]
+                idx[rows[done]] = np.take_along_axis(near[done], part, axis=1)
+                dist[rows[done]] = np.sqrt(np.take_along_axis(d2[done], part,
+                                                              axis=1))
+            rows = rows[~done]
+            R *= 2.0
+        return dist, idx
+
     def nearest(self, p) -> int:
         """Index of the node nearest to the point p, the first in sorted
         order on a tie: the disc block of radius R, R from one cell side
@@ -339,7 +340,7 @@ class CellIndex:
         every nearer node is in the block."""
         R = self.side
         while True:
-            pos, d2 = self._around(float(p[0]), float(p[1]), R)
+            pos, d2 = self._around_one(p, R)
             if pos.size:
                 j = int(np.argmin(d2))
                 if d2[j] <= R * R:

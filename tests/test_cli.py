@@ -131,8 +131,8 @@ def test_grid_range_membership_fallback(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is imported where it is used, so a command that needs none of
-    # it starts without it; the log-uniform ALOHA path (E1 and all) is one.
+    # The package imports no scipy; this names a command that would show
+    # it should scipy come back: the log-uniform ALOHA path, E1 and all.
     src = os.path.dirname(os.path.dirname(macgeo.__file__))
     code = ("import sys, macgeo, macgeo.cli; "
             "macgeo.cli.main(['aloha-curve', '--fading', 'log-uniform:1', "
@@ -148,8 +148,9 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_simulate_loads_no_scipy_spatial(tmp_path):
-    # The simulator's neighbour queries run on its own cell index, so a
-    # simulate run never imports scipy's k-d tree.
+    # The package imports no scipy; this names a command that would show
+    # it should scipy.spatial come back: simulate, whose neighbour queries
+    # run on spatial.CellIndex in place of a k-d tree.
     src = os.path.dirname(os.path.dirname(macgeo.__file__))
     code = ("import sys, macgeo.cli; "
             "rc = macgeo.cli.main(['simulate', '--nu', '100', '--extent', '4', "

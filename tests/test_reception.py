@@ -653,8 +653,8 @@ def test_block_test_neighbours_are_the_nearest(kind, raster_sets):
                          ps.points[:10]))
     tree = cKDTree(ps.points)
     for k in (1, 9, 40):
-        dist, idx = reception._k_nearest(CellIndex(ps.points, 0.0), centers,
-                                         k, ps.scale)
+        dist, idx = CellIndex(ps.points, 0.0).k_nearest(
+            centers, k, math.sqrt(1.25 * k / math.pi) * ps.scale)
         order = np.argsort(dist, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
         idx = np.take_along_axis(idx, order, axis=1)
