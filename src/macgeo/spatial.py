@@ -209,17 +209,26 @@ class CellIndex:
         self._n = np.maximum(1, (span // self.side).astype(np.intp))
         cols, rows = (int(k) for k in self._n)
         check_budget(cols * rows, "cells of the node index")
-        cell = self._cells(nodes[:, 1], 1) * cols + self._cells(nodes[:, 0], 0)
+        col, row = self._cells(nodes).T
+        cell = row * cols + col
         self.order = np.argsort(cell, kind="stable")
         self.start = np.zeros(cols * rows + 1, dtype=np.intp)
         np.cumsum(np.bincount(cell, minlength=cols * rows), out=self.start[1:])
         self.x = nodes[self.order, 0]
         self.y = nodes[self.order, 1]
 
-    def _cells(self, v, axis: int):
-        """Cell coordinates along ``axis`` (0: column, 1: row) of v."""
-        k = np.floor((np.asarray(v) - self._lo[axis]) / self.side)
-        return np.clip(k, 0, self._n[axis] - 1).astype(np.intp)
+    def _cells(self, v: np.ndarray) -> np.ndarray:
+        """Cell coordinates (column, row) of the points v, shape (..., 2)."""
+        k = np.floor((v - self._lo) / self.side)
+        # np.clip costs several times more on the few points of a query.
+        np.maximum(k, 0, out=k)
+        return np.minimum(k, self._n - 1).astype(np.intp)
+
+    def _blocks(self, pts: np.ndarray, e: float):
+        """c0, r0, c1, r1: the cells of the corners (x - e, y - e) and
+        (x + e, y + e) of each of the (m, 2) points."""
+        c = self._cells(np.stack((pts - e, pts + e)))
+        return c[0, :, 0], c[0, :, 1], c[1, :, 0], c[1, :, 1]
 
     def _squared(self, pos: np.ndarray, x, y) -> np.ndarray:
         """d2 from the nodes at sorted positions pos to (x, y)."""
@@ -238,8 +247,7 @@ class CellIndex:
         holds its disc of the snap reach, two slices per point (the
         second empty when the disc spans one cell row)."""
         x, y = pts[:, 0], pts[:, 1]
-        c0, c1 = self._cells((x - self._reach, x + self._reach), 0)
-        r0, r1 = self._cells((y - self._reach, y + self._reach), 1)
+        c0, r0, c1, r1 = self._blocks(pts, self._reach)
         a = np.empty((len(pts), 2), dtype=np.intp)
         b = np.empty_like(a)
         for j, row in enumerate((r0, r1)):
@@ -262,34 +270,26 @@ class CellIndex:
         idx[owner[first]] = self.order[pos[at[first]]]
         return np.sqrt(best), idx
 
-    def _around(self, x: np.ndarray, y: np.ndarray, R: float):
+    def _around(self, pts: np.ndarray, R: float):
         """Sorted positions of the block of cells that holds the disc of
-        radius R about each point (x[j], y[j]), one slice per cell row,
+        radius R about each of the (m, 2) points, one slice per cell row,
         the blocks concatenated; their squared distances; and the end of
         each point's block in them."""
-        e = R * (1.0 + CELL_SLACK)
-        c0, c1 = self._cells((x - e, x + e), 0)
-        r0, r1 = self._cells((y - e, y + e), 1)
+        c0, r0, c1, r1 = self._blocks(pts, R * (1.0 + CELL_SLACK))
         rows = r1 - r0 + 1
-        base = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows - r0,
-                                                  rows)
+        first = np.cumsum(rows) - rows
+        base = np.arange(rows.sum()) - np.repeat(first - r0, rows)
         base *= self._n[0]
         pos, lens = gather(self.start[base + np.repeat(c0, rows)],
                            self.start[base + np.repeat(c1 + 1, rows)])
-        lens = np.add.reduceat(lens, np.cumsum(rows) - rows)
-        return pos, self._squared(pos, np.repeat(x, lens),
-                                  np.repeat(y, lens)), np.cumsum(lens)
-
-    def _around_one(self, p, R: float):
-        """Sorted positions and squared distances of the block of cells
-        that holds the disc of radius R about the point p."""
-        return self._around(np.array([float(p[0])]), np.array([float(p[1])]),
-                            R)[:2]
+        lens = np.add.reduceat(lens, first)
+        return pos, self._squared(pos, np.repeat(pts[:, 0], lens),
+                                  np.repeat(pts[:, 1], lens)), np.cumsum(lens)
 
     def disc(self, c, R: float) -> np.ndarray:
         """Sorted indices of the nodes within R of the point c, kept when
         d2 <= R*R."""
-        pos, d2 = self._around_one(c, R)
+        pos, d2, _ = self._around(np.asarray(c, dtype=float).reshape(1, 2), R)
         return np.sort(self.order[pos[d2 <= R * R]])
 
     def within(self, centers: np.ndarray, R: float, fill: int):
@@ -297,7 +297,7 @@ class CellIndex:
         kept when d2 <= R*R, as (m, k) arrays, k the largest count (at
         least 1).  Row j holds centre j's nodes in the index's sorted
         order, then ``fill`` and inf."""
-        pos, d2, ends = self._around(centers[:, 0], centers[:, 1], R)
+        pos, d2, ends = self._around(centers, R)
         keep = d2 <= R * R
         ck = np.zeros(len(keep) + 1, dtype=np.intp)
         np.cumsum(keep, out=ck[1:])
@@ -338,9 +338,10 @@ class CellIndex:
         order on a tie: the disc block of radius R, R from one cell side
         doubled until the block's nearest node lies within R, so that
         every nearer node is in the block."""
+        p = np.asarray(p, dtype=float).reshape(1, 2)
         R = self.side
         while True:
-            pos, d2 = self._around_one(p, R)
+            pos, d2, _ = self._around(p, R)
             if pos.size:
                 j = int(np.argmin(d2))
                 if d2[j] <= R * R:
