@@ -22,7 +22,9 @@ Sweeps: ``--sweep <param> --values a,b,c`` repeats a row-producing command
 (grid-range, optimize) once per value and writes one CSV row per value.
 
 Exit codes: 0 ok, 2 usage, 3 invalid parameter or unreadable config,
-4 unwritable output, 5 numerical signal from the library.
+4 unwritable output, 5 numerical signal from the library (such as a
+``field`` Poisson draw with no transmitter, or a W raster cell past the
+float range).
 
 Outputs are plot-ready CSV, or JSON for ``--format json`` on grid-range
 and optimize; ``--out`` defaults to ``<command>.<format>``, and a relative
@@ -113,7 +115,8 @@ def _grid_range_value(params) -> dict:
 
 
 def _write_csv(path, header, lines) -> None:
-    """The one CSV writer: a header line, then one line per string."""
+    """The one CSV writer: a header line, then each string ended by a
+    newline (a string may hold several lines)."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line + "\n" for line in lines)
@@ -307,12 +310,13 @@ def _cmd_field(cfg: RunConfig) -> str:
     xs, ys, vals = raster_field(ps, model.alpha, window, p["n"],
                                 quantity=p["quantity"], i=i)
     # Each coordinate is formatted once, not once per cell, and one row
-    # of vals (indexed [iy, ix]) is boxed at a time.
+    # of vals (indexed [iy, ix]) is boxed and joined into one string at a
+    # time.
     xf = [f"{x:.12g}," for x in xs.tolist()]
     yf = [f"{y:.12g}," for y in ys.tolist()]
-    lines = (f"{x}{y}{v:.12g}" for y, line in zip(yf, vals)
-             for x, v in zip(xf, line.tolist()))
-    _write_csv(cfg.output_path, ["x", "y", "value"], lines)
+    rows = ("\n".join([f"{x}{y}{v:.12g}" for x, v in zip(xf, line.tolist())])
+            for y, line in zip(yf, vals))
+    _write_csv(cfg.output_path, ["x", "y", "value"], rows)
     return f"field: {p['n']}x{p['n']} raster -> {cfg.output_path}"
 
 

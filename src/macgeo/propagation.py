@@ -335,22 +335,28 @@ def _squared_distances(rx: np.ndarray, pts: np.ndarray,
     return np.maximum(d2, guard2, out=d2)
 
 
+def _normalize(d2: np.ndarray, i: int, alpha: float):
+    """(g, w) of each row of the clamped squared distances d2: the signal
+    of column i and the interference of the rest, with squared distances
+    normalized by the row's nearest one, so that extreme alpha neither
+    overflows nor underflows.  d2 is overwritten."""
+    a = -0.5 * alpha
+    s0 = d2.min(axis=1)
+    g = (d2[:, i] / s0) ** a
+    d2[:, i] = np.inf
+    d2 /= s0[:, None]
+    np.power(d2, a, out=d2)
+    return g, d2.sum(axis=1)
+
+
 def _normalized_sums(rx: np.ndarray, pts: np.ndarray, i: int, alpha: float,
                      guard2: float):
-    """(g, w) at each receiver of rx: the signal of i and the interference
-    of the rest, with squared distances normalized by the receiver's
-    nearest one, so that extreme alpha neither overflows nor underflows."""
-    a = -0.5 * alpha
+    """(g, w) at each receiver of rx (see :func:`_normalize`)."""
     g = np.empty(len(rx))
     w = np.empty(len(rx))
     for sl in _chunks(len(rx), len(pts)):
-        d2 = _squared_distances(rx[sl], pts, guard2)
-        s0 = d2.min(axis=1)
-        g[sl] = (d2[:, i] / s0) ** a
-        d2[:, i] = np.inf
-        d2 /= s0[:, None]
-        np.power(d2, a, out=d2)
-        w[sl] = d2.sum(axis=1)
+        g[sl], w[sl] = _normalize(_squared_distances(rx[sl], pts, guard2), i,
+                                  alpha)
     return g, w
 
 
@@ -530,11 +536,17 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     [-extent, extent]^2.
 
     Sample points are offset half a cell so they never coincide with
-    on-lattice transmitters.  W is the plain sum of the powers.  The SIR
-    leaves transmitter i out of the interference sum and normalizes each
-    sample's distances by its nearest one, as :func:`decodes` does, so it
-    is scale-free at any alpha.  Returns (xs, ys, values) with values
-    indexed [iy, ix].
+    on-lattice transmitters.  W is the plain sum of the powers; a cell
+    whose sum passes the float range raises :class:`FloatRangeError`.  The
+    SIR leaves transmitter i out of the interference sum and normalizes
+    each sample's distances by its nearest one, as :func:`decodes` does,
+    so it is scale-free at any alpha; it is inf where the interference is
+    zero (no interferer, or powers below the float range).  Returns (xs,
+    ys, values) with values indexed [iy, ix].
+
+    The columns are taken in blocks of CHUNK entries or fewer (one column
+    at least).  A block's squared x-offsets to the transmitters are taken
+    once; each row then adds its squared y-offsets into one reused buffer.
     """
     if quantity not in ("w", "sir"):
         raise ValueError("quantity must be 'w' or 'sir'")
@@ -546,24 +558,33 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     step = 2.0 * extent / n
     xs = -extent + (np.arange(n) + 0.5) * step
     ys = xs.copy()
-    pts = ps.points
+    px, py = ps.points.T
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     vals = np.empty((n, n))
-    for iy, y in enumerate(ys):
-        if quantity == "sir":
-            rx = np.column_stack((xs, np.full(n, y)))
-            g, w = _normalized_sums(rx, pts, i, alpha, guard2)
-            with np.errstate(divide="ignore"):
-                vals[iy] = np.where(w > 0, g / w, np.inf)
-            continue
-        # The cells of a row share y, so its squares are taken once per
-        # transmitter, not once per cell.
-        dy2 = (y - pts[:, 1]) ** 2
-        for sl in _chunks(n, len(pts)):
-            d2 = xs[sl, None] - pts[:, 0]
-            d2 *= d2
-            d2 += dy2
-            np.maximum(d2, guard2, out=d2)
-            np.power(d2, -0.5 * alpha, out=d2)
-            vals[iy, sl] = d2.sum(axis=1)
+    cols = min(n, max(1, CHUNK // max(len(px), 1)))
+    dx2_buf, d2_buf = np.empty((cols, len(px))), np.empty((cols, len(px)))
+    dy2 = np.empty(len(px))
+    # W passes the float range only by overflow, refused below; the SIR
+    # divides by a zero interference.
+    quiet = {"divide": "ignore"} if quantity == "sir" else {"over": "ignore"}
+    with np.errstate(**quiet):
+        for sl in _chunks(n, len(px)):
+            x = xs[sl]
+            dx2, d2 = dx2_buf[:len(x)], d2_buf[:len(x)]
+            np.subtract.outer(x, px, out=dx2)
+            np.multiply(dx2, dx2, out=dx2)
+            for iy, y in enumerate(ys.tolist()):
+                np.subtract(y, py, out=dy2)
+                np.multiply(dy2, dy2, out=dy2)
+                np.add(dx2, dy2, out=d2)
+                np.maximum(d2, guard2, out=d2)
+                if quantity == "sir":
+                    g, w = _normalize(d2, i, alpha)
+                    vals[iy, sl] = np.where(w > 0, g / w, np.inf)
+                else:
+                    np.power(d2, -0.5 * alpha, out=d2)
+                    vals[iy, sl] = d2.sum(axis=1)
+    if quantity == "w" and not np.isfinite(vals).all():
+        raise FloatRangeError(f"W at alpha = {alpha:g} passes the float "
+                              "range at some raster cell")
     return xs, ys, vals

@@ -581,8 +581,12 @@ def _run_components(member: np.ndarray):
 
 
 def origin_index(ps: PointSet, at=(0.0, 0.0)) -> int:
-    """Index of the transmitter closest to ``at`` (the probe)."""
+    """Index of the transmitter closest to ``at`` (the probe); an empty
+    point set (a Poisson draw can be one) has none."""
     pts = ps.points
+    if not len(pts):
+        raise MacGeoError("empty point set: no transmitter to take as the "
+                          "probe")
     return int(np.argmin((pts[:, 0] - at[0]) ** 2 + (pts[:, 1] - at[1]) ** 2))
 
 

@@ -10,6 +10,11 @@ set; the laws behind the field kernel are checked against them.
 A membership raster decided one row at a time by the batched decision,
 independent of the library's block bounds.
 
+The field raster computed one row at a time (rowwise_raster_field), each
+row's squared distances built afresh in row chunks, independent of the
+library's column blocks that square each x-offset once per raster; the
+per-pair float operations are the same, so the two agree bit for bit.
+
 The integer-hull lattice generator, independent of the library's per-row
 clipping of that hull, and the same hull posed as one (N, 2) @ R.T + t
 product, independent of the library's column pose.
@@ -52,8 +57,8 @@ import numpy as np
 from macgeo.aloha import MC_NEAREST
 from macgeo.cli import _hop_log, _write_rows_csv
 from macgeo.errors import SingularityError
-from macgeo.propagation import (EXPANSION_ORDER, SINGULARITY_GUARD, decodes,
-                                psi as psi_f, sample_fading)
+from macgeo.propagation import (CHUNK, EXPANSION_ORDER, SINGULARITY_GUARD,
+                                decodes, psi as psi_f, sample_fading)
 from macgeo.spatial import (_EDGE_TOL, GridSpec, PointSet, _basis, _pad,
                             _pose, _rotation, gen_grid, grid_density)
 
@@ -340,6 +345,46 @@ def rowwise_membership(i, ps, model, extent, n):
         rx[:, 1] = y
         member[iy] = decodes(rx, ps, i, model)
     return xs, ys, member
+
+
+def rowwise_raster_field(ps, alpha, extent, n, quantity="w", i=0):
+    """(xs, ys, values) of the n x n field raster over [-extent, extent]^2,
+    one raster row at a time: W, or the SIR of transmitter i with the
+    squared distances of each receiver normalized by its nearest one.
+    Each row's (cells x transmitters) squared distances are built afresh
+    in chunks of CHUNK entries or fewer and clamped at the singularity
+    guard; every cell's powers are summed over the whole set at once.  W
+    past the float range reads inf."""
+    step = 2.0 * extent / n
+    xs = -extent + (np.arange(n) + 0.5) * step
+    ys = xs.copy()
+    pts = ps.points
+    guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
+    a = -0.5 * alpha
+    rows = max(1, CHUNK // max(len(pts), 1))
+    vals = np.empty((n, n))
+    for iy, y in enumerate(ys):
+        dy2 = (y - pts[:, 1]) ** 2
+        for s in range(0, n, rows):
+            sl = slice(s, s + rows)
+            d2 = xs[sl, None] - pts[:, 0]
+            d2 *= d2
+            d2 += dy2
+            np.maximum(d2, guard2, out=d2)
+            if quantity == "sir":
+                s0 = d2.min(axis=1)
+                g = (d2[:, i] / s0) ** a
+                d2[:, i] = np.inf
+                d2 /= s0[:, None]
+                np.power(d2, a, out=d2)
+                w = d2.sum(axis=1)
+                with np.errstate(divide="ignore"):
+                    vals[iy, sl] = np.where(w > 0, g / w, np.inf)
+            else:
+                with np.errstate(over="ignore"):
+                    np.power(d2, a, out=d2)
+                    vals[iy, sl] = d2.sum(axis=1)
+    return xs, ys, vals
 
 
 def hull_vectors(spec, extent):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -322,6 +323,41 @@ def test_field_csv_bytes_pinned(tmp_path, monkeypatch, argv, want):
     # Rows run x fastest, then y; every number is %.12g.
     assert invoke(["field", *argv], tmp_path, monkeypatch) == EXIT_OK
     assert (tmp_path / "field.csv").read_bytes() == want.encode()
+
+
+def test_readme_field_example_bytes_pinned(tmp_path, monkeypatch):
+    # The README's Poisson W raster (200 x 200 cells over about 400
+    # transmitters) at seed 0, byte for byte.
+    argv = ["field", "--pattern", "poisson", "--lam", "1", "--alpha", "2.5",
+            "--n", "200", "--extent", "10"]
+    assert " ".join(["macgeo", *argv]) in README.read_text()
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_OK
+    data = (tmp_path / "field.csv").read_bytes()
+    assert len(data) == 995_689
+    assert hashlib.sha256(data).hexdigest() == (
+        "dd47f78a87b75f535e09413a091cb41fe9ac1b2ccc13e27fb1c1a8b10e4cb576")
+
+
+def test_field_on_an_empty_poisson_draw_exits_5(tmp_path, monkeypatch,
+                                                 capsys):
+    # At this intensity the draw holds no transmitter, so there is no probe.
+    rc = invoke(["field", "--pattern", "poisson", "--lam", "1e-9",
+                 "--extent", "3", "--n", "4"], tmp_path, monkeypatch)
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "MacGeoError" in err and "empty point set" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_field_w_past_the_float_range_exits_5(tmp_path, monkeypatch, capsys):
+    # At alpha 1000 a transmitter nearer than a unit distance to a cell
+    # sends W past the float range: that is refused, with no warning (the
+    # test suite turns RuntimeWarnings into errors), not written as inf.
+    rc = invoke(["field", "--pattern", "poisson", "--lam", "1", "--extent",
+                 "3", "--n", "2", "--alpha", "1000"], tmp_path, monkeypatch)
+    assert rc == EXIT_NUMERIC
+    assert "FloatRangeError" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -6,19 +6,21 @@ import zlib
 import numpy as np
 import pytest
 from helpers import (direct_decisions, full_sir_and_gradient, interference,
-                     rescale, running_product_expansion)
+                     rescale, rowwise_raster_field, running_product_expansion)
 
 from macgeo import propagation
 from macgeo.aloha import mc_aloha_prob
-from macgeo.errors import DivergentMomentError, MacGeoError, SingularityError
-from macgeo.propagation import (_BLOCK, DECODE_NEIGHBORS, EXPANSION_ORDER,
+from macgeo.errors import (DivergentMomentError, FloatRangeError, MacGeoError,
+                           SingularityError)
+from macgeo.propagation import (_BLOCK, CHUNK, DECODE_NEIGHBORS,
+                                EXPANSION_ORDER,
                                 NEAR_RADIUS, SINGULARITY_GUARD, VALID_RADIUS,
                                 ChannelModel, DecodeCounts,
                                 Field, decodes, fading_success_prob,
                                 first_decoder, log_psi, psi,
                                 raster_field, sample_fading, sir,
                                 sir_and_gradient)
-from macgeo.reception import lattice_probe
+from macgeo.reception import lattice_probe, origin_index
 from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
                             grid_density)
 
@@ -603,6 +605,77 @@ def test_raster_field(tmp_path):
         sirs.append(raster_field(ps, 100.0, 10.0 * d, 4, "sir", i)[2])
     assert np.all(sirs[0] > 0)
     np.testing.assert_allclose(sirs[1], sirs[0], rtol=1e-12, atol=0.0)
+
+
+# Point sets of the raster oracle test: (set, the raster's half-width, the
+# odd and even n).  Below CHUNK points each n leaves a remainder block of
+# columns; above it every block is one column.
+RASTER_SETS = {
+    "poisson": lambda: (gen_poisson(1.0, 20.0, 7), 17.0, (41, 42)),
+    "square": lambda: (gen_grid(GridSpec("square", 1.0), 30.0), 30.0,
+                       (35, 36)),
+    "hexagonal": lambda: (gen_grid(GridSpec("hexagonal", 1.0), 22.0), 20.0,
+                          (45, 46)),
+    "square-above-chunk": lambda: (gen_grid(GridSpec("square", 1.0), 128.0),
+                                   90.0, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("quantity", ["w", "sir"])
+@pytest.mark.parametrize("name", list(RASTER_SETS))
+def test_raster_field_matches_the_rowwise_raster_bit_for_bit(name, quantity):
+    # The column blocks change the order of the work, not one float
+    # operation of any cell.  A cell on a transmitter (n = 1 on a lattice)
+    # sends W at alpha 100 past the float range: refused, where the rows
+    # read inf.
+    ps, extent, ns = RASTER_SETS[name]()
+    per_block = CHUNK // len(ps)
+    assert all(n % per_block for n in ns) if per_block else len(ps) > CHUNK
+    i = origin_index(ps)
+    for alpha in (2.05, 2.5, 4.0, 100.0):
+        for n in (1, *ns):
+            want = rowwise_raster_field(ps, alpha, extent, n, quantity, i)
+            if not np.isfinite(want[2]).all() and quantity == "w":
+                with pytest.raises(FloatRangeError):
+                    raster_field(ps, alpha, extent, n, quantity, i)
+                continue
+            got = raster_field(ps, alpha, extent, n, quantity, i)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (alpha, n)
+
+
+@pytest.mark.parametrize("quantity", ["w", "sir"])
+def test_raster_field_memory_is_bounded(quantity):
+    # n * N is eight times CHUNK; no array of that size is built, only
+    # blocks of CHUNK entries or fewer besides the n x n output.
+    ps, i = lattice_probe(GridSpec("square", 1.0), 25.0)
+    n = 200
+    assert n * len(ps) > 7 * CHUNK
+    tracemalloc.start()
+    try:
+        vals = raster_field(ps, 4.0, 24.0, n, quantity, i)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(vals).all()
+    assert peak < 8 * (3 * CHUNK + n * n), peak
+
+
+def test_raster_field_w_past_the_float_range_is_refused():
+    # W sums raw powers, so a transmitter at 0.5 from a cell at alpha 2100
+    # passes the float range; refused with no warning.  The SIR normalizes
+    # and reads inf where the interference is zero: no interferer, or
+    # powers below the float range.
+    ps = two_tx()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="float range"):
+            raster_field(ps, 2100.0, 1.0, 2, "w")
+        s = raster_field(ps, 2100.0, 1.0, 2, "sir")[2]
+        assert np.array_equal(s, [[np.inf, 1.0], [np.inf, 1.0]])
+        lone = PointSet(np.array([[0.2, 0.1]]), 1.0, 1.0)
+        assert np.all(raster_field(lone, 4.0, 1.0, 3, "sir")[2] == np.inf)
+        assert np.isfinite(raster_field(lone, 4.0, 1.0, 3, "w")[2]).all()
 
 
 def test_channel_model_validation():

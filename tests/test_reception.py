@@ -299,6 +299,17 @@ def test_lattice_probe():
         lattice_probe(GridSpec("square", 1.0, translation=(12.5, 0.0)), 10.0)
 
 
+def test_origin_index_refuses_an_empty_point_set():
+    # A Poisson draw can hold no point at all; there is then no probe to
+    # name, and numpy's argmin would fail on the empty sequence.
+    empty = PointSet(np.empty((0, 2)), 1.0, 3.0)
+    with pytest.raises(MacGeoError, match="empty point set"):
+        origin_index(empty)
+    assert len(gen_poisson(1e-9, 3.0, 0)) == 0
+    with pytest.raises(MacGeoError, match="empty point set"):
+        origin_index(gen_poisson(1e-9, 3.0, 0), (1.0, 2.0))
+
+
 def test_membership_grid_budget():
     with pytest.raises(ValueError, match="budget"):
         membership_grid(0, APOLLO, ChannelModel(4.0, 1.0), 1.0, 50_000)
