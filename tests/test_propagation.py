@@ -646,8 +646,8 @@ def test_raster_field_matches_the_rowwise_raster_bit_for_bit(name, quantity):
 
 @pytest.mark.parametrize("quantity", ["w", "sir"])
 def test_raster_field_memory_is_bounded(quantity):
-    # n * N is eight times CHUNK; no array of that size is built, only
-    # blocks of CHUNK entries or fewer besides the n x n output.
+    # n * N is nearly eight times CHUNK; no array of that size is built,
+    # only blocks of CHUNK entries or fewer besides the n x n output.
     ps, i = lattice_probe(GridSpec("square", 1.0), 25.0)
     n = 200
     assert n * len(ps) > 7 * CHUNK
@@ -662,8 +662,8 @@ def test_raster_field_memory_is_bounded(quantity):
 
 
 def test_raster_field_w_past_the_float_range_is_refused():
-    # W sums raw powers, so a transmitter at 0.5 from a cell at alpha 2100
-    # passes the float range; refused with no warning.  The SIR normalizes
+    # W sums raw powers, so a transmitter at squared distance 0.5 from a
+    # cell at alpha 2100 passes the float range; refused with no warning.  The SIR normalizes
     # and reads inf where the interference is zero: no interferer, or
     # powers below the float range.
     ps = two_tx()
