@@ -30,8 +30,8 @@ from .spatial import (GridSpec, _basis, covering_radius, gen_grid,
 DIRECT_SUM_ALPHA = 20.0
 # Half-width of the direct-sum window, in nearest spacings.
 DIRECT_WINDOW = 32.0
-# Dual-series terms j, k <= DUAL_TERMS; a reduced form has Delta >= 3, so
-# the first dropped term carries K_nu(16 pi sqrt(3)) ~ e^-87.
+# Dual-series terms n = j k <= DUAL_TERMS; a reduced form has Delta >= 3,
+# so each dropped term carries K_nu(17 pi sqrt(3)) ~ e^-92 or less.
 DUAL_TERMS = 16
 # Riemann zeta by Euler-Maclaurin: the terms n < ZETA_N summed, and the
 # tail's corrections B_2k / (2k)! for k = 1..8 (B_2k the Bernoulli
@@ -85,15 +85,17 @@ def _epstein(b: float, c: float, s: float) -> float:
     by the Chowla-Selberg formula with Delta = 4c - b^2:
     2 zeta(2s) + 2^2s sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) Delta^(s-1/2))
     + 2^(s+5/2) pi^s / (Gamma(s) Delta^(s/2-1/4))
-      sum_{j,k>=1} (j/k)^(s-1/2) cos(pi j k b) K_{s-1/2}(pi j k sqrt(Delta))."""
+      sum_{j,k>=1} (j/k)^(s-1/2) cos(pi j k b) K_{s-1/2}(pi j k sqrt(Delta)).
+    The dual series depends on j k = n alone except through (j/k)^nu =
+    (j^2/n)^nu, so it is summed over n with the divisor sum
+    sum_{j | n} (j^2/n)^nu as weight."""
     delta = 4.0 * c - b * b
     nu = s - 0.5
-    j = np.arange(1, DUAL_TERMS + 1)[:, None]
-    k = j.T
-    # K_nu depends on j k alone: one evaluation per distinct product.
-    jk, at = np.unique(j * k, return_inverse=True)
-    kv = _bessel_k(nu, math.pi * jk * math.sqrt(delta))[at.reshape(j.size, -1)]
-    dual = np.sum((j / k) ** nu * np.cos(math.pi * j * k * b) * kv)
+    n = np.arange(1, DUAL_TERMS + 1)
+    j = n[:, None]
+    weight = np.where(n % j == 0, (j * j / n) ** nu, 0.0).sum(axis=0)
+    dual = np.sum(weight * np.cos(math.pi * n * b)
+                  * _bessel_k(nu, math.pi * n * math.sqrt(delta)))
     return (2.0 * _zeta(2.0 * s)
             + 4.0 ** s * math.sqrt(math.pi) * math.gamma(nu)
             * _zeta(2.0 * s - 1.0) / (math.gamma(s) * delta ** nu)

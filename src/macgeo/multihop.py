@@ -172,8 +172,7 @@ def _holder_snaps(nodes: np.ndarray, index: CellIndex, spec: GridSpec,
     pts = pts[(np.sqrt(dx * dx + dy * dy) <= r).any(axis=1)]
     if len(pts) == 0:
         return False
-    dist, idx = index.snap(pts)
-    return bool((idx[dist <= r, None] == holders).any())
+    return bool((index.snap(pts)[1][:, None] == holders).any())
 
 
 def select_transmitters(nodes: np.ndarray, index: CellIndex, cfg: SimConfig,
@@ -203,8 +202,8 @@ def select_transmitters(nodes: np.ndarray, index: CellIndex, cfg: SimConfig,
         if holders is not None and anchor not in holders and \
                 not _holder_snaps(nodes, index, spec, holders, r, cfg.extent):
             return np.empty(0, dtype=int)
-        dist, idx = index.snap(window_points(spec, cfg.extent))
-        matched = dist <= r
+        idx = index.snap(window_points(spec, cfg.extent))[1]
+        matched = idx >= 0
         if counts is not None:
             counts.slots += 1
             counts.points += matched.size

@@ -540,9 +540,10 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     whose sum passes the float range raises :class:`FloatRangeError`.  The
     SIR leaves transmitter i out of the interference sum and normalizes
     each sample's distances by its nearest one, as :func:`decodes` does,
-    so it is scale-free at any alpha; it is inf where the interference is
-    zero (no interferer, or powers below the float range).  Returns (xs,
-    ys, values) with values indexed [iy, ix].
+    so it is scale-free at any alpha; it is inf where the set has no
+    interferer, and a cell whose SIR passes the float range otherwise (the
+    interference underflows) raises as W does.  Returns (xs, ys, values)
+    with values indexed [iy, ix].
 
     The columns are taken in blocks of CHUNK entries or fewer (one column
     at least).  A block's squared x-offsets to the transmitters are taken
@@ -564,10 +565,9 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     cols = min(n, max(1, CHUNK // max(len(px), 1)))
     dx2_buf, d2_buf = np.empty((cols, len(px))), np.empty((cols, len(px)))
     dy2 = np.empty(len(px))
-    # W passes the float range only by overflow, refused below; the SIR
-    # divides by a zero interference.
-    quiet = {"divide": "ignore"} if quantity == "sir" else {"over": "ignore"}
-    with np.errstate(**quiet):
+    # Overflow and a zero interference pass the float range: refused below,
+    # but for the SIR of a lone transmitter.
+    with np.errstate(divide="ignore", over="ignore"):
         for sl in _chunks(n, len(px)):
             x = xs[sl]
             dx2, d2 = dx2_buf[:len(x)], d2_buf[:len(x)]
@@ -580,11 +580,11 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
                 np.maximum(d2, guard2, out=d2)
                 if quantity == "sir":
                     g, w = _normalize(d2, i, alpha)
-                    vals[iy, sl] = np.where(w > 0, g / w, np.inf)
+                    vals[iy, sl] = g / w
                 else:
                     np.power(d2, -0.5 * alpha, out=d2)
                     vals[iy, sl] = d2.sum(axis=1)
-    if quantity == "w" and not np.isfinite(vals).all():
-        raise FloatRangeError(f"W at alpha = {alpha:g} passes the float "
-                              "range at some raster cell")
+    if (quantity == "w" or len(px) > 1) and not np.isfinite(vals).all():
+        raise FloatRangeError(f"{quantity.upper()} at alpha = {alpha:g} "
+                              "passes the float range at some raster cell")
     return xs, ys, vals

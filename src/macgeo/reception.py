@@ -203,10 +203,10 @@ def _max_range_refined(vertices, grads, field, beta):
     |grad S|: D peaks between consecutive vertices k, k+1 (cyclically)
     where cross[k] >= 0 > cross[k+1].  The root of the chord through those
     two cross values is O(dt^2) from the peak, and D is stationary there,
-    so that point, projected once onto the level set, reads the peak
-    distance to O(dt^4).  Minima are never refined: they cannot win.
+    so that point, projected onto the level set to |S - beta| <=
+    CONTOUR_TOL**2 * beta, reads the peak distance to O(dt^4); the largest
+    such peak is returned.  Minima are never refined: they cannot win.
     Falls back to the farthest raw vertex when no peak is bracketed.
-    Among equal maxima the point with the smallest polar angle wins.
     """
     zi = field.center
     dz = vertices - zi
@@ -218,26 +218,15 @@ def _max_range_refined(vertices, grads, field, beta):
         k = int(np.argmax(dists))
         return float(dists[k]), vertices[k]
 
-    candidates, gnorms = [], []
+    candidates = []
     for a in peaks:
         va, vb = vertices[a], vertices[(a + 1) % len(vertices)]
         zm = va + cross[a] / (cross[a] - nxt[a]) * (vb - va)
-        zm, _, gm = _project(field, beta, zm, CONTOUR_TOL)
-        candidates.append(zm)
-        gnorms.append(math.hypot(gm[0], gm[1]))
-
+        candidates.append(_project(field, beta, zm, CONTOUR_TOL ** 2)[0])
     cand = np.array(candidates)
     d = np.hypot(cand[:, 0] - zi[0], cand[:, 1] - zi[1])
     k = int(np.argmax(d))
-    # Candidates on the level set are only located to within the
-    # projection band CONTOUR_TOL * beta / |grad S|; tie detection has to
-    # be at least that wide or exact lattice symmetries break by rounding.
-    slop = 3.0 * CONTOUR_TOL * beta / max(gnorms[k], _GRAD_FLOOR)
-    tied = np.flatnonzero(d >= d[k] - max(slop, 1e-9 * d[k]))
-    ang = np.mod(np.arctan2(cand[tied, 1] - zi[1], cand[tied, 0] - zi[0]),
-                 2.0 * math.pi)
-    best = tied[int(np.argmin(ang))]
-    return float(d[best]), cand[best]
+    return float(d[k]), cand[k]
 
 
 def normalized_range(r_lambda: float, lam: float) -> float:

@@ -204,6 +204,7 @@ class CellIndex:
         side = max(2.0 * radius * (1.0 + CELL_SLACK),
                    span.max() / math.sqrt(n))
         self.side = side if side > 0 else 1.0
+        self._radius = radius
         self._reach = radius * (1.0 + 0.5 * CELL_SLACK)
         # Cells along x (columns) and along y (rows).
         self._n = np.maximum(1, (span // self.side).astype(np.intp))
@@ -241,11 +242,11 @@ class CellIndex:
 
     def snap(self, pts: np.ndarray):
         """(dist, idx) of the nearest node within the snap radius of each
-        posed point, dist = sqrt(d2), the first node in sorted order on a
-        tie; inf and -1 where no node is near.  A
-        point's candidates are the nodes of the 2 x 2 block of cells that
-        holds its disc of the snap reach, two slices per point (the
-        second empty when the disc spans one cell row)."""
+        posed point, dist = sqrt(d2) <= radius, the first node in sorted
+        order on a tie; inf and -1 where no node is that near.  A point's
+        candidates are the nodes of the 2 x 2 block of cells that holds its
+        disc of the snap reach, two slices per point (the second empty when
+        the disc spans one cell row)."""
         x, y = pts[:, 0], pts[:, 1]
         c0, r0, c1, r1 = self._blocks(pts, self._reach)
         a = np.empty((len(pts), 2), dtype=np.intp)
@@ -268,7 +269,11 @@ class CellIndex:
         first[1:] = owner[1:] != owner[:-1]
         idx = np.full(len(pts), -1)
         idx[owner[first]] = self.order[pos[at[first]]]
-        return np.sqrt(best), idx
+        dist = np.sqrt(best)
+        far = dist > self._radius
+        dist[far] = np.inf
+        idx[far] = -1
+        return dist, idx
 
     def _around(self, pts: np.ndarray, R: float):
         """Sorted positions of the block of cells that holds the disc of

@@ -360,6 +360,18 @@ def test_field_w_past_the_float_range_exits_5(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_field_sir_past_the_float_range_exits_5(tmp_path, monkeypatch,
+                                                capsys):
+    # At alpha 1000 the interferers' powers underflow to a zero sum at some
+    # cells: that SIR is refused as W's overflow is, not written as inf.
+    rc = invoke(["field", "--pattern", "poisson", "--lam", "1", "--extent",
+                 "3", "--n", "20", "--alpha", "1000", "--quantity", "sir"],
+                tmp_path, monkeypatch)
+    assert rc == EXIT_NUMERIC
+    assert "FloatRangeError" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n", "0"), ("--window", "nan"), ("--window", "-2"),
     ("--window", "0")])

@@ -233,6 +233,17 @@ def test_cell_index_snaps_as_the_tree(spec):
     assert matched > 1000 and outside > 500
 
 
+def test_cell_index_snap_stops_at_the_radius():
+    # A node at r (1 + 1e-7) lies within the snap's reach, r (1 +
+    # CELL_SLACK / 2), but not within its radius.
+    r = 0.1
+    nodes = np.array([[r * (1.0 + 1e-7), 0.0], [3.0, 3.0]])
+    pts = np.array([[0.0, 0.0], [0.5 * r, 0.0]])
+    dist, idx = CellIndex(nodes, r).snap(pts)
+    np.testing.assert_array_equal(idx, [-1, 0])
+    assert dist[0] == np.inf and dist[1] <= r
+
+
 def test_cell_index_discs_as_the_tree():
     # Random centres, centres on the box's edges and corners and outside
     # it, and radii from below a cell to the whole box, some of them

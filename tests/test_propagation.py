@@ -626,8 +626,8 @@ RASTER_SETS = {
 def test_raster_field_matches_the_rowwise_raster_bit_for_bit(name, quantity):
     # The column blocks change the order of the work, not one float
     # operation of any cell.  A cell on a transmitter (n = 1 on a lattice)
-    # sends W at alpha 100 past the float range: refused, where the rows
-    # read inf.
+    # sends W at alpha 100 past the float range, and the SIR's interference
+    # below it: refused, where the rows read inf.
     ps, extent, ns = RASTER_SETS[name]()
     per_block = CHUNK // len(ps)
     assert all(n % per_block for n in ns) if per_block else len(ps) > CHUNK
@@ -635,7 +635,7 @@ def test_raster_field_matches_the_rowwise_raster_bit_for_bit(name, quantity):
     for alpha in (2.05, 2.5, 4.0, 100.0):
         for n in (1, *ns):
             want = rowwise_raster_field(ps, alpha, extent, n, quantity, i)
-            if not np.isfinite(want[2]).all() and quantity == "w":
+            if not np.isfinite(want[2]).all():
                 with pytest.raises(FloatRangeError):
                     raster_field(ps, alpha, extent, n, quantity, i)
                 continue
@@ -663,19 +663,31 @@ def test_raster_field_memory_is_bounded(quantity):
 
 def test_raster_field_w_past_the_float_range_is_refused():
     # W sums raw powers, so a transmitter at squared distance 0.5 from a
-    # cell at alpha 2100 passes the float range; refused with no warning.  The SIR normalizes
-    # and reads inf where the interference is zero: no interferer, or
-    # powers below the float range.
+    # cell at alpha 2100 passes the float range; refused with no warning.
+    # The SIR of a set with no interferer reads inf.
     ps = two_tx()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatRangeError, match="float range"):
             raster_field(ps, 2100.0, 1.0, 2, "w")
-        s = raster_field(ps, 2100.0, 1.0, 2, "sir")[2]
-        assert np.array_equal(s, [[np.inf, 1.0], [np.inf, 1.0]])
         lone = PointSet(np.array([[0.2, 0.1]]), 1.0, 1.0)
         assert np.all(raster_field(lone, 4.0, 1.0, 3, "sir")[2] == np.inf)
         assert np.isfinite(raster_field(lone, 4.0, 1.0, 3, "w")[2]).all()
+
+
+def test_raster_field_sir_past_the_float_range_is_refused():
+    # At the cells x = -0.5 the interferer's power is 5**(-alpha/2) of the
+    # signal: the SIR reads 3.5e307 at alpha 880, overflows at alpha 890,
+    # and divides by an interference underflowed to zero at alpha 2100.
+    # Both are refused with no warning, as W is.
+    ps = two_tx()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = raster_field(ps, 880.0, 1.0, 2, "sir")[2]
+        assert s[0, 0] == pytest.approx(5.0 ** 440, rel=1e-9)
+        for alpha in (890.0, 2100.0):
+            with pytest.raises(FloatRangeError, match="SIR .*float range"):
+                raster_field(ps, alpha, 1.0, 2, "sir")
 
 
 def test_channel_model_validation():

@@ -159,10 +159,23 @@ def test_square_grid_alpha100_voronoi_corner():
     i = origin_index(ps)
     trace = trace_contour(i, ps, ChannelModel(100.0, 1.0))
     assert trace.r_lambda == pytest.approx(1.0 / math.sqrt(2.0), rel=0.02)
-    # The refined maximizer lies on a cell diagonal; the smallest-angle
-    # tie-break picks the first quadrant one.
+    # The refined maximizer lies on a cell diagonal: its polar angle is an
+    # odd multiple of pi/4.
     ang = math.atan2(trace.max_range_point[1], trace.max_range_point[0])
-    assert ang == pytest.approx(math.pi / 4.0, abs=0.02)
+    assert abs(math.remainder(ang - math.pi / 4.0, math.pi / 2.0)) <= 0.02
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal"])
+@pytest.mark.parametrize("alpha, beta", [(4.0, 10.0), (3.0, 1.0), (8.0, 1.0)])
+def test_range_converges_with_the_step(kind, alpha, beta):
+    # Each refined peak is projected to CONTOUR_TOL**2, so r_lambda no
+    # longer moves inside the CONTOUR_TOL band as dt shrinks.
+    ps = gen_grid(GridSpec(kind, 1.0), 60.0)
+    i = origin_index(ps)
+    model = ChannelModel(alpha, beta)
+    coarse = trace_contour(i, ps, model).r_lambda
+    fine = trace_contour(i, ps, model, dt=ps.scale / 800.0).r_lambda
+    assert fine == pytest.approx(coarse, rel=1e-12)
 
 
 def test_square_grid_fourfold_symmetry():
