@@ -234,6 +234,7 @@ def _cmd_fading_curve(cfg: RunConfig) -> str:
     _check_curve_size(p["n"])
     spec = _grid_spec(p)
     ps, i = reception.lattice_probe(spec, p["extent"])
+    spatial.check_evals(p["n"] * len(ps), "curve evaluations")
     # Stop short of the diagonal lattice neighbor where the SIR is singular.
     diag = np.array([spec.d, spec.d])
     ts = np.linspace(0.02, 0.98, p["n"])
@@ -302,6 +303,10 @@ def _cmd_field(cfg: RunConfig) -> str:
     p = cfg.params
     model = _model(p)
     if p["pattern"] == "poisson":
+        # raster_field checks the drawn count; the expected one is refused
+        # before the draw, whose distinctness sort takes 1 s at 2e6 points.
+        spatial.check_evals(p["n"] ** 2 * p["lam"] * (2.0 * p["extent"]) ** 2,
+                            "expected raster evaluations")
         ps = spatial.gen_poisson(p["lam"], p["extent"], cfg.seed)
         i = reception.origin_index(ps)
     else:

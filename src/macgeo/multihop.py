@@ -355,7 +355,8 @@ def run_simulation(cfg: SimConfig, n_packets: int,
                 target = nodes[src] + pair_distance * np.array(
                     [math.cos(theta), math.sin(theta)])
                 if np.max(np.abs(nodes[src])) < inner and np.max(np.abs(target)) < inner:
-                    dst = index.nearest(target)
+                    _, near = index.k_nearest(target[None], 1, index.side)
+                    dst = int(near[0, 0])
                     if dst != src:
                         break
         else:

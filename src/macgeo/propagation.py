@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DivergentMomentError, FloatRangeError,
                      SingularityError, UnsupportedFadingError)
-from .spatial import PointSet, check_budget
+from .spatial import PointSet, check_budget, check_evals
 
 FADING_KINDS = ("none", "log_uniform", "exponential")
 
@@ -556,6 +556,7 @@ def raster_field(ps: PointSet, alpha: float, extent: float, n: int,
     if not (0.0 < extent < math.inf):
         raise ValueError("the raster's half-width must be finite and positive")
     check_budget(n * n, "raster cells")
+    check_evals(n * n * len(ps.points), "raster evaluations")
     step = 2.0 * extent / n
     xs = -extent + (np.arange(n) + 0.5) * step
     ys = xs.copy()

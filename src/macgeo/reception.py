@@ -131,7 +131,9 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     dt * 2**-MAX_HALVINGS.  One that lands nearer has advanced along its
     heading t: (z_new - z) . t = h + (z_new - z_pred) . t > 0.
     The trace terminates once it returns within dt of the start (after at
-    least 10 steps, with a matching heading); exhausting MAX_STEPS raises
+    least 10 steps, with a matching heading).  A start point too far from
+    the probe for the curve to close in MAX_STEPS steps of dt raises
+    ValueError before the first step; exhausting MAX_STEPS raises
     :class:`NonClosureError` with the partial trace attached, and a curve
     that misses the transmitter (an exclusion hole) raises
     :class:`UnboundedReceptionError`.  One :class:`Field` serves every SIR
@@ -145,6 +147,15 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     field = Field(ps, i, model.alpha)
     z0 = _contour_start(field, beta, direction, dt)
     z0, _, g0 = _project(field, beta, z0, CONTOUR_TOL)
+    # A closed curve around the probe through z0 is at least 2 r0 long,
+    # and the trace closes within dt of z0.  An accepted step moves a
+    # vertex by less than 2 h <= 2 dt (the predictor h, its projection
+    # less than h), so closing takes more than (2 r0 - dt) / (2 dt) steps.
+    r0 = math.hypot(*(z0 - field.center).tolist())
+    if 2.0 * r0 - dt > 2.0 * dt * MAX_STEPS:
+        raise ValueError(f"a closed curve through the start point at "
+                         f"r0 = {r0:.6g} needs more than MAX_STEPS = "
+                         f"{MAX_STEPS} steps of dt = {dt:g}")
     t0 = _J @ (g0 / np.linalg.norm(g0))
 
     verts = [z0]

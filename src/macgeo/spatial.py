@@ -21,6 +21,10 @@ import numpy as np
 GRID_KINDS = ("square", "rectangular", "hexagonal", "triangular", "linear")
 # Largest point set, raster or node population a call may build.
 MAX_POINTS = 2_000_000
+# Most receiver-transmitter pairs one raster or curve may evaluate: about
+# 20 times the 1.04e8 of the largest test raster, and 12 s at the README
+# field job's rate (its 1.6e7 take about 0.1 s).
+MAX_EVALS = 2_000_000_000
 
 # A cell of a CellIndex is wider than twice its snap radius by this
 # relative slack; a snap block reaches half of it past the radius, and a
@@ -165,6 +169,13 @@ def check_budget(count: float, what: str) -> None:
         raise ValueError(f"{count:.3g} {what} exceed the budget of {MAX_POINTS}")
 
 
+def check_evals(count: float, what: str) -> None:
+    """Refuse, before any sum, ``count`` receiver-transmitter evaluations
+    (``what`` names them) above MAX_EVALS."""
+    if not (count <= MAX_EVALS):
+        raise ValueError(f"{count:.3g} {what} exceed the budget of {MAX_EVALS}")
+
+
 def gather(a: np.ndarray, b: np.ndarray):
     """The ranges a[k]:b[k], concatenated, and the length of each."""
     lens = b - a
@@ -194,7 +205,7 @@ class CellIndex:
     Every query measures a node at x, y from a point at px, py as
     d2 = (x - px)^2 + (y - py)^2, each square a product and the two
     added in that order: the snap takes sqrt(d2) <= radius, the discs
-    d2 <= R*R, and the nearest node the least d2.
+    d2 <= R*R, and the k nearest nodes the least d2.
     """
 
     def __init__(self, nodes: np.ndarray, radius: float):
@@ -337,21 +348,6 @@ class CellIndex:
             rows = rows[~done]
             R *= 2.0
         return dist, idx
-
-    def nearest(self, p) -> int:
-        """Index of the node nearest to the point p, the first in sorted
-        order on a tie: the disc block of radius R, R from one cell side
-        doubled until the block's nearest node lies within R, so that
-        every nearer node is in the block."""
-        p = np.asarray(p, dtype=float).reshape(1, 2)
-        R = self.side
-        while True:
-            pos, d2, _ = self._around(p, R)
-            if pos.size:
-                j = int(np.argmin(d2))
-                if d2[j] <= R * R:
-                    return int(self.order[pos[j]])
-            R *= 2.0
 
 
 def _basis(spec: GridSpec):

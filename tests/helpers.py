@@ -23,7 +23,7 @@ The field kernel's far moments summed by running products over the whole
 far set, independent of the library's blocked matrix products.
 
 A brute lattice sum with a continuum tail, independent of the library's
-Chowla-Selberg evaluator of the large-beta range.
+Ewald-split evaluator of the large-beta range.
 
 A Poisson-disc sampler of the ALOHA interference and a cumulative-Exp(1)
 arrival sampler, both independent of the library's order-statistics

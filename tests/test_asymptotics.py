@@ -85,24 +85,18 @@ def test_matches_epstein_closed_forms(kind):
         assert got == pytest.approx(_epstein_mp(kind, alpha), rel=1e-13)
 
 
-def test_zeta_against_mpmath():
-    # The formula takes zeta(alpha - 1), which nears its pole as
-    # alpha -> 2, and zeta(alpha).
-    s_values = np.r_[1.0001, 1.001, np.geomspace(1.01, 40.0, 80)]
-    for s in s_values:
-        want = float(mp.zeta(mp.mpf(float(s))))
-        assert asymptotics._zeta(float(s)) == pytest.approx(want, rel=1e-15)
-
-
-def test_bessel_k_against_mpmath():
-    # The dual series' arguments pi j k sqrt(Delta) start at pi sqrt(3)
-    # (a reduced form has Delta >= 3); nu = alpha/2 - 1/2 below alpha 21.
-    x = np.r_[math.pi * math.sqrt(3.0), np.geomspace(5.5, 700.0, 40)]
-    for nu in np.r_[np.linspace(0.5, 10.0, 20), 0.5005, 9.75]:
-        got = asymptotics._bessel_k(float(nu), x)
-        want = [float(mp.besselk(mp.mpf(float(nu)), mp.mpf(float(v))))
-                for v in x]
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+def test_upper_gamma_against_mpmath():
+    # The Ewald sums take Gamma(s, t) and Gamma(1 - s, y) for s = alpha/2
+    # below DIRECT_SUM_ALPHA and t, y from the nearest squared spacing
+    # times pi (pi / 16 on the linear 1:16 pattern) up to EWALD_CUT.
+    x = np.geomspace(0.15, asymptotics.EWALD_CUT + 1.0, 30)
+    for s in np.r_[1.0005, np.linspace(1.01, 10.25, 25)]:
+        for a in (float(s), 1.0 - float(s)):
+            with mp.workdps(30):
+                want = [float(mp.gammainc(mp.mpf(a), mp.mpf(float(v))))
+                        for v in x]
+            np.testing.assert_allclose(asymptotics._upper_gamma(a, x), want,
+                                       rtol=2e-15, atol=0.0)
 
 
 def test_matches_brute_lattice_sum():

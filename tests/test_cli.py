@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -73,6 +74,18 @@ def test_asympt_beta_command(tmp_path, monkeypatch):
     vals = {(r[0], float(r[1])): float(r[2]) for r in rows}
     assert vals[("square", 1.0)] == pytest.approx(0.638232, abs=1e-3)
     assert vals[("triangular", 1.0)] == pytest.approx(0.644845, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha,want", [
+    ("3", "fc7d02aa147ab47ea8b1ff01317069e806c409fa64602b0cb3633825dd21b8a0"),
+    ("4", "690f7d319a10dd0c74ada22497c41023641959dd9a8bd8dc96963baf3fe981e6"),
+])
+def test_asympt_beta_csv_bytes_pinned(tmp_path, monkeypatch, alpha, want):
+    # The two tables the raster benchmark writes, byte for byte.
+    rc = invoke(["asympt-beta", "--alpha", alpha], tmp_path, monkeypatch)
+    assert rc == EXIT_OK
+    data = (tmp_path / "asympt_beta.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == want
 
 
 def test_asympt_alpha_command(tmp_path, monkeypatch):
@@ -429,6 +442,26 @@ def test_point_budget_exits_3_before_allocating(tmp_path, argv):
                               "OPENBLAS_NUM_THREADS": "1"})
     assert out.returncode == EXIT_BAD_PARAM, out.stderr
     assert "exceed the budget" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # The start point lies 12.1 from the probe: at least 2.4e7 steps of
+    # dt before the curve can close, against MAX_STEPS = 1e6.
+    ["trace", "--alpha", "4", "--beta", "1", "--dt", "1e-6"],
+    # 1400^2 cells times about 1.96e6 transmitters: 3.8e12 evaluations.
+    ["field", "--pattern", "poisson", "--lam", "1", "--extent", "700",
+     "--n", "1400"],
+    # 2e6 receivers times the default window's 160 801 lattice points.
+    ["fading-curve", "--n", "2000000"]],
+    ids=["trace-steps", "field-evals", "fading-curve-evals"])
+def test_work_budget_exits_3_at_once(tmp_path, monkeypatch, capsys, argv):
+    # Each input passes every per-factor budget; unrefused, the trace ran
+    # 40 s into a NonClosureError and the other two would run for hours.
+    start = time.perf_counter()
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_BAD_PARAM
+    assert time.perf_counter() - start < 1.0
+    assert "invalid parameter" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

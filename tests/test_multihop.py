@@ -274,7 +274,8 @@ def test_cell_index_nearest_node_as_the_tree(n, extent):
     index = CellIndex(nodes, 0.1)
     tree = cKDTree(nodes)
     for t in rng.uniform(-1.5 * extent, 1.5 * extent, size=(200, 2)):
-        assert index.nearest(t) == tree.query(t)[1]
+        assert index.k_nearest(t[None], 1, index.side)[1][0, 0] == \
+            tree.query(t)[1]
 
 
 def test_single_hop_delivery():

@@ -21,8 +21,8 @@ from macgeo.propagation import (_BLOCK, CHUNK, DECODE_NEIGHBORS,
                                 raster_field, sample_fading, sir,
                                 sir_and_gradient)
 from macgeo.reception import lattice_probe, origin_index
-from macgeo.spatial import (GridSpec, PointSet, gen_grid, gen_poisson,
-                            grid_density)
+from macgeo.spatial import (MAX_EVALS, GridSpec, PointSet, gen_grid,
+                            gen_poisson, grid_density)
 
 
 def two_tx(d=1.0):
@@ -586,6 +586,15 @@ def test_psi_matches_empirical_moments(fading, spread, s):
     m = f ** s
     se = m.std() / math.sqrt(len(m))
     assert abs(m.mean() - psi(fading, s, spread)) < 3 * se
+
+
+def test_raster_field_refuses_evaluations_past_the_budget():
+    # 1001^2 cells pass the cell budget, and 2 025 points the point budget;
+    # their product, 2.03e9 evaluations, does not.
+    ps = gen_grid(GridSpec("square", 1.0), 22.0)
+    assert len(ps) * 1001 ** 2 > MAX_EVALS
+    with pytest.raises(ValueError, match="raster evaluations exceed"):
+        raster_field(ps, 4.0, 22.0, 1001)
 
 
 def test_raster_field(tmp_path):
