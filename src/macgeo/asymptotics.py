@@ -77,13 +77,16 @@ def _ewald(spec: GridSpec, s: float) -> float:
     reach = math.sqrt(EWALD_CUT / eta)
     x = (_disc(A, reach + spec.d)[:, None, :] + offs).reshape(-1, 2)
     t = eta * np.sum(x * x, axis=1)
-    t = t[(t > 0.0) & (t <= EWALD_CUT)]
+    # Each distinct argument once (x and -x give the same t, G and -G the
+    # same y), weighted by its count or its summed phase.
+    t, count = np.unique(t[(t > 0.0) & (t <= EWALD_CUT)], return_counts=True)
     G = _disc(2.0 * math.pi * np.linalg.inv(A).T,
               math.sqrt(4.0 * eta * EWALD_CUT))
     y = np.sum(G * G, axis=1) / (4.0 * eta)
     G, y = G[y > 0.0], y[y > 0.0]
-    phase = np.cos(G @ offs.T).sum(axis=1)
-    real = np.sum(t ** -s * _upper_gamma(s, t)) - 1.0 / s
+    y, at = np.unique(y, return_inverse=True)
+    phase = np.bincount(at, np.cos(G @ offs.T).sum(axis=1))
+    real = np.sum(count * t ** -s * _upper_gamma(s, t)) - 1.0 / s
     dual = len(offs) / (s - 1.0) + np.sum(
         phase * y ** (s - 1.0) * _upper_gamma(1.0 - s, y))
     volume = abs(np.linalg.det(A))

@@ -63,7 +63,7 @@ import numpy as np
 
 from .propagation import ChannelModel, beaten, first_decoder
 from .spatial import (CELL_SLACK, CellIndex, GridSpec, PointSet,
-                      check_budget, grid_density, lattice_near,
+                      check_budget, check_evals, grid_density, lattice_near,
                       lattice_points, window_points, with_pose)
 # Unused here since slots pose window_points; perfbench's tracer still
 # wraps macgeo.multihop.gen_grid, so the name stays importable.
@@ -88,7 +88,9 @@ class SimConfig:
     seed          root seed; everything downstream derives from it
 
     The expected population nu * (2 * extent)^2 must stay within
-    spatial.MAX_POINTS; the check runs before anything is drawn.
+    spatial.MAX_POINTS, and slots times that population within
+    spatial.MAX_EVALS (a run may build every slot over every node); both
+    checks run before anything is drawn.
     """
 
     node_density: float
@@ -103,8 +105,11 @@ class SimConfig:
             raise ValueError("node density and extent must be positive")
         if self.slots < 1:
             raise ValueError("slot budget must be positive")
-        check_budget(self.node_density * (2.0 * self.extent) ** 2,
-                     "expected nodes of the population (lower nu or extent)")
+        nodes = self.node_density * (2.0 * self.extent) ** 2
+        check_budget(nodes, "expected nodes of the population (lower nu or "
+                            "extent)")
+        check_evals(self.slots * nodes, "slot-nodes (lower the slots, nu or "
+                                        "extent)")
         lam = self.scheme_density
         if not (0 < lam < math.inf):
             raise ValueError("ALOHA transmitter intensity must be finite "

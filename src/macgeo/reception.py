@@ -53,11 +53,16 @@ CONTOUR_TOL = 1e-6
 MAX_STEPS = 1_000_000
 # Halvings of one step before the tracer gives up on it.
 MAX_HALVINGS = 20
+# Far ray of the mirror wedge grid_range traces, by pattern: 1/8 of the
+# square lattice's curve and 1/4 of the triangular one's, whose square
+# window keeps only the axis reflections of its point group.
+MIRROR_WEDGE = {"square": math.pi / 4.0, "triangular": math.pi / 2.0}
 
 
 @dataclass(frozen=True)
 class ContourTrace:
-    """Closed polyline approximating one reception boundary."""
+    """Polyline approximating one reception boundary: the closed curve, or
+    with ``closed`` False an arc of it."""
 
     vertices: np.ndarray
     max_range_point: np.ndarray
@@ -118,10 +123,13 @@ def _contour_start(field, beta, direction, dt):
 
 
 def trace_contour(i: int, ps: PointSet, model: ChannelModel,
-                  dt: float | None = None, direction: float = 0.0) -> ContourTrace:
+                  dt: float | None = None, direction: float = 0.0, *,
+                  end: float | None = None) -> ContourTrace:
     """Follow the closed SIR level curve of transmitter i, from the ray at
     angle ``direction`` (radians), in steps of ``dt`` meters (scale/200 by
-    default).
+    default).  With ``end``, a polar angle less than one turn past
+    ``direction`` and beta >= 1, only the arc up to the ray at angle
+    ``end`` is traced (see :func:`_max_range_refined` for its r_lambda).
 
     The start ray's crossing is bracketed to within dt and its midpoint is
     projected, like each Euler predictor step after it, onto the level
@@ -131,7 +139,9 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     dt * 2**-MAX_HALVINGS.  One that lands nearer has advanced along its
     heading t: (z_new - z) . t = h + (z_new - z_pred) . t > 0.
     The trace terminates once it returns within dt of the start (after at
-    least 10 steps, with a matching heading).  A start point too far from
+    least 10 steps, with a matching heading), or, for an arc, at the first
+    vertex whose polar angle has swept past ``end``: at beta >= 1 it
+    increases at every step.  A start point too far from
     the probe for the curve to close in MAX_STEPS steps of dt raises
     ValueError before the first step; exhausting MAX_STEPS raises
     :class:`NonClosureError` with the partial trace attached, and a curve
@@ -144,14 +154,19 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     if not (0.0 < dt < math.inf and math.isfinite(direction)):
         raise ValueError("dt must be finite and positive, direction finite")
     beta = model.beta
+    if end is not None and not (beta >= 1.0
+                                and 0.0 < end - direction < 2.0 * math.pi):
+        raise ValueError("an arc needs beta >= 1 and an end angle less than "
+                         "one turn past the direction")
     field = Field(ps, i, model.alpha)
+    zi = field.center
     z0 = _contour_start(field, beta, direction, dt)
     z0, _, g0 = _project(field, beta, z0, CONTOUR_TOL)
     # A closed curve around the probe through z0 is at least 2 r0 long,
     # and the trace closes within dt of z0.  An accepted step moves a
     # vertex by less than 2 h <= 2 dt (the predictor h, its projection
     # less than h), so closing takes more than (2 r0 - dt) / (2 dt) steps.
-    r0 = math.hypot(*(z0 - field.center).tolist())
+    r0 = math.hypot(*(z0 - zi).tolist())
     if 2.0 * r0 - dt > 2.0 * dt * MAX_STEPS:
         raise ValueError(f"a closed curve through the start point at "
                          f"r0 = {r0:.6g} needs more than MAX_STEPS = "
@@ -163,6 +178,8 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
     z, g = z0, g0
     closed = False
     steps = halvings = 0
+    # The polar angle swept since the start, for an arc.
+    swept, sweep = 0.0, math.inf if end is None else end - direction
     while steps < MAX_STEPS:
         n = math.hypot(g[0], g[1])
         if n < _GRAD_FLOOR:
@@ -178,45 +195,64 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
         else:
             raise StationaryPointError("no forward contour step down to "
                                        f"dt * 2**-{MAX_HALVINGS}")
+        if end is not None:
+            (ax, ay), (bx, by) = (z - zi).tolist(), (z_new - zi).tolist()
+            swept += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
         z, g = z_new, g_new
         verts.append(z)
         grads.append(g)
         steps += 1
-        if steps >= 10 and math.hypot(*(z - z0)) <= dt:
+        if swept >= sweep:
+            break
+        if end is None and steps >= 10 and math.hypot(*(z - z0)) <= dt:
             heading = _J @ (g / math.hypot(g[0], g[1]))
             if float(heading @ t0) > 0.0:
                 closed = True
                 break
     vertices = np.array(verts)
-    if not closed:
-        far = int(np.argmax(np.hypot(*(vertices - field.center).T)))
+    if not (closed or swept >= sweep):
+        far = int(np.argmax(np.hypot(*(vertices - zi).T)))
         partial = ContourTrace(vertices, vertices[far], float("nan"), False,
                                steps)
         raise NonClosureError(
             f"contour did not close within {MAX_STEPS} steps", trace=partial)
-    if not point_in_polygon(field.center, vertices):
+    ends = ()
+    if end is not None:
+        # At beta >= 1 the region lies in the probe's Voronoi cell, so the
+        # start ray meets no exclusion hole.  The arc's far end is its last
+        # chord's crossing of the end ray.
+        c, s = math.cos(end), math.sin(end)
+        ca, cb = (c * y - s * x for x, y in (vertices[-2:] - zi).tolist())
+        va, vb = vertices[-2:]
+        ends = (z0, va + ca / (ca - cb) * (vb - va))
+    elif not point_in_polygon(zi, vertices):
         raise UnboundedReceptionError(
             f"the curve traced at beta={beta:g} does not enclose transmitter "
             f"{i}: the start ray met an interferer's exclusion hole")
 
-    r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta)
+    r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta,
+                                      ends)
     _log.debug("trace of transmitter %d: %d steps, %d halvings, %d near "
                "points, expansion order %d, %d exact-path queries", i, steps,
                halvings, field.near_points, field.order, field.exact_queries)
-    return ContourTrace(vertices, z_max, r_lam, True, steps)
+    return ContourTrace(vertices, z_max, r_lam, closed, steps)
 
 
-def _max_range_refined(vertices, grads, field, beta):
-    """Distance maximizer over the traced curve.
+def _max_range_refined(vertices, grads, field, beta, ends=()):
+    """Distance maximizer over the traced curve, or over an arc of it with
+    end points ``ends`` (near the level set).
 
     The trace steps along J grad S / |grad S|, so along the curve the
     distance D = |z - z_i| changes at the rate cross(grad D, grad S) /
-    |grad S|: D peaks between consecutive vertices k, k+1 (cyclically)
-    where cross[k] >= 0 > cross[k+1].  The root of the chord through those
-    two cross values is O(dt^2) from the peak, and D is stationary there,
-    so that point, projected onto the level set to |S - beta| <=
-    CONTOUR_TOL**2 * beta, reads the peak distance to O(dt^4); the largest
-    such peak is returned.  Minima are never refined: they cannot win.
+    |grad S|: D peaks between consecutive vertices k, k+1 (cyclically on a
+    closed curve) where cross[k] >= 0 > cross[k+1].  The root of the chord
+    through those two cross values is O(dt^2) from the peak, and D is
+    stationary there, so that point, projected onto the level set to
+    |S - beta| <= CONTOUR_TOL**2 * beta, reads the peak distance to
+    O(dt^4); the largest such peak, or projected end point, is returned.
+    An arc between two mirror rays of the curve holds its maximum at a
+    peak or on a ray, where grad S points along the ray, so the end's
+    projection stays on it.  Minima are never refined: they cannot win.
     Falls back to the farthest raw vertex when no peak is bracketed.
     """
     zi = field.center
@@ -225,11 +261,13 @@ def _max_range_refined(vertices, grads, field, beta):
     cross = (dz[:, 0] * grads[:, 1] - dz[:, 1] * grads[:, 0]) / dists
     nxt = np.roll(cross, -1)
     peaks = np.flatnonzero((cross >= 0.0) & (nxt < 0.0))
-    if not len(peaks):
+    if ends:
+        peaks = peaks[peaks < len(vertices) - 1]
+    elif not len(peaks):
         k = int(np.argmax(dists))
         return float(dists[k]), vertices[k]
 
-    candidates = []
+    candidates = [_project(field, beta, z, CONTOUR_TOL ** 2)[0] for z in ends]
     for a in peaks:
         va, vb = vertices[a], vertices[(a + 1) % len(vertices)]
         zm = va + cross[a] / (cross[a] - nxt[a]) * (vb - va)
@@ -608,7 +646,11 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
     scheme.
 
     The probe is the lattice point at the spec's translation (the window
-    center by default).  The tracer and, where it finds no closed curve
+    center by default).  At beta >= 1 and the default pose, the square and
+    triangular windows are mirror-symmetric about the probe (x -> -x and
+    y -> -y, and x <-> y for the square), and so is the curve, so the
+    tracer follows one wedge of it, from angle 0 to MIRROR_WEDGE[kind].
+    The tracer and, where it finds no closed curve
     around the probe (the beta < 1 regimes where the region is unbounded
     or split), the farthest cell of a membership raster read the same
     lattice window; ``method`` says which one answered.  With
@@ -617,11 +659,15 @@ def grid_range(spec: GridSpec, model: ChannelModel, extent: float = 5000.0,
     too-small window standing in for the infinite pattern.
     """
     lam = grid_density(spec)
+    end = None
+    if (model.beta >= 1.0 and spec.rotation == 0.0
+            and spec.translation == (0.0, 0.0)):
+        end = MIRROR_WEDGE.get(spec.kind)
 
     def _run(ext):
         ps, i = lattice_probe(spec, ext)
         try:
-            return trace_contour(i, ps, model).r_lambda, "trace"
+            return trace_contour(i, ps, model, end=end).r_lambda, "trace"
         except (UnboundedReceptionError, NonClosureError):
             pass
         return _raster_range(i, ps, spec, model), "membership"

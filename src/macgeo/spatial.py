@@ -107,9 +107,9 @@ class PointSet:
         if pts.size and np.max(np.abs(pts)) > lim:
             raise ValueError("points fall outside the stated extent")
         if len(pts) > 1:
-            order = np.lexsort((pts[:, 1], pts[:, 0]))
-            s = pts[order]
-            if np.any(np.all(s[1:] == s[:-1], axis=1)):
+            # Each point as one complex number, which sorts by x, then y.
+            s = np.sort(pts.view(complex)[:, 0])
+            if np.any(s[1:] == s[:-1]):
                 raise ValueError("points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

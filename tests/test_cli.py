@@ -453,8 +453,13 @@ def test_point_budget_exits_3_before_allocating(tmp_path, argv):
     ["field", "--pattern", "poisson", "--lam", "1", "--extent", "700",
      "--n", "1400"],
     # 2e6 receivers times the default window's 160 801 lattice points.
-    ["fading-curve", "--n", "2000000"]],
-    ids=["trace-steps", "field-evals", "fading-curve-evals"])
+    ["fading-curve", "--n", "2000000"],
+    # 1e9 slots times about 1e4 nodes; no packet can be delivered at
+    # beta 1000, so every slot would run, about 30 hours.
+    ["simulate", "--slots", "1000000000", "--packets", "1", "--beta",
+     "1000", "--d", "1", "--nu", "100", "--extent", "5"]],
+    ids=["trace-steps", "field-evals", "fading-curve-evals",
+         "simulate-slots"])
 def test_work_budget_exits_3_at_once(tmp_path, monkeypatch, capsys, argv):
     # Each input passes every per-factor budget; unrefused, the trace ran
     # 40 s into a NonClosureError and the other two would run for hours.

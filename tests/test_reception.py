@@ -13,7 +13,7 @@ from macgeo import reception
 from macgeo.errors import (MacGeoError, NonClosureError,
                            UnboundedReceptionError, UnsupportedFadingError)
 from macgeo.propagation import (EXPANSION_ORDER, NEAR_RADIUS, ChannelModel,
-                                fading_success_prob, raster_field, sir)
+                                Field, fading_success_prob, raster_field, sir)
 from macgeo.reception import (ContourTrace, RasterCounts, grid_range,
                               grid_success_prob_fading,
                               grid_success_prob_nofading, lattice_probe,
@@ -176,6 +176,89 @@ def test_range_converges_with_the_step(kind, alpha, beta):
     coarse = trace_contour(i, ps, model).r_lambda
     fine = trace_contour(i, ps, model, dt=ps.scale / 800.0).r_lambda
     assert fine == pytest.approx(coarse, rel=1e-12)
+
+
+# Windows of the wedge tests: the CLI default map, the unit lattice at 60
+# spacings, and a non-dyadic spacing over the same 60 spacings.
+WEDGE_WINDOWS = [(25.0, 5000.0), (1.0, 60.0), (0.3, 18.0)]
+
+
+@pytest.mark.parametrize("d, extent", WEDGE_WINDOWS)
+def test_wedge_windows_are_mirror_symmetric(d, extent):
+    # grid_range's premise: under the default pose the square window is its
+    # own image under x -> -x, y -> -y and x <-> y, and the triangular one
+    # under the two axis reflections; as point sets, bit for bit at a
+    # dyadic spacing and within a few ulps of the extent at d = 0.3.
+    tol = 0.0 if d in (25.0, 1.0) else 4.0 * np.spacing(extent)
+    for kind, images in (("square", 3), ("triangular", 2)):
+        pts = gen_grid(GridSpec(kind, d), extent).points
+        tree = cKDTree(pts)
+        for image in (pts * (-1.0, 1.0), pts * (1.0, -1.0),
+                      pts[:, ::-1])[:images]:
+            dist, idx = tree.query(image)
+            assert dist.max() <= tol
+            assert len(np.unique(idx)) == len(pts)
+
+
+@pytest.mark.parametrize("d, extent", WEDGE_WINDOWS)
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+def test_wedge_range_matches_the_closed_trace(kind, d, extent):
+    spec = GridSpec(kind, d)
+    ps, i = lattice_probe(spec, extent)
+    for alpha, beta in [(4.0, 10.0), (3.0, 1.0), (2.5, 3.0), (6.0, 100.0),
+                        (8.0, 1.0)]:
+        model = ChannelModel(alpha, beta)
+        res = grid_range(spec, model, extent)
+        assert res.method == "trace"
+        assert res.r_lambda == pytest.approx(
+            trace_contour(i, ps, model).r_lambda, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+def test_wedge_reads_the_alpha100_corner_at_the_default_step(kind):
+    # At alpha 100 the curve nearly kinks at the Voronoi corner, where the
+    # closed trace's chord root reads 1.5e-8 (square) and 1.25e-8
+    # (triangular) low at the default dt.  The corner lies on the wedge's
+    # far ray, whose point reads the closed trace's value at dt / 16.
+    spec = GridSpec(kind, 1.0)
+    ps, i = lattice_probe(spec, 60.0)
+    model = ChannelModel(100.0, 1.0)
+    fine = trace_contour(i, ps, model, dt=ps.scale / 3200.0).r_lambda
+    assert grid_range(spec, model, 60.0).r_lambda == pytest.approx(fine,
+                                                                   rel=1e-12)
+
+
+def test_wedge_range_queries_a_quarter_of_the_closed_trace(monkeypatch):
+    calls = []
+    query = Field.sir_and_gradient
+
+    def counted(self, rx):
+        calls.append(rx)
+        return query(self, rx)
+
+    monkeypatch.setattr(Field, "sir_and_gradient", counted)
+    spec, model = GridSpec("square", 25.0), ChannelModel(4.0, 10.0)
+    ps, i = lattice_probe(spec, 5000.0)
+    trace_contour(i, ps, model)
+    closed = len(calls)
+    calls.clear()
+    grid_range(spec, model, 5000.0)
+    assert 0 < len(calls) <= closed / 4
+
+
+@pytest.mark.parametrize("spec, beta", [
+    (GridSpec("hexagonal", 1.0), 10.0),
+    (GridSpec("rectangular", 1.0, 1.0, 2.0), 10.0),
+    (GridSpec("square", 1.0, rotation=0.3), 10.0),
+    (GridSpec("square", 1.0, translation=(0.25, 0.0)), 10.0),
+    (GridSpec("triangular", 1.0), 0.5)])
+def test_grid_range_traces_the_closed_curve_off_the_wedge(spec, beta):
+    # Patterns without the wedge's mirrors, posed specs and beta < 1 keep
+    # the closed trace, to the bit.
+    model = ChannelModel(4.0, beta)
+    ps, i = lattice_probe(spec, 30.0)
+    assert grid_range(spec, model, 30.0).r_lambda == \
+        trace_contour(i, ps, model).r_lambda
 
 
 def test_square_grid_fourfold_symmetry():
@@ -784,3 +867,8 @@ def test_tracer_config_validation():
     for direction in (math.nan, math.inf):
         with pytest.raises(ValueError):
             trace_contour(0, APOLLO, apollo_model(2.0), direction=direction)
+    # An arc needs beta >= 1 and an end less than one turn past the start.
+    for end, c in ((0.0, 2.0), (2.0 * math.pi, 2.0), (math.nan, 2.0),
+                   (1.0, 0.5)):
+        with pytest.raises(ValueError, match="arc"):
+            trace_contour(0, APOLLO, apollo_model(c), end=end)

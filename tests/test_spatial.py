@@ -194,6 +194,12 @@ def test_rescale_roundtrip():
 def test_pointset_validation():
     with pytest.raises(ValueError):
         PointSet(np.array([[0.0, 0.0], [0.0, 0.0]]), 1.0, 1.0)  # duplicate
+    # -0.0 == 0.0 in either coordinate; swapped coordinates are distinct.
+    for dup in ([[0.5, 0.0], [0.1, 0.2], [0.5, -0.0]],
+                [[-0.0, 0.5], [0.0, 0.5]]):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            PointSet(np.array(dup), 1.0, 1.0)
+    assert len(PointSet(np.array([[0.5, 0.25], [0.25, 0.5]]), 1.0, 1.0)) == 2
     with pytest.raises(ValueError):
         PointSet(np.array([[3.0, 0.0]]), 1.0, 1.0)  # outside extent
     with pytest.raises(ValueError):
@@ -386,18 +392,18 @@ def test_gen_grid_points_are_distinct_without_a_sort(kind, monkeypatch):
     # sorting them, and they are; the public constructor and gen_poisson
     # still sort.
     def no_sort(*args, **kwargs):
-        raise AssertionError("lexsort called")
+        raise AssertionError("sort called")
 
     k1, k2 = aspect(kind)
     specs = [GridSpec(kind, 25.0, k1, k2),
              GridSpec(kind, 25.0, k1, k2, rotation=0.7,
                       translation=(1234.5, -987.25))]
     with monkeypatch.context() as m:
-        m.setattr(spatial.np, "lexsort", no_sort)
+        m.setattr(spatial.np, "sort", no_sort)
         sets = [gen_grid(spec, 5000.0) for spec in specs]
-        with pytest.raises(AssertionError, match="lexsort"):
+        with pytest.raises(AssertionError, match="sort called"):
             PointSet(sets[0].points[:2], 1.0, 5000.0)
-        with pytest.raises(AssertionError, match="lexsort"):
+        with pytest.raises(AssertionError, match="sort called"):
             gen_poisson(1e-4, 100.0, 0)
     for ps in sets:
         assert len(ps) > 40_000
