@@ -73,9 +73,13 @@ class ChannelModel:
 # probe.  For queries within VALID_RADIUS of the probe its truncation
 # error is of order (VALID_RADIUS / NEAR_RADIUS)^(EXPANSION_ORDER + 1)
 # times the far share of the interference; farther queries sum all points.
+# Where the attenuation makes every point past a smaller radius worth less
+# than 2^-NEGLIGIBLE_BITS of the sum (see Field), only that radius is
+# summed and no far term is built.
 NEAR_RADIUS = 20.0
 EXPANSION_ORDER = 6
 VALID_RADIUS = 1.0
+NEGLIGIBLE_BITS = 64
 # Powers 0..EXPANSION_ORDER of the expansion variable, taken in one call.
 _POWERS = np.arange(EXPANSION_ORDER + 1)
 
@@ -139,29 +143,25 @@ def _local_expansion(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     return coef
 
 
-def _within(px: np.ndarray, py: np.ndarray, cx: float, cy: float,
-            r: float) -> np.ndarray:
-    """Mask of the points (px, py) within distance r of (cx, cy), by
-    squared distances; its two full-length temporaries end with the call."""
-    d2 = np.subtract(px, cx)
-    d2 *= d2
-    dy2 = np.subtract(py, cy)
-    dy2 *= dy2
-    d2 += dy2
-    return d2 <= r ** 2
-
-
 class Field:
     """SIR of transmitter i over a point set, built once per (set, i, alpha).
 
-    Interferers within ``NEAR_RADIUS * scale`` of the probe are summed
-    exactly on every query; the others enter through a local expansion
-    about the probe, built here in one pass.  Queries farther than
-    ``VALID_RADIUS * scale`` from the probe take the exact path, the same
-    formula over every interferer with no far term; ``exact_queries``
-    counts them.  Distances are normalized by the nearest-transmitter
-    distance (the ratio is invariant), so alpha = 100 stays in range, and
-    the probe is never part of the interference sum, so nothing cancels.
+    Interferers within the near radius of the probe are summed exactly on
+    every query.  With V = ``VALID_RADIUS * scale``, d1 the probe's
+    nearest-interferer distance and N the interferers, every valid query
+    (within V of the probe) has a term of at least (d1 + V)^-alpha, and a
+    point past R lies at least R - V from it.  So past
+    R = V + (d1 + V) (N 2^NEGLIGIBLE_BITS)^(1/alpha) the rest of the set
+    adds less than 2^-NEGLIGIBLE_BITS of the sum.  Where R is below
+    ``NEAR_RADIUS * scale`` (high alpha), R is the near radius and ``coef``
+    is None: no far term.  Otherwise the near radius is
+    ``NEAR_RADIUS * scale`` and the others enter through a local expansion
+    about the probe, ``coef``, built here in one pass.  Queries farther
+    than V from the probe take the exact path, the same formula over every
+    interferer with no far term; ``exact_queries`` counts them.  Distances
+    are normalized by the nearest-transmitter distance (the ratio is
+    invariant), so alpha = 100 stays in range, and the probe is never part
+    of the interference sum, so nothing cancels.
 
     Both point sets are held as contiguous x and y columns, so a query is
     one pass of whole-column operations, with no per-point loop and no
@@ -174,7 +174,6 @@ class Field:
         self.center = ps.points[i]
         self.order = EXPANSION_ORDER
         self.exact_queries = 0
-        self._radius = NEAR_RADIUS * ps.scale
         self._cx, self._cy = self.center.tolist()
         # Every interferer as contiguous x and y rows, the probe left out.
         pts = ps.points
@@ -182,36 +181,54 @@ class Field:
         xy[:, :i] = pts[:i].T
         xy[:, i:] = pts[i + 1:].T
         px, py = self._interferers = xy[0], xy[1]
-        near = _within(px, py, self._cx, self._cy, self._radius)
+        d2 = np.subtract(px, self._cx)
+        d2 *= d2
+        dy2 = np.subtract(py, self._cy)
+        dy2 *= dy2
+        d2 += dy2
+        valid = VALID_RADIUS * ps.scale
+        reach = valid + ((math.sqrt(d2.min(initial=math.inf)) + valid)
+                         * (len(px) * 2.0 ** NEGLIGIBLE_BITS) ** (1.0 / alpha))
+        # With no interferer reach is NaN, and the split (with nothing in
+        # it) is kept.
+        split = not reach < NEAR_RADIUS * ps.scale
+        self._radius = NEAR_RADIUS * ps.scale if split else reach
+        near = d2 <= self._radius ** 2
+        # Both full-length temporaries end here, after the mask.  Freed
+        # before it, they let the allocator hand the heap top back between
+        # builds, and the next build faulted it in again (about 2 200 minor
+        # faults on the default window).
+        del d2, dy2
         self._near = px[near], py[near]
         self.near_points = len(self._near[0])
         # Scratch rows (dx, dy, d2, q) of each query path; the exact path's
         # are made on its first query.
         self._near_buf = tuple(np.empty((4, self.near_points)))
         self._exact_buf = None
-        far = np.logical_not(near, out=near)
-        x, y = px[far], py[far]
-        x -= self._cx
-        x /= self._radius
-        y -= self._cy
-        y /= self._radius
-        self._coef = _local_expansion(x, y, alpha) if len(x) else None
-        self._valid2 = (VALID_RADIUS * ps.scale) ** 2
+        self.coef = None
+        if split:
+            far = np.logical_not(near, out=near)
+            x, y = px[far], py[far]
+            x -= self._cx
+            x /= self._radius
+            y -= self._cy
+            y /= self._radius
+            if len(x):
+                self.coef = _local_expansion(x, y, alpha)
+        self._valid2 = valid ** 2
         self._guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
 
-    def sir_and_gradient(self, rx):
-        """(SIR, gradient) of the probe at rx, a 2-sequence or a (1, 2)
-        array.
+    def at(self, x: float, y: float):
+        """(S, dS/dx, dS/dy) of the probe at the point (x, y), as floats.
 
-        Returns ``(inf, 0)`` when the interference is zero: no interferers,
-        or an SIR beyond the float range.  Raises
+        Returns ``(inf, 0, 0)`` when the interference is zero: no
+        interferers, or an SIR beyond the float range.  Raises
         :class:`SingularityError` on top of a transmitter.
         """
-        x, y = np.asarray(rx, dtype=float).reshape(2).tolist()
         hx, hy = x - self._cx, y - self._cy
         hi2 = hx * hx + hy * hy
         if hi2 <= self._valid2:
-            (px, py), coef, buf = self._near, self._coef, self._near_buf
+            (px, py), coef, buf = self._near, self.coef, self._near_buf
         else:
             (px, py), coef = self._interferers, None
             self.exact_queries += 1
@@ -228,7 +245,7 @@ class Field:
         np.multiply(dx, dx, d2)
         np.multiply(dy, dy, q)
         np.add(d2, q, d2)
-        s0 = min(hi2, float(d2.min())) if d2.size else hi2
+        s0 = min(hi2, float(np.minimum.reduce(d2))) if d2.size else hi2
         if s0 < self._guard2:
             raise SingularityError("evaluation on top of a transmitter")
         a = self.alpha
@@ -247,12 +264,18 @@ class Field:
             dwx += scale * (2.0 / self._radius * dfdt.real)
             dwy += scale * (2.0 / self._radius * -dfdt.imag)
         if w == 0.0:
-            return math.inf, np.zeros(2)
+            return math.inf, 0.0, 0.0
         ui = hi2 / s0
         g = ui ** (-0.5 * a)
         s = g / w
         c = (-a / s0) * (g / ui)
-        return s, np.array(((c * hx - s * dwx) / w, (c * hy - s * dwy) / w))
+        return s, (c * hx - s * dwx) / w, (c * hy - s * dwy) / w
+
+    def sir_and_gradient(self, rx):
+        """(SIR, gradient array) of the probe at rx, a 2-sequence or a
+        (1, 2) array (see :meth:`at`)."""
+        s, gx, gy = self.at(*np.asarray(rx, dtype=float).reshape(2).tolist())
+        return s, np.array((gx, gy))
 
 
 def sir(i: int, rx, ps: PointSet, alpha: float) -> float:
@@ -392,9 +415,11 @@ def decodes(rx, ps: PointSet, i: int, model: ChannelModel,
     of the interference.  A receiver is refused before the full sum only
     where one of i's nearest transmitters alone provably beats the signal,
     so the result equals the full sum's decision everywhere.  ``counts``,
-    when given, accumulates the receivers seen and refused.
+    when given, accumulates the receivers seen and refused.  Receivers
+    times transmitters above MAX_EVALS raise ValueError before any sum.
     """
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
+    check_evals(len(rx) * len(ps.points), "decode evaluations")
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     rows = np.flatnonzero(~beaten(rx, ps, i, model))
     out = np.zeros(len(rx), dtype=bool)
@@ -446,11 +471,13 @@ def fading_success_prob(rx, ps: PointSet, i: int,
     (M, 2) array rx under exponential (unit-mean) fading on every link:
     prod_j 1 / (1 + beta w_j) over the interferers, w_j = (d_j / r)^(-alpha).
     Each factor is log(1 + e^x), x = log(beta w_j), split at x = 0 so that
-    nothing overflows; distances are clamped as in :func:`decodes`."""
+    nothing overflows; distances are clamped, and the work budgeted, as in
+    :func:`decodes`."""
     if model.fading != "exponential":
         raise UnsupportedFadingError(
             "closed-form product requires exponential fading")
     rx = np.asarray(rx, dtype=float).reshape(-1, 2)
+    check_evals(len(rx) * len(ps.points), "fading evaluations")
     guard2 = (SINGULARITY_GUARD * ps.scale) ** 2
     log_beta = math.log(model.beta) if model.beta > 0 else -math.inf
     out = np.empty(len(rx))

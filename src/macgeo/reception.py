@@ -46,7 +46,6 @@ from .spatial import (CellIndex, GridSpec, PointSet, check_budget,
 
 _log = logging.getLogger(__name__)
 _GRAD_FLOOR = 1e-15
-_J = np.array([(0.0, 1.0), (-1.0, 0.0)])
 # Relative SIR tolerance kept on every traced vertex.
 CONTOUR_TOL = 1e-6
 # Step budget of one trace before the non-closure signal.
@@ -81,19 +80,21 @@ class RangeResult:
     method: str
 
 
-def _project(field, beta, z, tol, max_iter=8):
-    """Newton-correct z along grad S until |S - beta|/beta <= tol."""
-    s, g = field.sir_and_gradient(z)
+def _project(field, beta, x, y, tol, max_iter=8):
+    """Newton-correct the point (x, y) along grad S until |S - beta|/beta
+    <= tol; returns (x, y, gx, gy) there, as floats."""
+    s, gx, gy = field.at(x, y)
     for _ in range(max_iter):
         if abs(s - beta) <= tol * beta:
-            return z, s, g
-        n2 = g[0] * g[0] + g[1] * g[1]
+            return x, y, gx, gy
+        n2 = gx * gx + gy * gy
         if math.sqrt(n2) < _GRAD_FLOOR:
             raise StationaryPointError("vanishing SIR gradient during projection")
-        z = z + (beta - s) / n2 * g
-        s, g = field.sir_and_gradient(z)
+        c = (beta - s) / n2
+        x, y = x + c * gx, y + c * gy
+        s, gx, gy = field.at(x, y)
     if abs(s - beta) <= tol * beta:
-        return z, s, g
+        return x, y, gx, gy
     raise StationaryPointError("Newton projection failed to reach the level set")
 
 
@@ -104,22 +105,23 @@ def _contour_start(field, beta, direction, dt):
     The tracer's own projection puts the point on the level set."""
     if beta <= 0:
         raise ValueError("contour search requires beta > 0")
-    u = np.array([math.cos(direction), math.sin(direction)])
-    zi = field.center
+    ux, uy = math.cos(direction), math.sin(direction)
+    cx, cy = field.center.tolist()
     lo = hi = 1e-3 * field.ps.scale
     limit = 2.0 * field.ps.extent
-    while field.sir_and_gradient(zi + hi * u)[0] >= beta:
+    while field.at(cx + hi * ux, cy + hi * uy)[0] >= beta:
         lo, hi = hi, 2.0 * hi
         if hi > limit:
             raise UnboundedReceptionError(
                 f"SIR never drops below beta={beta:g} within the window")
     while hi - lo > dt:
         mid = 0.5 * (lo + hi)
-        if field.sir_and_gradient(zi + mid * u)[0] >= beta:
+        if field.at(cx + mid * ux, cy + mid * uy)[0] >= beta:
             lo = mid
         else:
             hi = mid
-    return zi + 0.5 * (lo + hi) * u
+    r = 0.5 * (lo + hi)
+    return cx + r * ux, cy + r * uy
 
 
 def trace_contour(i: int, ps: PointSet, model: ChannelModel,
@@ -160,35 +162,37 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
                          "one turn past the direction")
     field = Field(ps, i, model.alpha)
     zi = field.center
-    z0 = _contour_start(field, beta, direction, dt)
-    z0, _, g0 = _project(field, beta, z0, CONTOUR_TOL)
+    cx, cy = zi.tolist()
+    x0, y0, gx0, gy0 = _project(field, beta,
+                                *_contour_start(field, beta, direction, dt),
+                                CONTOUR_TOL)
     # A closed curve around the probe through z0 is at least 2 r0 long,
     # and the trace closes within dt of z0.  An accepted step moves a
     # vertex by less than 2 h <= 2 dt (the predictor h, its projection
     # less than h), so closing takes more than (2 r0 - dt) / (2 dt) steps.
-    r0 = math.hypot(*(z0 - zi).tolist())
+    r0 = math.hypot(x0 - cx, y0 - cy)
     if 2.0 * r0 - dt > 2.0 * dt * MAX_STEPS:
         raise ValueError(f"a closed curve through the start point at "
                          f"r0 = {r0:.6g} needs more than MAX_STEPS = "
                          f"{MAX_STEPS} steps of dt = {dt:g}")
-    t0 = _J @ (g0 / np.linalg.norm(g0))
-
-    verts = [z0]
-    grads = [g0]
-    z, g = z0, g0
+    # Each vertex and its gradient, as floats (x, y, gx, gy).  The heading
+    # is the gradient turned by -90 degrees, (gy, -gx) / |g|, so the
+    # closing test's headings agree where g . g0 > 0.
+    rows = [(x0, y0, gx0, gy0)]
+    x, y, gx, gy = rows[0]
     closed = False
     steps = halvings = 0
     # The polar angle swept since the start, for an arc.
     swept, sweep = 0.0, math.inf if end is None else end - direction
     while steps < MAX_STEPS:
-        n = math.hypot(g[0], g[1])
+        n = math.hypot(gx, gy)
         if n < _GRAD_FLOOR:
             raise StationaryPointError("vanishing SIR gradient on the contour")
-        heading, h = _J @ g, dt
+        h = dt
         for _ in range(MAX_HALVINGS + 1):
-            z_pred = z + h * heading / n
-            z_new, _, g_new = _project(field, beta, z_pred, CONTOUR_TOL)
-            if math.hypot(*(z_new - z_pred).tolist()) < h:
+            px, py = x + h * gy / n, y + h * -gx / n
+            x_new, y_new, gx, gy = _project(field, beta, px, py, CONTOUR_TOL)
+            if math.hypot(x_new - px, y_new - py) < h:
                 break
             h *= 0.5
             halvings += 1
@@ -196,20 +200,20 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
             raise StationaryPointError("no forward contour step down to "
                                        f"dt * 2**-{MAX_HALVINGS}")
         if end is not None:
-            (ax, ay), (bx, by) = (z - zi).tolist(), (z_new - zi).tolist()
+            ax, ay, bx, by = x - cx, y - cy, x_new - cx, y_new - cy
             swept += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
-        z, g = z_new, g_new
-        verts.append(z)
-        grads.append(g)
+        x, y = x_new, y_new
+        rows.append((x, y, gx, gy))
         steps += 1
         if swept >= sweep:
             break
-        if end is None and steps >= 10 and math.hypot(*(z - z0)) <= dt:
-            heading = _J @ (g / math.hypot(g[0], g[1]))
-            if float(heading @ t0) > 0.0:
-                closed = True
-                break
-    vertices = np.array(verts)
+        if (end is None and steps >= 10
+                and math.hypot(x - x0, y - y0) <= dt
+                and gy * gy0 + gx * gx0 > 0.0):
+            closed = True
+            break
+    table = np.array(rows)
+    vertices, grads = np.ascontiguousarray(table[:, :2]), table[:, 2:]
     if not (closed or swept >= sweep):
         far = int(np.argmax(np.hypot(*(vertices - zi).T)))
         partial = ContourTrace(vertices, vertices[far], float("nan"), False,
@@ -224,14 +228,13 @@ def trace_contour(i: int, ps: PointSet, model: ChannelModel,
         c, s = math.cos(end), math.sin(end)
         ca, cb = (c * y - s * x for x, y in (vertices[-2:] - zi).tolist())
         va, vb = vertices[-2:]
-        ends = (z0, va + ca / (ca - cb) * (vb - va))
+        ends = (vertices[0], va + ca / (ca - cb) * (vb - va))
     elif not point_in_polygon(zi, vertices):
         raise UnboundedReceptionError(
             f"the curve traced at beta={beta:g} does not enclose transmitter "
             f"{i}: the start ray met an interferer's exclusion hole")
 
-    r_lam, z_max = _max_range_refined(vertices, np.array(grads), field, beta,
-                                      ends)
+    r_lam, z_max = _max_range_refined(vertices, grads, field, beta, ends)
     _log.debug("trace of transmitter %d: %d steps, %d halvings, %d near "
                "points, expansion order %d, %d exact-path queries", i, steps,
                halvings, field.near_points, field.order, field.exact_queries)
@@ -267,12 +270,12 @@ def _max_range_refined(vertices, grads, field, beta, ends=()):
         k = int(np.argmax(dists))
         return float(dists[k]), vertices[k]
 
-    candidates = [_project(field, beta, z, CONTOUR_TOL ** 2)[0] for z in ends]
+    points = list(ends)
     for a in peaks:
         va, vb = vertices[a], vertices[(a + 1) % len(vertices)]
-        zm = va + cross[a] / (cross[a] - nxt[a]) * (vb - va)
-        candidates.append(_project(field, beta, zm, CONTOUR_TOL ** 2)[0])
-    cand = np.array(candidates)
+        points.append(va + cross[a] / (cross[a] - nxt[a]) * (vb - va))
+    cand = np.array([_project(field, beta, *z.tolist(), CONTOUR_TOL ** 2)[:2]
+                     for z in points])
     d = np.hypot(cand[:, 0] - zi[0], cand[:, 1] - zi[1])
     k = int(np.argmax(d))
     return float(d[k]), cand[k]

@@ -351,6 +351,28 @@ def test_readme_field_example_bytes_pinned(tmp_path, monkeypatch):
         "dd47f78a87b75f535e09413a091cb41fe9ac1b2ccc13e27fb1c1a8b10e4cb576")
 
 
+def test_readme_trace_example_bytes_pinned(tmp_path, monkeypatch):
+    # The README's Voronoi-limit trace (default 10 km window, alpha 100):
+    # the summary byte for byte, and every vertex row but the first byte
+    # for byte.  The first vertex lies on the x axis, a mirror line of the
+    # window, so its y is 0 up to the rounding of the gradient's
+    # cancelling terms; the near set sized by alpha sums fewer of them
+    # than the fixed 20 scales did, and that residue's sign flipped.
+    argv = ["trace", "--pattern", "square", "--beta", "1", "--alpha", "100",
+            "--d", "25"]
+    assert " ".join(["macgeo", *argv]) in README.read_text()
+    assert invoke(argv, tmp_path, monkeypatch) == EXIT_OK
+    header, first, rest = (tmp_path / "trace.csv").read_bytes().split(b"\n",
+                                                                      2)
+    x0, y0 = first.split(b",")
+    assert x0 == b"12.5" and abs(float(y0)) < 1e-50
+    assert hashlib.sha256(header + b"\n" + rest).hexdigest() == (
+        "2089c3e1199607164df88f32e498651be64f24b28da0d196cdc6e84404c3afa9")
+    summary = (tmp_path / "trace.csv.summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == (
+        "8a2796e9cc6f4d9027d66e639afeef73d1c7bb344776cabf8f793d5f7803324b")
+
+
 def test_field_on_an_empty_poisson_draw_exits_5(tmp_path, monkeypatch,
                                                  capsys):
     # At this intensity the draw holds no transmitter, so there is no probe.

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 import zlib
@@ -166,7 +167,7 @@ def test_field_matches_full_sum_at_default_window(kind, default_windows):
     r = VALID_RADIUS * ps.scale * np.sqrt(rng.uniform(0.0, 1.0, 40))
     th = rng.uniform(0.0, 2.0 * math.pi, 40)
     zs = ps.points[i] + np.column_stack([r * np.cos(th), r * np.sin(th)])
-    for alpha in (2.5, 3.0, 4.0, 8.0, 100.0):
+    for alpha in (2.5, 3.0, 4.0, 8.0, 30.0, 50.0, 100.0):
         field = Field(ps, i, alpha)
         for z in zs:
             s, g = field.sir_and_gradient(z)
@@ -181,6 +182,27 @@ def test_field_matches_full_sum_at_default_window(kind, default_windows):
     want, dwant = full_sir_and_gradient(i, z, ps.points, field.alpha)
     assert s == pytest.approx(want, rel=1e-9)
     assert np.max(np.abs(g - dwant)) <= 1e-9 * np.max(np.abs(dwant))
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal",
+                                  "poisson"])
+def test_field_near_set_sized_by_alpha(kind, default_windows):
+    # Up to alpha 20 the default window keeps the NEAR_RADIUS split and its
+    # expansion.  At alpha 100 every point past about 4.5 scales adds less
+    # than 2^-64 of the sum at a valid query, so only those are summed and
+    # no far term is built.
+    ps = default_windows[kind]
+    i = int(np.argmin(np.hypot(ps.points[:, 0], ps.points[:, 1])))
+    dx, dy = (ps.points - ps.points[i]).T
+    within = int(np.count_nonzero(dx * dx + dy * dy
+                                  <= (NEAR_RADIUS * ps.scale) ** 2)) - 1
+    for alpha in (2.5, 4.0, 8.0, 20.0):
+        field = Field(ps, i, alpha)
+        assert field.near_points == within
+        assert field.coef is not None
+    field = Field(ps, i, 100.0)
+    assert 0 < field.near_points < 100
+    assert field.coef is None
 
 
 def far_offsets(ps, i):
@@ -595,6 +617,21 @@ def test_raster_field_refuses_evaluations_past_the_budget():
     assert len(ps) * 1001 ** 2 > MAX_EVALS
     with pytest.raises(ValueError, match="raster evaluations exceed"):
         raster_field(ps, 4.0, 22.0, 1001)
+
+
+def test_decodes_refuses_evaluations_past_the_budget():
+    # 1e6 receivers (one broadcast row, no memory) times 2 025 points,
+    # 2.03e9 evaluations: both batched decisions refuse before any sum.
+    ps = gen_grid(GridSpec("square", 1.0), 22.0)
+    i = origin_index(ps)
+    rx = np.broadcast_to((0.5, 0.5), (1_000_000, 2))
+    assert len(rx) * len(ps) > MAX_EVALS
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="decode evaluations exceed"):
+        decodes(rx, ps, i, ChannelModel(4.0, 1.0))
+    with pytest.raises(ValueError, match="fading evaluations exceed"):
+        fading_success_prob(rx, ps, i, ChannelModel(4.0, 1.0, "exponential"))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_raster_field(tmp_path):

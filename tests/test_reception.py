@@ -71,12 +71,12 @@ def test_start_search_brackets_to_one_step(monkeypatch):
     inside, calls = [False], [0]
     start = reception._contour_start
 
-    query = reception.Field.sir_and_gradient
+    query = reception.Field.at
 
-    def counted_query(self, rx):
+    def counted_query(self, x, y):
         if inside[0]:
             calls[0] += 1
-        return query(self, rx)
+        return query(self, x, y)
 
     def counted_start(*args):
         inside[0] = True
@@ -85,7 +85,7 @@ def test_start_search_brackets_to_one_step(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(reception.Field, "sir_and_gradient", counted_query)
+    monkeypatch.setattr(reception.Field, "at", counted_query)
     monkeypatch.setattr(reception, "_contour_start", counted_start)
     assert trace_contour(i, ps, ChannelModel(4.0, 10.0), direction=0.7).closed
     assert march < calls[0] <= bound
@@ -230,13 +230,13 @@ def test_wedge_reads_the_alpha100_corner_at_the_default_step(kind):
 
 def test_wedge_range_queries_a_quarter_of_the_closed_trace(monkeypatch):
     calls = []
-    query = Field.sir_and_gradient
+    query = Field.at
 
-    def counted(self, rx):
-        calls.append(rx)
-        return query(self, rx)
+    def counted(self, x, y):
+        calls.append((x, y))
+        return query(self, x, y)
 
-    monkeypatch.setattr(Field, "sir_and_gradient", counted)
+    monkeypatch.setattr(Field, "at", counted)
     spec, model = GridSpec("square", 25.0), ChannelModel(4.0, 10.0)
     ps, i = lattice_probe(spec, 5000.0)
     trace_contour(i, ps, model)
