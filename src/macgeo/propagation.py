@@ -195,9 +195,8 @@ class Field:
         self._radius = NEAR_RADIUS * ps.scale if split else reach
         near = d2 <= self._radius ** 2
         # Both full-length temporaries end here, after the mask.  Freed
-        # before it, they let the allocator hand the heap top back between
-        # builds, and the next build faulted it in again (about 2 200 minor
-        # faults on the default window).
+        # before it, they left the heap so that each default-window build
+        # in a loop of grid-range jobs faulted about 2 200 pages back in.
         del d2, dy2
         self._near = px[near], py[near]
         self.near_points = len(self._near[0])
